@@ -1,11 +1,15 @@
 """E-engine: parallel exploration scaling of repro.engine.
 
 Times :class:`repro.engine.ExplorationEngine` at 1, 2, and 4 workers
-against the sequential :func:`repro.analysis.explore` baseline on one
-instance, verifies every run reproduces the identical graph (same states
-in the same discovery order, same edge count — the engine's documented
-guarantee), and appends ``{workers, seconds, speedup, peak_rss_kb}``
-rows to ``BENCH_engine.json``.
+without a store, and at 1 and 2 workers through a sqlite store, against
+the sequential :func:`repro.analysis.explore` baseline on one instance,
+verifies every run reproduces the identical graph (same states in the
+same discovery order, same edge count — the engine's documented
+guarantee), and appends ``{workers, store, seconds, speedup,
+peak_rss_kb}`` rows to ``BENCH_engine.json``.  Runs with more than one
+worker go through the store-backed round loop (an engine-owned memory
+store when none is configured); the sqlite pair shows whether the pool
+pays for itself on the disk-backed path.
 
 Instance selection: the default is ``delegation_consensus_system(6, 1)``
 (~29k states, seconds per run).  Set ``REPRO_BENCH_FULL=1`` to run
@@ -32,10 +36,13 @@ was still alive at sample time).  Rows now record the coordinator's own
 peak plus the per-worker peaks each worker self-reports over the reply
 pipe (``EngineReport.worker_rss_kb``).
 
-The codec's component-encode cache is the sequential hot path's win:
-the bench asserts its hit rate stays >= 0.5 (expanding a transition
-changes one or two components of a composite state, so re-encodes
-should be rare).
+The codec's component-encode cache is the digest path's win: the bench
+asserts its hit rate stays >= 0.5 (expanding a transition changes one
+or two components of a composite state, so re-encodes should be rare)
+on every row where the codec encodes successors — every ``workers>=2``
+row, and the one-worker sqlite row.  The one-worker run without a store
+dedups full states and never encodes a successor, so its rate is not a
+measurement.
 
 ``test_reduction_ratio`` times the same instance through the symmetry +
 POR :class:`~repro.engine.reduction.ReducedView` and asserts the
@@ -59,7 +66,8 @@ from repro.obs import MetricsRegistry
 from repro.protocols import delegation_consensus_system, tob_delegation_system
 
 FULL = os.environ.get("REPRO_BENCH_FULL", "") not in ("", "0")
-WORKER_COUNTS = (1, 2, 4)
+#: (workers, store URI) per timed row; None is the default in-RAM run.
+CONFIGS = ((1, None), (2, None), (4, None), (1, "sqlite"), (2, "sqlite"))
 SPEEDUP_TARGET = 2.0
 SPEEDUP_MIN_CPUS = 4
 STATE_RATIO_TARGET = 3.0
@@ -123,23 +131,19 @@ def test_engine_scaling_and_equivalence():
     ]
     speedups = {}
     cache_rates = {}
-    for workers in WORKER_COUNTS:
-        # fingerprints=True forces the FingerprintIndex path at workers=1
-        # too ("auto" would use full-state keys there), so the sequential
-        # hot path exercises the codec's component cache and the hit-rate
-        # assertion below is meaningful at every worker count.
-        engine = ExplorationEngine(workers=workers, budget=budget, fingerprints=True)
+    for workers, store in CONFIGS:
+        engine = ExplorationEngine(workers=workers, budget=budget, store=store)
         metrics = MetricsRegistry()
         gc.collect()
         started = perf_counter()
         graph = engine.explore(DeterministicSystemView(system), root, metrics=metrics)
         seconds = perf_counter() - started
         assert list(graph.states) == baseline_order, (
-            f"workers={workers} produced a different graph"
+            f"workers={workers} store={store} produced a different graph"
         )
         assert graph.edge_count() == baseline_edge_count
         del graph
-        speedups[workers] = baseline_seconds / seconds if seconds else 0.0
+        speedups[workers, store] = baseline_seconds / seconds if seconds else 0.0
         counters = metrics.snapshot()["counters"]
         cache_hits = counters.get("engine.codec.cache_hits", 0)
         cache_misses = counters.get("engine.codec.cache_misses", 0)
@@ -148,12 +152,15 @@ def test_engine_scaling_and_equivalence():
             if cache_hits + cache_misses
             else 0.0
         )
-        cache_rates[workers] = cache_rate
+        if workers >= 2 or store is not None:
+            cache_rates[workers, store] = cache_rate
         rows.append(
             {
                 "workers": workers,
+                "store": store,
+                "cpu_count": os.cpu_count(),
                 "seconds": round(seconds, 3),
-                "speedup_vs_sequential": round(speedups[workers], 3),
+                "speedup_vs_sequential": round(speedups[workers, store], 3),
                 "peak_rss_kb": _peak_rss_kb(engine.last_report),
                 "worker_rss_kb": list(engine.last_report.worker_rss_kb),
                 "codec_cache_hit_rate": round(cache_rate, 4),
@@ -174,16 +181,16 @@ def test_engine_scaling_and_equivalence():
     report("engine scaling" + (" (full)" if FULL else ""), rows,
            artifact="BENCH_engine.json")
 
-    for workers, rate in cache_rates.items():
+    for (workers, store), rate in cache_rates.items():
         assert rate >= CACHE_HIT_RATE_FLOOR, (
             f"codec component-cache hit rate {rate:.3f} at workers={workers} "
-            f"is below {CACHE_HIT_RATE_FLOOR} — the packed hot path is "
-            "re-encoding components it should be reusing"
+            f"store={store} is below {CACHE_HIT_RATE_FLOOR} — the packed hot "
+            "path is re-encoding components it should be reusing"
         )
     if cpus >= SPEEDUP_MIN_CPUS:
-        assert speedups[4] >= SPEEDUP_TARGET, (
+        assert speedups[4, None] >= SPEEDUP_TARGET, (
             f"expected >= {SPEEDUP_TARGET}x at 4 workers on {cpus} CPUs, "
-            f"got {speedups[4]:.2f}x"
+            f"got {speedups[4, None]:.2f}x"
         )
 
 

@@ -26,8 +26,9 @@ The engine is the scalable successor of
   set, and a spillable FIFO frontier, so 10^6+-state runs hold packed
   bytes on disk instead of decoded states in RAM;
 * :mod:`repro.engine.parallel`    — the fork-based worker pool doing
-  frontier-partitioned parallel BFS (states sharded by digest), with an
-  in-process fallback when ``workers=1`` or fork is unavailable;
+  frontier-partitioned parallel BFS (states sharded by digest) for the
+  engine's store-backed round loop, with an in-process fallback when
+  fork is unavailable;
 * :mod:`repro.engine.api`         — the :class:`ExplorationEngine`
   facade the analysis layer and the CLI drive, with a documented
   guarantee that the produced graph is identical to the sequential one;

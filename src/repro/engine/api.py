@@ -17,9 +17,10 @@ sequential one, including discovery order**, at every worker count.
 Why: breadth-first search over a deterministic view is a pure function
 of the root once three choices are fixed — the expansion order of the
 frontier, the successor order within an expansion, and the dedup
-relation.  The engine fixes all three identically in both drivers:
+relation.  The engine fixes all three identically in its three loops
+(classic sequential, store sequential, store parallel):
 
-* the frontier is FIFO, and the parallel driver *merges* worker results
+* the frontier is FIFO, and the parallel loop *merges* worker results
   in exact frontier order (workers only precompute expansions; the
   single-threaded merge loop is the one that discovers states), so the
   concatenation of rounds replays the sequential queue;
@@ -28,12 +29,15 @@ relation.  The engine fixes all three identically in both drivers:
 * dedup is "first discovery wins", applied in merge order.
 
 Parallelism therefore changes *where* ``successors()`` runs, never
-*what* the search sees.  The only caveat is dedup by digest (used by the
-parallel driver and opt-in sequentially): a fingerprint collision would
-merge two distinct states.  The default 16-byte digests make that
-probability ~``n^2/2^129``; collision-audit mode
-(:class:`~repro.engine.fingerprint.FingerprintIndex`) upgrades the
-guarantee to a checked one.  Interrupted runs may differ from a
+*what* the search sees.  Every run with more than one worker goes
+through the store-backed loop — on an engine-owned in-RAM
+:class:`~repro.engine.store.MemoryStore` when no ``store=`` is given —
+so the one forking loop is also the one digest-native loop.  The only
+caveat is dedup by digest (used by every store-backed run): a
+fingerprint collision would merge two distinct states.  The default
+16-byte digests make that probability ~``n^2/2^129``; collision-audit
+mode (:class:`~repro.engine.fingerprint.FingerprintIndex`, one process,
+no store) upgrades the guarantee to a checked one.  Interrupted runs may differ from a
 sequential interrupt in *which* prefix they explored, but resuming any
 checkpoint converges to the same completed graph.
 
@@ -140,8 +144,6 @@ class _Run:
         "order",
         "edges",
         "frontier",
-        "packed_of",
-        "resumed_packed",
         "transitions",
         "expanded",
         "rounds",
@@ -155,7 +157,6 @@ class _Run:
         "phase",
         "orbit_hits",
         "pruned_tasks",
-        "quarantined",
         "pool",
         "store",
         "store_mode",
@@ -177,15 +178,14 @@ class _Run:
 
 
 class _StorePackedMap:
-    """``packed_of`` for store-backed parallel rounds.
+    """``packed_of`` for parallel rounds.
 
     The :class:`~repro.engine.parallel.WorkerPool` wire protocol reads
     and writes one digest-keyed mapping of canonical bytes; this adapter
     answers from the store for every discovered digest and stages the
     novel bytes worker replies deliver in ``pending`` until the merge
     loop commits them (or the round ends — uncommitted novel bytes are
-    recomputed on resume, exactly like the classic table's extras are
-    dropped with the process).
+    recomputed on resume).
     """
 
     __slots__ = ("store", "pending")
@@ -200,24 +200,12 @@ class _StorePackedMap:
             packed = self.store.get(digest)
         return packed
 
-    def __getitem__(self, digest: bytes) -> bytes:
-        packed = self.get(digest)
-        if packed is None:
-            raise KeyError(digest)
-        return packed
-
-    def __setitem__(self, digest: bytes, packed: bytes) -> None:
-        self.pending[digest] = packed
-
     def setdefault(self, digest: bytes, packed: bytes) -> bytes:
         existing = self.get(digest)
         if existing is not None:
             return existing
         self.pending[digest] = packed
         return packed
-
-    def __contains__(self, digest: bytes) -> bool:
-        return self.get(digest) is not None
 
 
 @dataclass(frozen=True)
@@ -342,10 +330,13 @@ class ExplorationEngine:
     Parameters
     ----------
     workers:
-        Expansion processes.  ``1`` (the default) runs in-process; so
-        does any value when the platform lacks the ``fork`` start method
-        (the system under analysis is not picklable, so workers must
-        inherit it — see :mod:`repro.engine.parallel`).
+        Expansion processes.  ``1`` (the default) runs in-process.  More
+        than one always explores through a store (an engine-owned
+        ``"memory"`` store when ``store`` is ``None``; ``explore()``
+        still returns the materialized graph) with forked workers — or
+        in-process expanders when the platform lacks the ``fork`` start
+        method (the system under analysis is not picklable, so workers
+        must inherit it — see :mod:`repro.engine.parallel`).
     budget:
         The :class:`Budget`; defaults to the explorer's historical
         ``Budget(max_states=200_000)``.
@@ -388,32 +379,27 @@ class ExplorationEngine:
         Reporting only — enforcement belongs to the caller (the CLI's
         ``--rss-limit-mb`` installs a ``resource.setrlimit`` address
         -space cap before the run starts).
-    fingerprints:
-        ``"auto"`` (digests for parallel runs, full states
-        sequentially), or a bool to force either visited-set
-        representation.  Parallel runs always shard by digest.
     audit:
         Collision-audit mode: keep full states per digest and raise
         :class:`~repro.engine.fingerprint.FingerprintCollision` if two
-        unequal states ever hash alike.  Implies digest dedup.
+        unequal states ever hash alike.  Implies digest dedup; runs in
+        one process without a store (``ValueError`` with ``store=`` or
+        ``workers > 1``).
     max_worker_restarts:
         How many times a crashed worker slot is respawned (with
         exponential backoff) before its partitions are redistributed to
         survivors.  ``None`` (the default) reads
         ``REPRO_ENGINE_MAX_RESTARTS`` from the environment, falling back
         to 3.
-    restart_backoff_seconds:
-        Base of the exponential respawn backoff (doubles per restart of
-        the same slot, capped at 2s per sleep).
     max_partition_retries:
         Hard ceiling on how often one frontier partition may be
         re-dispatched after worker losses before the run raises
         :class:`~repro.engine.errors.PartitionRetryExhausted`.
-    max_state_retries:
-        Worker losses a *single* state may cause before it is
-        quarantined (skipped and surfaced in :attr:`last_report`).
     quarantine:
-        When false, a state hitting ``max_state_retries`` raises
+        A state whose expansion kills its worker
+        :data:`~repro.engine.parallel.MAX_STATE_RETRIES` times is
+        quarantined (skipped and surfaced in :attr:`last_report`).
+        When false, such a state raises
         :class:`~repro.engine.errors.StateQuarantined` instead of being
         skipped (for runs that must not give up the identical-graph
         guarantee).
@@ -421,10 +407,6 @@ class ExplorationEngine:
         A :class:`~repro.engine.chaos.FaultPlan` scheduling
         deterministic worker kills (testing the recovery paths).
         ``None`` reads the ``REPRO_CHAOS`` environment variable.
-    heartbeat_seconds:
-        Liveness-check interval: when no worker replies for this long,
-        every waited-on worker's process is checked (catches deaths the
-        pipe has not reported yet).
     progress:
         A :class:`~repro.obs.progress.ProgressReporter` for live
         ``states/s`` lines on stderr (driven per round in parallel runs,
@@ -464,18 +446,14 @@ class ExplorationEngine:
         checkpoint_interval: int | None = None,
         resume: bool = False,
         rss_limit_mb: int | None = None,
-        fingerprints: bool | str = "auto",
         audit: bool = False,
         digest_size: int = DIGEST_SIZE,
         tracer: Tracer = NULL_TRACER,
         metrics: MetricsRegistry = NULL_METRICS,
         max_worker_restarts: int | None = None,
-        restart_backoff_seconds: float = 0.05,
         max_partition_retries: int = 5,
-        max_state_retries: int = 2,
         quarantine: bool = True,
         fault_plan: FaultPlan | None = None,
-        heartbeat_seconds: float = 5.0,
         progress: ProgressReporter | bool | None = None,
         cancel=None,
         run=None,
@@ -490,10 +468,11 @@ class ExplorationEngine:
             raise ValueError("flush_interval must be >= 1")
         if rss_limit_mb is not None and rss_limit_mb < 1:
             raise ValueError(f"rss_limit_mb must be >= 1, got {rss_limit_mb}")
-        if audit and self.store is not None:
+        if audit and (self.store is not None or workers > 1):
             raise ValueError(
-                "audit mode keeps full states in RAM and is incompatible "
-                "with store=; run the collision audit without a store"
+                "audit mode keeps full states in RAM in one process and is "
+                "incompatible with store= and workers > 1; run the "
+                "collision audit at workers=1 without a store"
             )
         if max_worker_restarts is None:
             max_worker_restarts = int(os.environ.get("REPRO_ENGINE_MAX_RESTARTS", "3"))
@@ -505,8 +484,6 @@ class ExplorationEngine:
             raise ValueError(
                 f"max_partition_retries must be >= 0, got {max_partition_retries}"
             )
-        if max_state_retries < 1:
-            raise ValueError(f"max_state_retries must be >= 1, got {max_state_retries}")
         self.workers = workers
         self.budget = DEFAULT_BUDGET if budget is None else budget
         self.checkpoint_dir = None if checkpoint_dir is None else Path(checkpoint_dir)
@@ -518,18 +495,14 @@ class ExplorationEngine:
         #: Root digest a caller-owned StateStore instance is bound to.
         self._store_bound: bytes | None = None
         self.resume = resume
-        self.fingerprints = fingerprints
         self.audit = audit
         self.digest_size = digest_size
         self.tracer = tracer
         self.metrics = metrics
         self.max_worker_restarts = max_worker_restarts
-        self.restart_backoff_seconds = restart_backoff_seconds
         self.max_partition_retries = max_partition_retries
-        self.max_state_retries = max_state_retries
         self.quarantine = quarantine
         self.fault_plan = FaultPlan.from_env() if fault_plan is None else fault_plan
-        self.heartbeat_seconds = heartbeat_seconds
         if progress is None:
             self.progress = progress_from_env()
         elif progress is False:
@@ -566,7 +539,8 @@ class ExplorationEngine:
         budget limit is hit, with progress stats and — when
         checkpointing is on — the snapshot to resume from.
 
-        Store-backed runs materialize the returned
+        Store-backed runs (every run with more than one worker is one)
+        materialize the returned
         :class:`~repro.analysis.explorer.StateGraph` from the store at
         the end — which decodes every state back into RAM.  For runs
         whose entire point is *not* holding the graph in memory, use
@@ -634,13 +608,10 @@ class ExplorationEngine:
         status = "ok"
         try:
             try:
-                if run.store_mode:
-                    if self.workers > 1:
-                        self._drive_store_parallel(run)
-                    else:
-                        self._drive_store_sequential(run)
-                elif self.workers > 1:
-                    self._drive_parallel(run)
+                if self.workers > 1:
+                    self._drive_store_parallel(run)
+                elif run.store_mode:
+                    self._drive_store_sequential(run)
                 else:
                     self._drive_sequential(run)
             except _Exhausted as signal:
@@ -692,10 +663,6 @@ class ExplorationEngine:
     def _make_index(self, codec: Codec):
         if self.audit:
             return FingerprintIndex(self.digest_size, audit=True, codec=codec)
-        if self.fingerprints is True or (
-            self.fingerprints == "auto" and self.workers > 1
-        ):
-            return FingerprintIndex(self.digest_size, codec=codec)
         return StateIndex(self.digest_size)
 
     def _start_run(self, view, root, prune, tracer, metrics) -> _Run:
@@ -709,8 +676,6 @@ class ExplorationEngine:
         run.tracing = tracer.enabled
         run.metrics = metrics
         run.index = self._make_index(run.codec)
-        run.packed_of = {run.root_digest: packed_root}
-        run.resumed_packed = None
         run.transitions = 0
         run.expanded = 0
         run.rounds = 0
@@ -722,7 +687,6 @@ class ExplorationEngine:
         run.phase = {}
         run.orbit_hits = 0
         run.pruned_tasks = 0
-        run.quarantined = []
         run.pool = None
         run.store = None
         run.store_mode = False
@@ -731,7 +695,7 @@ class ExplorationEngine:
         run.segment_seq = 0
         run.last_flush_ms = None
         run.cache_published = (0, 0)
-        if self.store is not None:
+        if self.store is not None or self.workers > 1:
             self._start_run_external(run, packed_root, metrics)
             run.started = time.monotonic()
             run.deadline = Deadline(
@@ -742,20 +706,12 @@ class ExplorationEngine:
         if checkpoint is not None:
             run.order = checkpoint.order
             run.edges = checkpoint.edges
-            run.frontier = deque((state, None) for state in checkpoint.frontier)
+            run.frontier = deque(checkpoint.frontier)
             run.transitions = checkpoint.transitions
             run.elapsed_prior = checkpoint.elapsed_seconds
             run.resumed = True
-            run.resumed_packed = checkpoint.packed_order
             if isinstance(run.index, StateIndex):
                 run.index.add_states(run.order)
-            elif run.resumed_packed is not None and not self.audit:
-                # A packed (v2) checkpoint restores the digest set from
-                # bytes alone — no state is re-encoded on resume.
-                run.index.add_digests(
-                    digest_of_packed(packed, self.digest_size)
-                    for packed in run.resumed_packed
-                )
             else:
                 for state in run.order:
                     run.index.add(state)
@@ -764,7 +720,8 @@ class ExplorationEngine:
         else:
             run.order = [root]
             run.edges = {}
-            run.frontier = deque([(root, run.index.add(root, run.root_digest))])
+            run.index.add(root, run.root_digest)
+            run.frontier = deque([root])
         run.started = time.monotonic()
         run.deadline = Deadline(
             self.budget.deadline_seconds, already_elapsed=run.elapsed_prior
@@ -783,7 +740,7 @@ class ExplorationEngine:
 
     def _open_store(self, root_digest: bytes) -> tuple[StateStore, bool]:
         """(store, engine-owned) for one exploration of ``root_digest``."""
-        configured = self.store
+        configured = StoreConfig() if self.store is None else self.store
         if isinstance(configured, StateStore):
             if self._store_bound is not None and self._store_bound != root_digest:
                 raise EngineError(
@@ -961,7 +918,7 @@ class ExplorationEngine:
                 )
             if handle is not None and run.expanded % 256 == 0:
                 self._heartbeat(run)
-            state, digest = run.frontier.popleft()
+            state = run.frontier.popleft()
             if run.prune is not None and run.prune(state):
                 self._commit_pruned(run, state)
             elif timing:
@@ -970,182 +927,20 @@ class ExplorationEngine:
                 run.phase["expand_seconds"] = run.phase.get(
                     "expand_seconds", 0.0
                 ) + (time.perf_counter() - before)
-                self._commit(run, state, digest, out, None)
+                self._commit(run, state, out)
             else:
-                self._commit(run, state, digest, run.view.successors(state), None)
+                self._commit(run, state, run.view.successors(state))
             self._maybe_checkpoint(run)
-
-    def _drive_parallel(self, run: _Run) -> None:
-        budget = self.budget
-        pool = WorkerPool(
-            self.workers,
-            run.view,
-            run.prune,
-            self.digest_size,
-            self.audit,
-            expected_states=budget.max_states,
-            max_worker_restarts=self.max_worker_restarts,
-            restart_backoff_seconds=self.restart_backoff_seconds,
-            max_partition_retries=self.max_partition_retries,
-            max_state_retries=self.max_state_retries,
-            quarantine=self.quarantine,
-            fault_plan=self.fault_plan,
-            heartbeat_seconds=self.heartbeat_seconds,
-            tracer=run.tracer,
-            metrics=run.metrics,
-        ).start()
-        run.pool = pool
-        codec = run.codec
-        # Coordinator-side tables for the packed wire protocol.
-        # ``packed_of`` (digest -> canonical bytes) is the primary one:
-        # every digest in the index has an entry — seeded here from the
-        # root / the checkpoint, maintained from the novel lists in
-        # worker replies, consulted for bootstrap pairs and checkpoints.
-        # ``state_of`` (digest -> decoded state) is the coordinator's
-        # decode memo: each distinct state is decoded exactly once, at
-        # first discovery in the merge loop.
-        packed_of: dict = run.packed_of
-        state_of: dict = {run.root_digest: run.root}
-        if run.resumed:
-            if run.resumed_packed is not None:
-                for state, packed in zip(run.order, run.resumed_packed):
-                    digest = digest_of_packed(packed, self.digest_size)
-                    packed_of.setdefault(digest, packed)
-                    state_of.setdefault(digest, state)
-            else:
-                for state in run.order:
-                    packed, digest = codec.encode_digest(state)
-                    packed_of.setdefault(digest, packed)
-                    state_of.setdefault(digest, state)
-        if pool.visited is not None:
-            # Seed global membership so workers do not re-ship states the
-            # coordinator already holds (the root, a resumed graph).
-            for digest in packed_of:
-                pool.visited.add(digest)
-        tasks = run.view.tasks
-        intern_action = run.action_intern
-        cancel = self.cancel
-        try:
-            while run.frontier:
-                if cancel is not None and cancel():
-                    raise _Exhausted("cancelled", 0.0)
-                if run.deadline.expired():
-                    raise _Exhausted("deadline", budget.deadline_seconds)
-                items = []
-                for state, digest in run.frontier:
-                    if digest is None:
-                        digest = run.index.digest(state)
-                        state_of.setdefault(digest, state)
-                    items.append((state, digest))
-                run.frontier.clear()
-                round_span = start_span(
-                    run.tracer, "round", round=run.rounds + 1, states=len(items)
-                )
-                results = pool.run_round(
-                    run.rounds + 1,
-                    items,
-                    packed_of,
-                    run.phase,
-                    round_span_id=None if round_span is None else round_span.span_id,
-                )
-                # Merge in exact frontier order: this loop — not the
-                # workers — is where states are discovered, which is what
-                # keeps the graph identical to the sequential one.
-                merge_started = time.perf_counter()
-                position = 0
-                try:
-                    for position, (state, digest) in enumerate(items):
-                        result = results[position]
-                        if result == PRUNED:
-                            self._commit_pruned(run, state)
-                            continue
-                        if result == QUARANTINED:
-                            self._commit_quarantined(run, state)
-                            continue
-                        out = []
-                        digests = []
-                        if self.audit:
-                            # Audit rows carry packed bytes per edge, and
-                            # each is decoded on its own (never resolved
-                            # through the digest-keyed memo) so the
-                            # audited index still compares full *values*
-                            # and a digest collision cannot hide behind
-                            # the wire format.
-                            for task_index, action, succ_digest, succ_packed in result:
-                                out.append(
-                                    (
-                                        tasks[task_index],
-                                        intern_action.setdefault(action, action),
-                                        codec.decode(succ_packed),
-                                    )
-                                )
-                                digests.append(succ_digest)
-                        else:
-                            for task_index, action, succ_digest in result:
-                                succ = state_of.get(succ_digest)
-                                if succ is None:
-                                    packed = packed_of.get(succ_digest)
-                                    if packed is None:
-                                        packed = self._recover_packed(
-                                            run, state, succ_digest
-                                        )
-                                    succ = codec.decode(packed)
-                                    state_of[succ_digest] = succ
-                                out.append(
-                                    (
-                                        tasks[task_index],
-                                        intern_action.setdefault(action, action),
-                                        succ,
-                                    )
-                                )
-                                digests.append(succ_digest)
-                        self._commit(run, state, digest, out, digests)
-                except _Exhausted:
-                    # _commit repaired the frontier as [state, *partial-adds,
-                    # *earlier-discoveries]; slot the round's unmerged tail in
-                    # right after the offending state to preserve BFS order.
-                    state_entry = run.frontier.popleft()
-                    run.frontier.extendleft(reversed(items[position + 1 :]))
-                    run.frontier.appendleft(state_entry)
-                    end_span(run.tracer, round_span, status="exhausted")
-                    raise
-                finally:
-                    run.phase["merge_seconds"] = run.phase.get(
-                        "merge_seconds", 0.0
-                    ) + (time.perf_counter() - merge_started)
-                run.rounds += 1
-                if run.tracing:
-                    run.tracer.emit(
-                        WORKER_ROUND,
-                        round=run.rounds,
-                        expanded=len(items),
-                        shards=pool.last_round_producers,
-                        frontier=len(run.frontier),
-                    )
-                end_span(run.tracer, round_span, frontier=len(run.frontier))
-                if self.progress is not None:
-                    self.progress.update(
-                        states=len(run.order),
-                        frontier=len(run.frontier),
-                        workers=self.workers,
-                        elapsed=run.elapsed(),
-                        budget=budget,
-                    )
-                self._heartbeat(run)
-                self._maybe_checkpoint(run)
-        finally:
-            pool.stop()
 
     # -- store-backed (digest-native) drivers ---------------------------------
     #
-    # These mirror _drive_sequential/_drive_parallel with one structural
-    # difference: no decoded state outlives its own expansion.  The
-    # frontier, visited set, and edges live in the StateStore keyed by
-    # digest; a state is decoded exactly when it is expanded (or, in
-    # parallel runs, inside a worker) and dropped immediately after, so
-    # RSS is bounded by the frontier window instead of the state count.
-    # Discovery still happens in exact frontier order — same BFS, same
-    # graph.
+    # These mirror _drive_sequential with one structural difference: no
+    # decoded state outlives its own expansion.  The frontier, visited
+    # set, and edges live in the StateStore keyed by digest; a state is
+    # decoded exactly when it is expanded (or, in parallel runs, inside a
+    # worker) and dropped immediately after, so RSS is bounded by the
+    # frontier window instead of the state count.  Discovery still
+    # happens in exact frontier order — same BFS, same graph.
 
     def _drive_store_sequential(self, run: _Run) -> None:
         budget = self.budget
@@ -1206,20 +1001,15 @@ class ExplorationEngine:
             run.view,
             run.prune,
             self.digest_size,
-            self.audit,
             expected_states=budget.max_states,
             max_worker_restarts=self.max_worker_restarts,
-            restart_backoff_seconds=self.restart_backoff_seconds,
             max_partition_retries=self.max_partition_retries,
-            max_state_retries=self.max_state_retries,
             quarantine=self.quarantine,
             fault_plan=self.fault_plan,
-            heartbeat_seconds=self.heartbeat_seconds,
             tracer=run.tracer,
             metrics=run.metrics,
         ).start()
         run.pool = pool
-        codec = run.codec
         # The wire protocol's packed_of table, backed by the store: the
         # store serves every already-discovered digest; novel bytes from
         # worker replies stage in an in-RAM overlay for the duration of
@@ -1236,18 +1026,18 @@ class ExplorationEngine:
                     raise _Exhausted("cancelled", 0.0)
                 if run.deadline.expired():
                     raise _Exhausted("deadline", budget.deadline_seconds)
-                items = []
+                digests = []
                 while True:
                     digest = store.pop()
                     if digest is None:
                         break
-                    items.append((None, digest))
+                    digests.append(digest)
                 round_span = start_span(
-                    run.tracer, "round", round=run.rounds + 1, states=len(items)
+                    run.tracer, "round", round=run.rounds + 1, states=len(digests)
                 )
                 results = pool.run_round(
                     run.rounds + 1,
-                    items,
+                    digests,
                     packed_of,
                     run.phase,
                     round_span_id=None if round_span is None else round_span.span_id,
@@ -1255,14 +1045,12 @@ class ExplorationEngine:
                 merge_started = time.perf_counter()
                 position = 0
                 try:
-                    for position, (_, digest) in enumerate(items):
+                    for position, digest in enumerate(digests):
                         result = results[position]
-                        if result == PRUNED:
+                        if result == PRUNED or result == QUARANTINED:
+                            # Node kept, no outgoing edges; the pool
+                            # records quarantined states for the report.
                             self._commit_external_empty(run, digest)
-                            continue
-                        if result == QUARANTINED:
-                            self._commit_external_empty(run, digest)
-                            run.quarantined.append(codec.decode(store.get(digest)))
                             continue
                         rows = []
                         for task_index, action, succ_digest in result:
@@ -1278,7 +1066,7 @@ class ExplorationEngine:
                     # the head; slot the round's unmerged tail right
                     # after it to preserve BFS order.
                     state_digest = store.pop()
-                    for _, tail_digest in reversed(items[position + 1 :]):
+                    for tail_digest in reversed(digests[position + 1 :]):
                         store.push_front(tail_digest)
                     store.push_front(state_digest)
                     end_span(run.tracer, round_span, status="exhausted")
@@ -1293,7 +1081,7 @@ class ExplorationEngine:
                     run.tracer.emit(
                         WORKER_ROUND,
                         round=run.rounds,
-                        expanded=len(items),
+                        expanded=len(digests),
                         shards=pool.last_round_producers,
                         frontier=store.frontier_len(),
                     )
@@ -1367,8 +1155,16 @@ class ExplorationEngine:
     def _recover_packed_external(
         self, run: _Run, parent_digest: bytes, digest: bytes, packed_of
     ) -> bytes:
-        """Store-mode twin of :meth:`_recover_packed`: re-derive lost bytes
-        by re-expanding the parent (decoded from the store) in-process."""
+        """Re-derive packed bytes a worker reply referenced but never shipped.
+
+        Two rare paths get here: the first inserter of ``digest`` into
+        the shared visited table died before its reply left (and no
+        retried chunk re-shipped it), or a torn table slot answered
+        "present" to a digest nobody holds.  Either way the parent is in
+        the store and the view is deterministic, so re-expanding it
+        in-process reproduces the exact successor — the identical-graph
+        guarantee never rests on the table.
+        """
         parent = run.codec.decode(run.store.get(parent_digest))
         recovered = None
         for _task, _action, post in run.view.successors(parent):
@@ -1396,17 +1192,7 @@ class ExplorationEngine:
         if run.tracing:
             run.tracer.emit(STATE_EXPLORED, edges=0, pruned=True)
 
-    def _commit_quarantined(self, run: _Run, state) -> None:
-        # The state keeps its node but loses its outgoing edges — the
-        # documented breach of the identical-graph guarantee, surfaced
-        # via run.quarantined -> EngineReport (the pool already emitted
-        # the state_quarantined trace event at detection time).
-        run.edges[state] = []
-        run.expanded += 1
-        run.since_checkpoint += 1
-        run.quarantined.append(state)
-
-    def _commit(self, run: _Run, state, digest, out, succ_digests) -> None:
+    def _commit(self, run: _Run, state, out) -> None:
         """Discover ``out``'s successors and record the expansion.
 
         On a budget breach the method leaves the run in the documented
@@ -1419,7 +1205,7 @@ class ExplorationEngine:
             budget.max_transitions is not None
             and run.transitions + len(out) > budget.max_transitions
         ):
-            run.frontier.appendleft((state, digest))
+            run.frontier.appendleft(state)
             raise _Exhausted("transitions", budget.max_transitions)
         # With a state-keyed index the visited set doubles as an intern
         # table: edges reference the first-seen object per state (and per
@@ -1429,10 +1215,8 @@ class ExplorationEngine:
         intern_action = run.action_intern
         rebuilt = [] if resolve is not None else None
         added = []
-        for position, (task, action, successor) in enumerate(out):
-            known, succ_digest = run.index.check(
-                successor, succ_digests[position] if succ_digests else None
-            )
+        for task, action, successor in out:
+            known, succ_digest = run.index.check(successor)
             if known:
                 if rebuilt is not None:
                     rebuilt.append(
@@ -1445,11 +1229,11 @@ class ExplorationEngine:
                 continue
             if budget.max_states is not None and len(run.index) >= budget.max_states:
                 run.frontier.extend(added)
-                run.frontier.appendleft((state, digest))
+                run.frontier.appendleft(state)
                 raise _Exhausted("states", budget.max_states)
-            succ_digest = run.index.add(successor, succ_digest)
+            run.index.add(successor, succ_digest)
             run.order.append(successor)
-            added.append((successor, succ_digest))
+            added.append(successor)
             if rebuilt is not None:
                 rebuilt.append(
                     (task, intern_action.setdefault(action, action), successor)
@@ -1463,37 +1247,6 @@ class ExplorationEngine:
             run.tracer.emit(
                 STATE_EXPLORED, edges=len(out), frontier=len(run.frontier)
             )
-
-    # -- missing-bytes recovery ----------------------------------------------
-
-    def _recover_packed(self, run: _Run, parent, digest: bytes) -> bytes:
-        """Re-derive packed bytes a worker reply referenced but never shipped.
-
-        Two rare paths get here: the first inserter of ``digest`` into
-        the shared visited table died before its reply left (and no
-        retried chunk re-shipped it), or a torn table slot answered
-        "present" to a digest nobody holds.  Either way the parent state
-        is already known and the view is deterministic, so recomputing
-        ``successors(parent)`` in-process reproduces the exact successor
-        — the identical-graph guarantee never rests on the table.
-        """
-        recovered = None
-        packed_of = run.packed_of
-        for _task, _action, post in run.view.successors(parent):
-            packed, post_digest = run.codec.encode_digest(post)
-            packed_of.setdefault(post_digest, packed)
-            if post_digest == digest:
-                recovered = packed
-        if recovered is None:
-            raise EngineError(
-                f"worker reply referenced digest {digest.hex()} that is not "
-                "a successor of its parent state; the exploration is "
-                "corrupt (please report this)"
-            )
-        run.recovered += 1
-        if run.metrics.enabled:
-            run.metrics.counter("engine.recovered_states").inc()
-        return recovered
 
     # -- run ledger heartbeats ------------------------------------------------
 
@@ -1634,7 +1387,7 @@ class ExplorationEngine:
                     root_digest=run.root_digest,
                     order=run.order,
                     edges=run.edges,
-                    frontier=[state for state, _ in run.frontier],
+                    frontier=list(run.frontier),
                     transitions=run.transitions,
                     elapsed_seconds=run.elapsed(),
                     digest_size=self.digest_size,
@@ -1725,13 +1478,7 @@ class ExplorationEngine:
                 else tuple(digest.hex() for _, digest in pool.quarantined)
             ),
             quarantined_states=(
-                tuple(run.quarantined)
-                if run.store_mode
-                else (
-                    ()
-                    if pool is None
-                    else tuple(state for state, _ in pool.quarantined)
-                )
+                () if pool is None else tuple(state for state, _ in pool.quarantined)
             ),
             worker_rss_kb=(
                 ()

@@ -19,7 +19,8 @@ points where that recovery machinery *gives up* (or, for
   crashing partition (``max_partition_retries=0`` turns any in-flight
   loss into an error).
 * :class:`StateQuarantined` — a single state killed its worker
-  ``max_state_retries`` times and quarantine is disabled
+  :data:`~repro.engine.parallel.MAX_STATE_RETRIES` times and quarantine
+  is disabled
   (``quarantine=False``), so the engine cannot honor the identical-graph
   guarantee by skipping it silently.
 

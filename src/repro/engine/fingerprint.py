@@ -146,10 +146,6 @@ class FingerprintIndex:
     def __contains__(self, digest: bytes) -> bool:
         return digest in self._digests
 
-    def digest(self, state: Hashable) -> bytes:
-        """The digest of ``state`` under this index's width."""
-        return self.codec.digest(state)
-
     def check(self, state: Hashable, digest: bytes | None = None) -> tuple[bool, bytes]:
         """``(known, digest)`` for ``state``; audits collisions when on."""
         if digest is None:
@@ -174,18 +170,14 @@ class FingerprintIndex:
             self._audit[digest] = state
         return digest
 
-    def add_digests(self, digests: Iterable[bytes]) -> None:
-        """Bulk-restore digests (checkpoint resume; audit table not kept)."""
-        self._digests.update(digests)
-
 
 class StateIndex:
     """Exact visited set keyed by full states (the sequential default).
 
     Same interface as :class:`FingerprintIndex`; dedupes by state
-    equality (no collision risk, no encoding cost) and computes digests
-    only on demand — the right trade for single-process exploration,
-    where the graph retains references to every state anyway.
+    equality (no collision risk, no encoding cost) — the right trade for
+    single-process exploration, where the graph retains references to
+    every state anyway.
 
     The set is stored as a state-to-state mapping so it doubles as an
     **interning table**: :meth:`resolve` maps any state equal to a
@@ -205,9 +197,6 @@ class StateIndex:
 
     def __len__(self) -> int:
         return len(self._states)
-
-    def digest(self, state: Hashable) -> bytes:
-        return fingerprint(state, self.digest_size)
 
     def check(self, state: Hashable, digest: bytes | None = None) -> tuple[bool, bytes | None]:
         return state in self._states, digest

@@ -4,7 +4,9 @@ The engine parallelizes the *expensive* half of breadth-first search —
 computing ``view.successors(state)`` and the successor encodings — while
 the coordinator keeps the cheap half (digest-set membership, graph
 assembly) single-threaded, which is what makes the result provably
-identical to the sequential graph (see :mod:`repro.engine.api`).
+identical to the sequential graph (see :mod:`repro.engine.api`).  The
+coordinator is the engine's store-backed round loop; one
+:meth:`WorkerPool.run_round` expands one BFS layer.
 
 Workers are long-lived ``multiprocessing`` processes created with the
 **fork** start method, each attached to the coordinator by a duplex
@@ -12,10 +14,11 @@ pipe.  Fork is a requirement, not a preference: systems under analysis
 close over local functions (service ``delta`` closures) and are not
 picklable, so the only way a worker can hold the
 :class:`~repro.analysis.view.DeterministicSystemView` is by inheriting
-the parent's memory image.  When the platform cannot fork (or one
-worker was requested), :class:`WorkerPool` runs on
-:class:`LocalExpander` stand-ins — same protocol, same graph, no
-processes.
+the parent's memory image.  A worker closes the coordinator pipe ends
+it inherits, so a dead (even SIGKILLed) coordinator reads as EOF and
+the worker exits with it.  When the platform cannot fork,
+:class:`WorkerPool` runs on :class:`LocalExpander` stand-ins — same
+protocol, same graph, no processes.
 
 Wire protocol
 -------------
@@ -25,20 +28,26 @@ primary representation is the **packed canonical bytes** of
 :mod:`repro.engine.codec` — the same TLV encoding whose BLAKE2b digest
 is the state's fingerprint, produced in the same pass
 (:meth:`~repro.engine.codec.Codec.encode_digest`), so a worker that has
-fingerprinted a successor already holds its wire form for free.  Each
-worker keeps a ``digest -> state`` store of every state it has expanded
-or produced (decoded objects stay local; the view's step cache pins
-them anyway), and the coordinator ships an outbound frontier entry as
-either
+fingerprinted a successor already holds its wire form for free.  A
+round's frontier items are bare digests.  Each worker keeps a ``digest
+-> state`` cache of every state it has expanded or produced (decoded
+objects stay local), and the coordinator ships an outbound frontier
+entry as either
 
 * a bare 16-byte digest — the worker re-resolves the state from its
-  local store; or
-* a ``(digest, packed)`` bootstrap pair when the digest's owner never
-  had the state (the root, a resumed frontier, or a successor first
-  produced by another worker) — the worker decodes the packed bytes.
+  local cache; or
+* a ``(digest, packed)`` bootstrap pair when the worker's cache does not
+  hold it (the root, a resumed frontier, a successor first produced by
+  another worker, or any state after a cache reset) — the worker
+  decodes the packed bytes, which the coordinator reads from the store.
 
-Outbound messages are ``(entries, ship_all)`` pairs; ``ship_all`` is
-the crash-recovery flag described below.
+Outbound messages are ``(entries, ship_all, reset)`` triples;
+``ship_all`` is the crash-recovery flag described below.  The
+coordinator mirrors each worker's cache keys exactly (``seen``), so it
+alone decides resets: once a mirror passes :data:`WORKER_CACHE_LIMIT`
+and the worker is idle (no reply in flight could re-add dropped
+digests), it clears the mirror and sends the next chunk — all bootstrap
+pairs — with ``reset``, which empties the worker's cache first.
 
 Replies carry ``(task_index, action_index, successor_digest)`` triples
 — indices into the shared ``view.tasks`` tuple and a per-worker action
@@ -53,10 +62,6 @@ reply tuple also carries the newly-tabled actions, a stats tuple
 codec cache hit/miss deltas), and — when the coordinator's tracer or
 metrics registry is enabled — a self-contained telemetry batch of span
 events and counters (see :mod:`repro.obs.spans`), ``None`` otherwise.
-In the engine's collision-audit mode every reply triple carries the
-successor's packed bytes as a fourth field so the coordinator can
-decode and compare *values* per row, trading the wire savings for the
-checked guarantee.
 
 Replies are **batched**: a worker drains up to :data:`BATCH_REPLIES`
 queued chunks from its pipe before replying once with the list of
@@ -72,11 +77,11 @@ in flight per worker — small enough to fit the pipe buffer while the
 worker is busy — while a chunk carrying bootstrap pairs (larger, though
 bounded now that pairs are packed bytes) is sent only to an idle
 worker, whose blocking ``recv`` drains the pipe as the coordinator
-writes.  Shipping is re-decided at send time (a respawn empties the
-target's store), so a digest-only chunk sized to ``CHUNK_DIGESTS`` at
-build time that turns stateful by send time is re-split there to keep
-every message under the ``CHUNK_STATES`` bound.  Together these rule
-out the send-while-both-full deadlock.
+writes.  Shipping is re-decided at send time (a respawn or a cache
+reset empties the target's cache), so a digest-only chunk sized to
+``CHUNK_DIGESTS`` at build time that turns stateful by send time is
+re-split there to keep every message under the ``CHUNK_STATES`` bound.
+Together these rule out the send-while-both-full deadlock.
 
 Fault tolerance
 ---------------
@@ -89,8 +94,8 @@ sacrificing the identical-graph guarantee:
 * **detection** — a dead worker surfaces as ``EOFError``/``OSError`` on
   its pipe; workers that die without closing the pipe (SIGKILL can race
   the kernel's cleanup) are caught by a heartbeat: whenever no reply
-  arrives for ``heartbeat_seconds``, every waited-on worker's process
-  is liveness-checked;
+  arrives for :data:`HEARTBEAT_SECONDS`, every waited-on worker's
+  process is liveness-checked;
 * **retry** — the coordinator first drains whatever the dead worker
   shipped before dying (pipe data written pre-crash stays readable):
   completed reply batches are ingested normally, and the per-chunk
@@ -111,15 +116,15 @@ sacrificing the identical-graph guarantee:
   count; past ``max_partition_retries`` the pool raises
   :class:`~repro.engine.errors.PartitionRetryExhausted`;
 * **respawn** — a crashed worker slot is restarted (fresh fork, empty
-  store — but the *shared* visited table survives, so the incarnation
+  cache — but the *shared* visited table survives, so the incarnation
   does not re-ship the world) up to ``max_worker_restarts`` times with
-  exponential backoff; past that, its partitions are redistributed
-  across the survivors;
+  exponential backoff from :data:`RESTART_BACKOFF_SECONDS`; past that,
+  its partitions are redistributed across the survivors;
 * **quarantine** — a multi-state chunk that kills its worker is split
   into singletons to isolate the killer; a singleton that reaches
-  ``max_state_retries`` losses is quarantined (skipped, recorded, and
-  surfaced in the final report) rather than retried forever — or, with
-  ``quarantine=False``, raises
+  :data:`MAX_STATE_RETRIES` losses is quarantined (skipped, recorded,
+  and surfaced in the final report) rather than retried forever — or,
+  with ``quarantine=False``, raises
   :class:`~repro.engine.errors.StateQuarantined`;
 * **collapse** — when every worker is dead and respawns are exhausted,
   the pool degrades to in-process :class:`LocalExpander` drivers and
@@ -129,7 +134,7 @@ The shared table is a *filter*, never the source of truth: any residual
 case where a row references a digest whose packed bytes were lost with
 a worker (or a torn table slot answered "present" falsely) is repaired
 by the coordinator, which recomputes the successor from its parent
-in-process — see ``ExplorationEngine._recover_packed``.
+in-process — see ``ExplorationEngine._recover_packed_external``.
 
 Quarantining is the one deliberate breach of the identical-graph
 guarantee — a quarantined state keeps its node but loses its outgoing
@@ -186,6 +191,26 @@ BATCH_REPLIES = 8
 #: (batched replies make "first un-replied" the wrong guess).
 ACK = "__ack__"
 
+#: Base of the exponential respawn backoff (doubles per restart of the
+#: same slot, capped at 2s per sleep).
+RESTART_BACKOFF_SECONDS = 0.05
+
+#: Worker losses a *single* state may cause before it is quarantined.
+MAX_STATE_RETRIES = 2
+
+#: Liveness-check interval: when no worker replies for this long, every
+#: waited-on worker's process is checked (catches deaths the pipe has
+#: not reported yet).
+HEARTBEAT_SECONDS = 5.0
+
+#: Cap (entries) on each worker's decoded-state caches.  The
+#: digest->state cache is reset by the coordinator (see the module
+#: docstring); the view's transition memo and the codec's interning
+#: caches are trimmed by the worker itself.  All three are performance
+#: caches only, so the cap keeps disk-backed runs that stream millions
+#: of states through a worker from growing its RSS without bound.
+WORKER_CACHE_LIMIT = 32_768
+
 
 def fork_available() -> bool:
     """True when the platform supports the fork start method."""
@@ -199,72 +224,79 @@ def _self_rss_kb() -> int:
     return _resource.getrusage(_resource.RUSAGE_SELF).ru_maxrss
 
 
-#: Cap (entries) on each worker's decoded-state caches.  Both the
-#: digest->state dict and the view's transition memo are performance
-#: caches only — dedup is digest-based upstream — so clearing them is
-#: always safe; the cap keeps disk-backed runs that stream millions of
-#: states through a worker from growing its RSS without bound.
-WORKER_CACHE_LIMIT = 32_768
-
-
-def _cap_worker_caches(store: dict, view, codec: Codec) -> None:
-    """Clear a worker's decoded-state caches once they exceed the cap."""
-    if len(store) > WORKER_CACHE_LIMIT:
-        store.clear()
+def _trim_worker_caches(view, codec: Codec) -> None:
+    """Trim the view's transition memo and the codec's interning caches."""
     trim = getattr(view, "trim_step_cache", None)
     if trim is not None:
         trim(WORKER_CACHE_LIMIT)
     codec.trim(WORKER_CACHE_LIMIT)
 
 
-def _expand_entries(
-    entries,
-    store: dict,
-    view,
-    prune,
-    codec: Codec,
-    visited,
-    ship_states: bool,
-    ship_all: bool,
-    task_ids: dict,
-    action_ids: dict,
-    new_actions: list,
-):
-    """Expand one chunk of frontier entries against the local store.
+class _ChunkExpander:
+    """One expander's local state and its chunk expansion step.
 
-    Returns ``(results, novel, expand_seconds, fingerprint_seconds)``
-    with ``results`` aligned to ``entries`` and ``novel`` holding
-    ``(digest, packed)`` pairs for successors whose bytes the
-    coordinator does not have yet (first insertion into ``visited``, or
-    every successor when ``ship_all``).  Shared by the forked worker
-    loop and the in-process fallback.
+    Holds the ``digest -> state`` cache, the codec, the task and action
+    tables and the telemetry buffer; shared by the forked worker loop
+    and :class:`LocalExpander`, so both build identical reply payloads.
+    ``visited`` is the pool's shared table (``None`` when shared memory
+    was unavailable, in which case every locally-novel successor ships).
     """
-    results = []
-    novel = []
-    expand_seconds = 0.0
-    fingerprint_seconds = 0.0
-    for entry in entries:
-        if type(entry) is bytes:
-            state = store[entry]
-        else:
-            digest, packed = entry
-            state = store.get(digest)
-            if state is None:
-                state = codec.decode(packed)
-                store[digest] = state
-        if prune is not None and prune(state):
-            results.append(PRUNED)
-            continue
-        before = time.perf_counter()
-        successors = view.successors(state)
-        after = time.perf_counter()
-        expand_seconds += after - before
-        row = []
-        for task, action, post in successors:
-            packed, digest = codec.encode_digest(post)
-            if digest not in store:
-                store[digest] = post
-                if not ship_states:
+
+    def __init__(self, view, prune, digest_size: int, visited, label) -> None:
+        self.view = view
+        self.prune = prune
+        self.visited = visited
+        self.codec = Codec(digest_size)
+        self.store: dict = {}
+        self.task_ids = {task: index for index, task in enumerate(view.tasks)}
+        self.action_ids: dict = {}
+        self.drain = getattr(view, "drain_stats", None)
+        self.tel = None if label is None else WorkerTelemetry(label)
+        self.hits_flushed = self.misses_flushed = 0
+
+    def expand(self, entries, ship_all, reset, send_seconds, rss_kb):
+        """Expand one chunk against the local cache; returns its payload.
+
+        The payload's ``novel`` list holds ``(digest, packed)`` pairs for
+        successors whose bytes the coordinator does not have yet (first
+        insertion into ``visited``, or every successor when
+        ``ship_all``).  ``send_seconds`` and ``rss_kb`` ride the stats
+        tuple as given; the codec counters are per-payload deltas.
+        """
+        store = self.store
+        if reset:
+            store.clear()
+        view, prune, codec, visited = self.view, self.prune, self.codec, self.visited
+        task_ids, action_ids = self.task_ids, self.action_ids
+        tel = self.tel
+        span = tel.start_span("partition", states=len(entries)) if tel else None
+        stored_before = len(store)
+        results = []
+        novel = []
+        new_actions = []
+        expand_seconds = 0.0
+        fingerprint_seconds = 0.0
+        for entry in entries:
+            if type(entry) is bytes:
+                state = store[entry]
+            else:
+                digest, packed = entry
+                state = store.get(digest)
+                if state is None:
+                    state = codec.decode(packed)
+                    store[digest] = state
+            if prune is not None and prune(state):
+                results.append(PRUNED)
+                continue
+            before = time.perf_counter()
+            successors = view.successors(state)
+            after = time.perf_counter()
+            expand_seconds += after - before
+            row = []
+            for task, action, post in successors:
+                packed, digest = codec.encode_digest(post)
+                if digest not in store:
+                    store[digest] = post
                     # The shared table answers "has anyone produced this
                     # digest?"; only the first inserter ships the bytes.
                     # ship_all (crash retry) bypasses the filter but
@@ -275,57 +307,63 @@ def _expand_entries(
                         present = visited.test_and_set(digest)
                         if ship_all or not present:
                             novel.append((digest, packed))
-            elif ship_all and not ship_states:
-                novel.append((digest, packed))
-            action_index = action_ids.get(action)
-            if action_index is None:
-                action_index = action_ids[action] = len(action_ids)
-                new_actions.append(action)
-            if ship_states:
-                row.append((task_ids[task], action_index, digest, packed))
-            else:
+                elif ship_all:
+                    novel.append((digest, packed))
+                action_index = action_ids.get(action)
+                if action_index is None:
+                    action_index = action_ids[action] = len(action_ids)
+                    new_actions.append(action)
                 row.append((task_ids[task], action_index, digest))
-        fingerprint_seconds += time.perf_counter() - after
-        results.append(row)
-    return results, novel, expand_seconds, fingerprint_seconds
-
-
-def _close_chunk_telemetry(
-    tel, span, results, stored, expand_seconds, fingerprint_seconds
-):
-    """Close one chunk's ``partition`` span and record its counters.
-
-    The span was opened before expansion (so its wall time covers the
-    real work); here it gains ``expand``/``fingerprint`` child spans
-    carrying the accumulated phase time, plus the worker-side
-    ``explore.states`` counter (states stored in this worker's shard —
-    the one number the coordinator cannot attribute itself; expanded
-    and transition counts are already published per worker from the
-    reply).  Shared by forked workers and the in-process fallback.
-    """
-    transitions = sum(len(row) for row in results if row != PRUNED)
-    if expand_seconds:
-        tel.record_span("expand", expand_seconds, parent=span)
-    if fingerprint_seconds:
-        tel.record_span("fingerprint", fingerprint_seconds, parent=span)
-    tel.end_span(span, transitions=transitions, stored=stored)
-    tel.inc("explore.states", stored)
+            fingerprint_seconds += time.perf_counter() - after
+            results.append(row)
+        orbit_hits = pruned_tasks = 0
+        if self.drain is not None:
+            orbit_hits, pruned_tasks = self.drain()
+        if tel is not None:
+            # The span opened before expansion gains expand/fingerprint
+            # children, plus the one count the coordinator cannot
+            # attribute itself: states stored in this worker's cache.
+            stored = len(store) - stored_before
+            if expand_seconds:
+                tel.record_span("expand", expand_seconds, parent=span)
+            if fingerprint_seconds:
+                tel.record_span("fingerprint", fingerprint_seconds, parent=span)
+            tel.end_span(
+                span,
+                transitions=sum(len(row) for row in results if row != PRUNED),
+                stored=stored,
+            )
+            tel.inc("explore.states", stored)
+        stats = (
+            expand_seconds,
+            fingerprint_seconds,
+            send_seconds,
+            orbit_hits,
+            pruned_tasks,
+            rss_kb,
+            codec.hits - self.hits_flushed,
+            codec.misses - self.misses_flushed,
+        )
+        self.hits_flushed, self.misses_flushed = codec.hits, codec.misses
+        return results, novel, new_actions, stats, None if tel is None else tel.flush()
 
 
 def _worker_main(
     conn,
+    inherited,
     view,
     prune,
     digest_size: int,
-    ship_states: bool,
     visited,
     poison: frozenset = frozenset(),
     telemetry: bool = False,
 ) -> None:
     """Worker loop: expand chunk batches until the ``None`` sentinel (or EOF).
 
-    ``visited`` is the pool's shared table (``None`` when shared memory
-    was unavailable, in which case every locally-novel successor ships).
+    ``inherited`` are the coordinator's pipe ends this fork copied (its
+    own pipe's and every earlier worker's); they are closed first, so a
+    dead coordinator reads as EOF here rather than leaving the worker
+    blocked forever.
 
     ``poison`` is the fault-injection digest set of
     :class:`~repro.engine.chaos.FaultPlan`: asked to expand a poisoned
@@ -337,14 +375,12 @@ def _worker_main(
     flushed with every payload — each batch is self-contained, so a crash
     loses at most the in-flight chunks' telemetry, never a half-open span.
     """
-    store: dict = {}
-    codec = Codec(digest_size)
-    task_ids = {task: index for index, task in enumerate(view.tasks)}
-    action_ids: dict = {}
+    for other in inherited:
+        other.close()
+    expander = _ChunkExpander(
+        view, prune, digest_size, visited, f"w{os.getpid()}" if telemetry else None
+    )
     send_seconds = 0.0
-    hits_flushed = misses_flushed = 0
-    drain = getattr(view, "drain_stats", None)
-    tel = WorkerTelemetry(f"w{os.getpid()}") if telemetry else None
     closing = False
     while not closing:
         try:
@@ -368,8 +404,8 @@ def _worker_main(
                 break
             messages.append(queued)
         payloads = []
-        _cap_worker_caches(store, view, codec)
-        for entries, ship_all in messages:
+        _trim_worker_caches(view, expander.codec)
+        for entries, ship_all, reset in messages:
             # The ack marks this chunk as the one being expanded: if the
             # process dies before the batched reply ships, coordinator
             # blame lands here rather than on an innocent batchmate.
@@ -377,72 +413,23 @@ def _worker_main(
             # own blame.
             try:
                 conn.send(ACK)
-            except (BrokenPipeError, OSError):
+            except OSError:
                 return
             if poison:
                 for entry in entries:
                     digest = entry if type(entry) is bytes else entry[0]
                     if digest in poison:
                         os._exit(137)
-            new_actions: list = []
-            stored_before = len(store)
-            chunk_span = (
-                tel.start_span("partition", states=len(entries))
-                if tel is not None
-                else None
-            )
-            results, novel, expand_seconds, fingerprint_seconds = _expand_entries(
-                entries,
-                store,
-                view,
-                prune,
-                codec,
-                visited,
-                ship_states,
-                ship_all,
-                task_ids,
-                action_ids,
-                new_actions,
-            )
-            orbit_hits = pruned_tasks = 0
-            if drain is not None:
-                orbit_hits, pruned_tasks = drain()
-            if tel is not None:
-                _close_chunk_telemetry(
-                    tel,
-                    chunk_span,
-                    results,
-                    len(store) - stored_before,
-                    expand_seconds,
-                    fingerprint_seconds,
-                )
+            # send_seconds is the cost of shipping the *previous* batch,
+            # reported one beat late (and dropped for the last one).
             payloads.append(
-                (
-                    results,
-                    novel,
-                    new_actions,
-                    # send_seconds is the cost of shipping the *previous*
-                    # batch, reported one beat late (and dropped for the
-                    # last one); the codec counters are per-payload deltas.
-                    (
-                        expand_seconds,
-                        fingerprint_seconds,
-                        send_seconds,
-                        orbit_hits,
-                        pruned_tasks,
-                        _self_rss_kb(),
-                        codec.hits - hits_flushed,
-                        codec.misses - misses_flushed,
-                    ),
-                    None if tel is None else tel.flush(),
-                )
+                expander.expand(entries, ship_all, reset, send_seconds, _self_rss_kb())
             )
             send_seconds = 0.0
-            hits_flushed, misses_flushed = codec.hits, codec.misses
         before = time.perf_counter()
         try:
             conn.send(payloads)
-        except BrokenPipeError:
+        except OSError:
             return
         send_seconds = time.perf_counter() - before
     conn.close()
@@ -472,7 +459,9 @@ class LocalExpander:
     ``recv`` — so the driver runs one code path regardless of platform.
     Local expanders cannot crash, so fault plans do not apply to them;
     their peak RSS is the coordinator's own, so they report 0 to keep
-    the per-child accounting honest.
+    the per-child accounting honest.  The view is the coordinator's own
+    object, whose memo the engine trims, so only the decoded-state cache
+    follows the coordinator's resets.
     """
 
     _incarnations = 0
@@ -482,95 +471,24 @@ class LocalExpander:
         view,
         prune,
         digest_size: int,
-        ship_states: bool,
         visited=None,
         telemetry: bool = False,
     ) -> None:
-        self._view = view
-        self._prune = prune
-        self._codec = Codec(digest_size)
-        self._ship_states = ship_states
-        self._visited = visited
-        self._store: dict = {}
-        self._task_ids = {task: index for index, task in enumerate(view.tasks)}
-        self._action_ids: dict = {}
-        self._replies: deque = deque()
-        self._drain = getattr(view, "drain_stats", None)
-        self._hits_flushed = 0
-        self._misses_flushed = 0
-        self._telemetry = None
+        label = None
         if telemetry:
             # In-process expanders share the coordinator's pid, so the
             # label carries an incarnation counter to keep span ids unique.
             LocalExpander._incarnations += 1
-            self._telemetry = WorkerTelemetry(
-                f"local{LocalExpander._incarnations}"
-            )
+            label = f"local{LocalExpander._incarnations}"
+        self._expander = _ChunkExpander(view, prune, digest_size, visited, label)
+        self._replies: deque = deque()
 
     def send(self, message) -> None:
-        if message is None:
-            return
-        entries, ship_all = message
-        new_actions: list = []
-        # Cap the decoded-state dict only: the view is the coordinator's
-        # own (shared object), and the engine already trims its memo
-        # when a store backend makes unbounded growth a problem.
-        if len(self._store) > WORKER_CACHE_LIMIT:
-            self._store.clear()
-        stored_before = len(self._store)
-        tel = self._telemetry
-        chunk_span = (
-            tel.start_span("partition", states=len(entries))
-            if tel is not None
-            else None
-        )
-        results, novel, expand_seconds, fingerprint_seconds = _expand_entries(
-            entries,
-            self._store,
-            self._view,
-            self._prune,
-            self._codec,
-            self._visited,
-            self._ship_states,
-            ship_all,
-            self._task_ids,
-            self._action_ids,
-            new_actions,
-        )
-        orbit_hits = pruned_tasks = 0
-        if self._drain is not None:
-            orbit_hits, pruned_tasks = self._drain()
-        if tel is not None:
-            _close_chunk_telemetry(
-                tel,
-                chunk_span,
-                results,
-                len(self._store) - stored_before,
-                expand_seconds,
-                fingerprint_seconds,
+        if message is not None:
+            entries, ship_all, reset = message
+            self._replies.append(
+                [self._expander.expand(entries, ship_all, reset, 0.0, 0)]
             )
-        codec = self._codec
-        self._replies.append(
-            [
-                (
-                    results,
-                    novel,
-                    new_actions,
-                    (
-                        expand_seconds,
-                        fingerprint_seconds,
-                        0.0,
-                        orbit_hits,
-                        pruned_tasks,
-                        0,
-                        codec.hits - self._hits_flushed,
-                        codec.misses - self._misses_flushed,
-                    ),
-                    None if tel is None else tel.flush(),
-                )
-            ]
-        )
-        self._hits_flushed, self._misses_flushed = codec.hits, codec.misses
 
     def recv(self):
         return self._replies.popleft()
@@ -579,27 +497,27 @@ class LocalExpander:
 class _Chunk:
     """One dispatchable slice of the round's frontier.
 
-    ``positions`` are absolute indices into the round's item list (the
+    ``positions`` are absolute indices into the round's digest list (the
     coordinator's results array is keyed by them, which is what makes
-    re-dispatching to *any* worker sound); ``items`` are the matching
-    ``(state, digest)`` pairs; ``retries`` counts how many worker
+    re-dispatching to *any* worker sound); ``digests`` are the matching
+    frontier digests; ``retries`` counts how many worker
     losses this chunk has survived; ``ship_all`` marks a chunk requeued
     after a loss — its expander must ship every successor's bytes, since
     the dead worker may have claimed table slots and taken the bytes
     with it.
     """
 
-    __slots__ = ("positions", "items", "retries", "ship_all")
+    __slots__ = ("positions", "digests", "retries", "ship_all")
 
     def __init__(
         self,
         positions: list,
-        items: list,
+        digests: list,
         retries: int = 0,
         ship_all: bool = False,
     ) -> None:
         self.positions = positions
-        self.items = items
+        self.digests = digests
         self.retries = retries
         self.ship_all = ship_all
 
@@ -627,16 +545,12 @@ class WorkerPool:
         view,
         prune: Callable[[Hashable], bool] | None,
         digest_size: int,
-        ship_states: bool,
         *,
         expected_states: int | None = None,
         max_worker_restarts: int = 3,
-        restart_backoff_seconds: float = 0.05,
         max_partition_retries: int = 5,
-        max_state_retries: int = 2,
         quarantine: bool = True,
         fault_plan: FaultPlan | None = None,
-        heartbeat_seconds: float = 5.0,
         tracer: Tracer = NULL_TRACER,
         metrics: MetricsRegistry = NULL_METRICS,
     ) -> None:
@@ -644,21 +558,16 @@ class WorkerPool:
         self._view = view
         self._prune = prune
         self._digest_size = digest_size
-        self._ship_states = ship_states
         self._expected_states = expected_states
-        self._codec = Codec(digest_size)  # encode fallback for dispatch
+        self._codec = Codec(digest_size)  # decodes quarantined states
         self.max_worker_restarts = max_worker_restarts
-        self.restart_backoff_seconds = restart_backoff_seconds
         self.max_partition_retries = max_partition_retries
-        self.max_state_retries = max_state_retries
         self.quarantine = quarantine
         self.fault_plan = fault_plan
-        self.heartbeat_seconds = heartbeat_seconds
         self.tracer = tracer
         self.metrics = metrics
         # Recovery bookkeeping, read by the engine's final report.
         self.local = False
-        self.collapsed = False
         self.worker_failures = 0
         self.worker_respawns = 0
         self.partitions_reassigned = 0
@@ -677,6 +586,8 @@ class WorkerPool:
         # Per worker: chunks acked as started but not yet replied — the
         # crash-blame cursor (see _worker_lost).
         self._started: list[int] = []
+        # Per worker: the digests its decoded-state cache holds — an
+        # exact mirror, which is what lets the coordinator own resets.
         self.seen: list[set] = []
         self.actions: list[list] = []
         self._context = None
@@ -688,15 +599,13 @@ class WorkerPool:
     def start(self) -> "WorkerPool":
         """Fork the workers (or fall back to in-process expanders)."""
         self.local = self.workers <= 1 or not fork_available()
-        if not self._ship_states:
-            self.visited = self._make_visited()
+        self.visited = self._make_visited()
         if self.local:
             self._handles = [
                 LocalExpander(
                     self._view,
                     self._prune,
                     self._digest_size,
-                    self._ship_states,
                     visited=self.visited,
                     telemetry=self.tracer.enabled or self.metrics.enabled,
                 )
@@ -706,7 +615,9 @@ class WorkerPool:
                 self.metrics.counter("engine.inprocess_fallbacks").inc()
         else:
             self._context = multiprocessing.get_context("fork")
-            self._handles = [self._spawn() for _ in range(self.workers)]
+            self._handles = []
+            for _ in range(self.workers):
+                self._handles.append(self._spawn())
         self._alive = [True] * self.workers
         self._restarts = [0] * self.workers
         self._started = [0] * self.workers
@@ -715,7 +626,7 @@ class WorkerPool:
         return self
 
     def _make_visited(self):
-        if self.local or self.workers <= 1 or not fork_available():
+        if self.local:
             # One address space: a plain shared set is exact and free.
             return LocalVisitedFilter()
         if not shared_memory_available():  # pragma: no cover - exotic builds
@@ -739,14 +650,17 @@ class WorkerPool:
     def _spawn(self) -> _WorkerHandle:
         parent_conn, child_conn = self._context.Pipe(duplex=True)
         poison = self.fault_plan.poison if self.fault_plan is not None else frozenset()
+        # Coordinator ends the fork copies; the child closes them (see
+        # _worker_main).  A dead slot's end is already closed — a no-op.
+        inherited = [parent_conn, *(handle.conn for handle in self._handles)]
         process = self._context.Process(
             target=_worker_main,
             args=(
                 child_conn,
+                inherited,
                 self._view,
                 self._prune,
                 self._digest_size,
-                self._ship_states,
                 self.visited,
                 poison,
                 self.tracer.enabled or self.metrics.enabled,
@@ -762,20 +676,19 @@ class WorkerPool:
     def run_round(
         self,
         round_index: int,
-        items,
-        packed_of: dict,
+        digests: list,
+        packed_of,
         phase: dict,
         round_span_id: str | None = None,
     ) -> list:
         """Expand one round's frontier; returns results by item position.
 
-        ``items`` is the round's ``(state, digest)`` list in frontier
-        order; ``packed_of`` is the coordinator's digest-to-packed-bytes
-        table (novel successors are folded into it; bootstrap pairs are
-        drawn from it); ``phase`` accumulates per-phase timings.  Each
-        result slot is a row list of ``(task_index, action, digest[,
-        packed])`` tuples (actions decoded, packed bytes present in
-        audit mode), :data:`PRUNED`, or :data:`QUARANTINED`.
+        ``digests`` is the round's frontier in order; ``packed_of`` is
+        the coordinator's digest-to-packed-bytes mapping (novel
+        successors are folded into it; bootstrap pairs are drawn from
+        it); ``phase`` accumulates per-phase timings.  Each result slot
+        is a row list of ``(task_index, action, digest)`` tuples
+        (actions decoded), :data:`PRUNED`, or :data:`QUARANTINED`.
 
         ``round_span_id`` is the coordinator's open ``round`` span:
         merged worker spans (and the synthesized ``lost`` partition of a
@@ -785,12 +698,12 @@ class WorkerPool:
         self._round_span = round_span_id
         self._packed_of = packed_of
         self._phase = phase
-        self._results: list = [None] * len(items)
+        self._results: list = [None] * len(digests)
         self._pending: list[deque] = [deque() for _ in range(self.workers)]
         self._inflight: list[deque] = [deque() for _ in range(self.workers)]
         self._outstanding = [0] * self.workers
         self._producers: set[int] = set()
-        self._build_chunks(items)
+        self._build_chunks(digests)
         self._pump_all()
         self._apply_scheduled_faults(round_index)
         while True:
@@ -823,13 +736,13 @@ class WorkerPool:
                 self._started[worker] -= 1
             self._ingest(worker, self._inflight[worker].popleft(), payload)
 
-    def _build_chunks(self, items) -> None:
+    def _build_chunks(self, digests) -> None:
         # Shard by digest as always; a dead shard's bucket is routed to a
         # survivor up front (states re-ship via the encode-at-send path).
         workers = self.workers
         buckets: list[list] = [[] for _ in range(workers)]
-        for position, (state, digest) in enumerate(items):
-            buckets[shard_of(digest, workers)].append((position, state, digest))
+        for position, digest in enumerate(digests):
+            buckets[shard_of(digest, workers)].append((position, digest))
         survivors = [w for w in range(workers) if self._alive[w]]
         for shard, bucket in enumerate(buckets):
             if not bucket:
@@ -837,19 +750,19 @@ class WorkerPool:
             worker = shard if self._alive[shard] else survivors[shard % len(survivors)]
             seen = self.seen[worker]
             positions: list = []
-            chunk_items: list = []
+            chunk_digests: list = []
             stateful = False
-            for position, state, digest in bucket:
+            for position, digest in bucket:
                 entry_stateful = digest not in seen
                 cap = CHUNK_STATES if (stateful or entry_stateful) else CHUNK_DIGESTS
-                if chunk_items and len(chunk_items) >= cap:
-                    self._pending[worker].append(_Chunk(positions, chunk_items))
-                    positions, chunk_items, stateful = [], [], False
+                if chunk_digests and len(chunk_digests) >= cap:
+                    self._pending[worker].append(_Chunk(positions, chunk_digests))
+                    positions, chunk_digests, stateful = [], [], False
                 positions.append(position)
-                chunk_items.append((state, digest))
+                chunk_digests.append(digest)
                 stateful = stateful or entry_stateful
-            if chunk_items:
-                self._pending[worker].append(_Chunk(positions, chunk_items))
+            if chunk_digests:
+                self._pending[worker].append(_Chunk(positions, chunk_digests))
 
     def _apply_scheduled_faults(self, round_index: int) -> None:
         if self.local or self.fault_plan is None:
@@ -882,22 +795,32 @@ class WorkerPool:
             self._reassign(worker, chunks)
             return True
         progressed = False
+        reset = False
         while queue:
             chunk = queue[0]
-            entries, stateful, fresh = self._encode(worker, chunk)
-            if stateful and len(chunk.items) > CHUNK_STATES:
+            if len(self.seen[worker]) > WORKER_CACHE_LIMIT:
+                # The worker's cache is due for a reset.  Only an idle
+                # worker takes it: a reply still in flight would re-add
+                # digests to the mirror that the reset drops.
+                if self._outstanding[worker] > 0:
+                    break
+                self.seen[worker] = set()
+                reset = True
+            entries, fresh = self._encode(worker, chunk)
+            stateful = bool(fresh)
+            if stateful and len(chunk.digests) > CHUNK_STATES:
                 # Build-time sizing assumed the target still held these
-                # digests (cap CHUNK_DIGESTS); a respawn or reassignment
-                # since then turns every entry into a bootstrap pair, so
+                # digests (cap CHUNK_DIGESTS); a respawn, reassignment or
+                # cache reset since then makes every entry a bootstrap pair, so
                 # re-split at send time to keep each message under the
                 # CHUNK_STATES bound the pipe-sizing argument relies on.
                 # A transport split, not a blame split: retries carry over.
                 queue.popleft()
-                for start in reversed(range(0, len(chunk.items), CHUNK_STATES)):
+                for start in reversed(range(0, len(chunk.digests), CHUNK_STATES)):
                     queue.appendleft(
                         _Chunk(
                             chunk.positions[start : start + CHUNK_STATES],
-                            chunk.items[start : start + CHUNK_STATES],
+                            chunk.digests[start : start + CHUNK_STATES],
                             retries=chunk.retries,
                             ship_all=chunk.ship_all,
                         )
@@ -914,7 +837,7 @@ class WorkerPool:
             queue.popleft()
             before = time.perf_counter()
             try:
-                self._handles[worker].send((entries, chunk.ship_all))
+                self._handles[worker].send((entries, chunk.ship_all, reset))
             except (BrokenPipeError, OSError):
                 queue.appendleft(chunk)
                 self._worker_lost(worker)
@@ -926,37 +849,32 @@ class WorkerPool:
             self._inflight[worker].append(chunk)
             self._outstanding[worker] += 1
             progressed = True
+            reset = False
         return progressed
 
     def _encode(self, worker: int, chunk: _Chunk):
-        # Encoded at send time, against the *current* target's store:
-        # after a reassignment or respawn the same chunk may need its
-        # states re-shipped, which deciding at build time would miss.
-        # Bootstrap pairs carry packed bytes, pulled from the
-        # coordinator's table (encoding only as a fallback — every
-        # discovered digest normally has its bytes already).
+        # Encoded at send time, against the *current* target's cache:
+        # after a reassignment, respawn or cache reset the same chunk may
+        # need its states re-shipped, which deciding at build time would
+        # miss.  Bootstrap pairs carry packed bytes from the store, which
+        # holds every frontier digest.
         seen = self.seen[worker]
         packed_of = self._packed_of
         entries: list = []
         fresh: list = []
-        for state, digest in chunk.items:
+        for digest in chunk.digests:
             if digest in seen:
                 entries.append(digest)
             else:
                 packed = packed_of.get(digest)
                 if packed is None:
-                    if state is None:
-                        # Digest-only items (store-backed rounds) have no
-                        # state to fall back on: the store is the source
-                        # of truth and it must hold every frontier digest.
-                        raise EngineError(
-                            f"frontier digest {digest.hex()} has no packed "
-                            "bytes in the state store"
-                        )
-                    packed = packed_of[digest] = self._codec.encode(state)
+                    raise EngineError(
+                        f"frontier digest {digest.hex()} has no packed "
+                        "bytes in the state store"
+                    )
                 entries.append((digest, packed))
                 fresh.append(digest)
-        return entries, bool(fresh), fresh
+        return entries, fresh
 
     def _collect_ready(self) -> list[int]:
         if self.local:
@@ -967,7 +885,7 @@ class WorkerPool:
             if self._alive[w] and self._outstanding[w]
         }
         ready = multiprocessing.connection.wait(
-            list(waitable), timeout=self.heartbeat_seconds
+            list(waitable), timeout=HEARTBEAT_SECONDS
         )
         if not ready:
             # Heartbeat expired with no replies: a worker may have died
@@ -1005,29 +923,16 @@ class WorkerPool:
         # Decode action indices against the producing worker's table now,
         # so result rows are self-contained (a retried chunk may be
         # expanded by a different worker than the merge loop expects).
-        if self._ship_states:
-            for row in results:
-                if row == PRUNED:
-                    decoded.append(PRUNED)
-                    continue
-                out = []
-                for task_index, action_index, digest, packed in row:
-                    seen.add(digest)
-                    packed_of.setdefault(digest, packed)
-                    out.append((task_index, table[action_index], digest, packed))
-                transitions += len(out)
-                decoded.append(out)
-        else:
-            for row in results:
-                if row == PRUNED:
-                    decoded.append(PRUNED)
-                    continue
-                out = []
-                for task_index, action_index, digest in row:
-                    seen.add(digest)
-                    out.append((task_index, table[action_index], digest))
-                transitions += len(out)
-                decoded.append(out)
+        for row in results:
+            if row == PRUNED:
+                decoded.append(PRUNED)
+                continue
+            out = []
+            for task_index, action_index, digest in row:
+                seen.add(digest)
+                out.append((task_index, table[action_index], digest))
+            transitions += len(out)
+            decoded.append(out)
         if rss_kb and rss_kb > self.worker_rss_kb.get(worker, 0):
             self.worker_rss_kb[worker] = rss_kb
         self.cache_hits += cache_hits
@@ -1144,7 +1049,7 @@ class WorkerPool:
                     status="lost",
                     worker=worker,
                     round=self._round,
-                    states=len(inflight[blamed].items),
+                    states=len(inflight[blamed].digests),
                 )
         requeue: list = []
         # Every requeued in-flight chunk is marked ship_all — the dead
@@ -1158,16 +1063,14 @@ class WorkerPool:
             chunk.retries += 1
             if chunk.retries > self.max_partition_retries:
                 raise PartitionRetryExhausted(
-                    len(chunk.items), chunk.retries, self.max_partition_retries
+                    len(chunk.digests), chunk.retries, self.max_partition_retries
                 )
-            if len(chunk.items) > 1:
+            if len(chunk.digests) > 1:
                 # Split to isolate a potential killer state; each
                 # singleton restarts its own retry count.
-                for offset, item in enumerate(chunk.items):
-                    requeue.append(
-                        _Chunk([chunk.positions[offset]], [item], ship_all=True)
-                    )
-            elif chunk.retries >= self.max_state_retries:
+                for position, digest in zip(chunk.positions, chunk.digests):
+                    requeue.append(_Chunk([position], [digest], ship_all=True))
+            elif chunk.retries >= MAX_STATE_RETRIES:
                 self._quarantine(chunk)
             else:
                 requeue.append(chunk)
@@ -1175,7 +1078,8 @@ class WorkerPool:
         self._revive_or_reassign(worker, requeue)
 
     def _quarantine(self, chunk: _Chunk) -> None:
-        state, digest = chunk.items[0]
+        digest = chunk.digests[0]
+        state = self._codec.decode(self._packed_of.get(digest))
         if not self.quarantine:
             raise StateQuarantined(state, digest, chunk.retries)
         self.quarantined.append((state, digest))
@@ -1192,7 +1096,7 @@ class WorkerPool:
 
     def _revive_or_reassign(self, worker: int, chunks: list) -> None:
         if self._restarts[worker] < self.max_worker_restarts:
-            delay = self.restart_backoff_seconds * (2 ** self._restarts[worker])
+            delay = RESTART_BACKOFF_SECONDS * (2 ** self._restarts[worker])
             if delay > 0:
                 time.sleep(min(delay, 2.0))
             self._restarts[worker] += 1
@@ -1242,20 +1146,18 @@ class WorkerPool:
 
     def _collapse(self, chunks: list) -> None:
         """Degrade to in-process expansion: the pool is gone, the run is not."""
-        self.collapsed = True
         self.local = True
         # The shared table (if any) keeps serving the in-process
         # expanders; digests claimed by dead workers stay "present",
         # which is safe — ship_all requeues and the coordinator's
         # recovery path cover the missing bytes.
-        if self.visited is None and not self._ship_states:
+        if self.visited is None:
             self.visited = LocalVisitedFilter()
         self._handles = [
             LocalExpander(
                 self._view,
                 self._prune,
                 self._digest_size,
-                self._ship_states,
                 visited=self.visited,
                 telemetry=self.tracer.enabled or self.metrics.enabled,
             )

@@ -49,13 +49,6 @@ class TestSequentialEquivalence:
         assert list(graph.states) == list(sequential_graph.states)
         assert graph.edges == sequential_graph.edges
 
-    def test_forced_fingerprints_agree(self, instance, sequential_graph):
-        view, root = instance
-        engine = ExplorationEngine(workers=1, budget=Budget(), fingerprints=True)
-        graph = engine.explore(view, root)
-        assert list(graph.states) == list(sequential_graph.states)
-        assert graph.edges == sequential_graph.edges
-
     def test_audit_mode_clean_run(self, instance, sequential_graph):
         view, root = instance
         engine = ExplorationEngine(workers=1, budget=Budget(), audit=True)

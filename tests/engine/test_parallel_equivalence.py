@@ -6,7 +6,8 @@ the scaling benchmark uses — tob(3,1) and delegation(5,1), several
 thousand states each — and assert the engine's strongest guarantee at
 workers=2: the *identical* graph to the sequential explorer, including
 discovery order, now that novel states cross the worker pipes as packed
-bytes filtered through the shared visited table.
+bytes filtered through the shared visited table and the coordinator
+keeps the graph in an engine-owned memory store.
 """
 
 import pytest
@@ -45,14 +46,8 @@ def test_workers_2_identical_graph(name):
     assert graph.edges == sequential.edges
 
 
-@pytest.mark.parametrize("name", sorted(FACTORIES))
-def test_workers_2_audit_mode_identical_graph(name):
-    """Collision-audit mode still compares full states: the packed wire
-    format ships the bytes alongside every audit row, so audited parallel
-    runs must reproduce the sequential graph exactly too."""
-    view, root, sequential = _instance(name)
-    graph = ExplorationEngine(workers=2, budget=Budget(), audit=True).explore(
-        view, root
-    )
-    assert list(graph.states) == list(sequential.states)
-    assert graph.edges == sequential.edges
+def test_workers_2_audit_mode_rejected():
+    """Collision-audit mode keeps full states in one process: asking for
+    it with workers is refused up front, like audit with a store."""
+    with pytest.raises(ValueError, match="audit"):
+        ExplorationEngine(workers=2, budget=Budget(), audit=True)

@@ -1,14 +1,16 @@
 """Unit tests for WorkerPool recovery bookkeeping and dispatch sizing.
 
 These drive the pool's internal machinery directly with stub handles —
-no forking — to pin down two REVIEW regressions:
+no forking — to pin down three regressions:
 
 * crash blame under reply batching: the chunk being expanded at death
   (identified by the per-chunk acks) takes the retry bump, not the
   first un-replied chunk in flight;
 * send-time chunk re-sizing: a digest-only chunk built against a warm
   worker store must be re-split when a respawn turns every entry into a
-  bootstrap pair, keeping messages under the ``CHUNK_STATES`` bound.
+  bootstrap pair, keeping messages under the ``CHUNK_STATES`` bound;
+* coordinator-owned cache resets: a worker's decoded-state cache is
+  cleared only on the coordinator's word, while the worker is idle.
 
 The end-to-end behavior (real SIGKILLs, poison plans) is covered by
 ``test_chaos.py``; these tests exist because batching makes some blame
@@ -17,7 +19,16 @@ orderings hard to provoke deterministically from outside.
 
 from collections import deque
 
-from repro.engine.parallel import ACK, CHUNK_STATES, QUARANTINED, WorkerPool, _Chunk
+from repro.engine import parallel
+from repro.engine.codec import Codec
+from repro.engine.parallel import (
+    ACK,
+    CHUNK_STATES,
+    MAX_STATE_RETRIES,
+    QUARANTINED,
+    WorkerPool,
+    _Chunk,
+)
 
 
 class _StubConn:
@@ -57,9 +68,7 @@ class _StubHandle:
 
 
 def _pool(workers=2, **kwargs):
-    pool = WorkerPool(
-        workers, view=None, prune=None, digest_size=16, ship_states=False, **kwargs
-    )
+    pool = WorkerPool(workers, view=None, prune=None, digest_size=16, **kwargs)
     pool._handles = [_StubHandle() for _ in range(workers)]
     pool._alive = [True] * workers
     # Exhaust restarts so a loss reassigns to survivors instead of forking.
@@ -70,7 +79,7 @@ def _pool(workers=2, **kwargs):
     pool._pending = [deque() for _ in range(workers)]
     pool._inflight = [deque() for _ in range(workers)]
     pool._outstanding = [0] * workers
-    pool._packed_of = {}
+    pool._packed_of = PACKED_OF
     pool._phase = {}
     pool._producers = set()
     pool._round = 1
@@ -78,9 +87,28 @@ def _pool(workers=2, **kwargs):
     return pool
 
 
+CODEC = Codec(16)
+
+
+def _state(index):
+    return ("state", index)
+
+
+def _digest(index):
+    return CODEC.encode_digest(_state(index))[1]
+
+
+#: The coordinator's packed bytes for every test digest (the store's role).
+PACKED_OF = {
+    digest: packed
+    for packed, digest in (
+        CODEC.encode_digest(_state(index)) for index in range(2 * CHUNK_STATES + 1)
+    )
+}
+
+
 def _singleton(position):
-    state = ("state", position)
-    return _Chunk([position], [(state, position.to_bytes(16, "big"))])
+    return _Chunk([position], [_digest(position)])
 
 
 class TestCrashBlame:
@@ -109,27 +137,27 @@ class TestCrashBlame:
         cursor says a different chunk was being expanded."""
         pool = _pool()
         innocent, poison = _singleton(0), _singleton(1)
-        innocent.retries = pool.max_state_retries - 1
+        innocent.retries = MAX_STATE_RETRIES - 1
         pool._inflight[0].extend([innocent, poison])
         pool._outstanding[0] = 2
         pool._results = [None] * 2
         pool._started[0] = 2  # both acked: the *second* is in progress
         pool._worker_lost(0)
-        assert innocent.retries == pool.max_state_retries - 1
+        assert innocent.retries == MAX_STATE_RETRIES - 1
         assert poison.retries == 1
         assert not pool.quarantined
 
     def test_blamed_singleton_quarantined_at_threshold(self):
         pool = _pool()
         victim = _singleton(0)
-        victim.retries = pool.max_state_retries - 1
+        victim.retries = MAX_STATE_RETRIES - 1
         trailing = _singleton(1)
         pool._inflight[0].extend([victim, trailing])
         pool._outstanding[0] = 2
         pool._results = [None] * 2
         pool._started[0] = 1  # victim in progress, trailing unread
         pool._worker_lost(0)
-        assert pool.quarantined == [victim.items[0]]
+        assert pool.quarantined == [(_state(0), victim.digests[0])]
         assert pool._results[0] == QUARANTINED
         assert trailing.retries == 0
         assert list(pool._pending[1]) == [trailing]
@@ -162,8 +190,7 @@ class TestCrashBlame:
 
     def test_blamed_multistate_chunk_splits_into_singletons(self):
         pool = _pool()
-        states = [(("state", index), index.to_bytes(16, "big")) for index in range(3)]
-        multi = _Chunk([0, 1, 2], states)
+        multi = _Chunk([0, 1, 2], [_digest(index) for index in range(3)])
         pool._inflight[0].append(multi)
         pool._outstanding[0] = 1
         pool._results = [None] * 3
@@ -171,7 +198,7 @@ class TestCrashBlame:
         pool._worker_lost(0)
         requeued = list(pool._pending[1])
         assert len(requeued) == 3
-        assert all(len(chunk.items) == 1 for chunk in requeued)
+        assert all(len(chunk.digests) == 1 for chunk in requeued)
         assert all(chunk.retries == 0 for chunk in requeued)  # fresh counts
         assert all(chunk.ship_all for chunk in requeued)
 
@@ -184,8 +211,8 @@ class TestSendTimeResplit:
         pool = _pool(workers=1)
         total = CHUNK_STATES + 44
         positions = list(range(total))
-        items = [(("state", index), index.to_bytes(16, "big")) for index in positions]
-        pool._pending[0].append(_Chunk(positions, items))
+        digests = [_digest(index) for index in positions]
+        pool._pending[0].append(_Chunk(positions, digests))
         # seen[0] is empty — as after a respawn — so every entry ships
         # as a (digest, packed) bootstrap pair.
         pool._pump(0)
@@ -193,11 +220,11 @@ class TestSendTimeResplit:
         # Stateful chunks go one at a time to an idle worker: the head
         # piece shipped, the tail piece waits, both within the bound.
         assert len(handle.sent) == 1
-        entries, ship_all = handle.sent[0]
+        entries, ship_all, reset = handle.sent[0]
         assert len(entries) == CHUNK_STATES
-        assert not ship_all
+        assert not ship_all and not reset
         assert all(type(entry) is tuple for entry in entries)  # bootstrap pairs
-        assert [len(chunk.items) for chunk in pool._pending[0]] == [44]
+        assert [len(chunk.digests) for chunk in pool._pending[0]] == [44]
         head = pool._inflight[0][0]
         assert head.positions == positions[:CHUNK_STATES]
 
@@ -205,13 +232,13 @@ class TestSendTimeResplit:
         pool = _pool(workers=1)
         total = CHUNK_STATES + 44
         positions = list(range(total))
-        items = [(("state", index), index.to_bytes(16, "big")) for index in positions]
-        pool.seen[0].update(digest for _, digest in items)
-        pool._pending[0].append(_Chunk(positions, items))
+        digests = [_digest(index) for index in positions]
+        pool.seen[0].update(digests)
+        pool._pending[0].append(_Chunk(positions, digests))
         pool._pump(0)
         handle = pool._handles[0]
         assert len(handle.sent) == 1
-        entries, _ = handle.sent[0]
+        entries, _, _ = handle.sent[0]
         assert len(entries) == total
         assert all(type(entry) is bytes for entry in entries)
 
@@ -219,10 +246,40 @@ class TestSendTimeResplit:
         pool = _pool(workers=1)
         total = 2 * CHUNK_STATES + 1
         positions = list(range(total))
-        items = [(("state", index), index.to_bytes(16, "big")) for index in positions]
-        pool._pending[0].append(_Chunk(positions, items, retries=2, ship_all=True))
+        digests = [_digest(index) for index in positions]
+        pool._pending[0].append(_Chunk(positions, digests, retries=2, ship_all=True))
         pool._pump(0)
         pieces = [pool._inflight[0][0], *pool._pending[0]]
-        assert [len(piece.items) for piece in pieces] == [CHUNK_STATES, CHUNK_STATES, 1]
+        assert [len(piece.digests) for piece in pieces] == [CHUNK_STATES, CHUNK_STATES, 1]
         assert all(piece.retries == 2 and piece.ship_all for piece in pieces)
         assert [position for piece in pieces for position in piece.positions] == positions
+
+
+class TestCacheReset:
+    def _over_limit(self, monkeypatch, outstanding):
+        monkeypatch.setattr(parallel, "WORKER_CACHE_LIMIT", 2)
+        pool = _pool(workers=1)
+        pool.seen[0].update(_digest(index) for index in range(3))
+        pool._outstanding[0] = outstanding
+        pool._pending[0].append(_Chunk([0, 1], [_digest(0), _digest(1)]))
+        return pool
+
+    def test_idle_worker_reset_ships_bootstrap_pairs(self, monkeypatch):
+        """Past the cap the coordinator clears its mirror and tells the
+        worker to clear its cache, so every entry ships its bytes."""
+        pool = self._over_limit(monkeypatch, outstanding=0)
+        pool._pump(0)
+        (entries, ship_all, reset), = pool._handles[0].sent
+        assert reset and not ship_all
+        assert entries == [
+            (digest, PACKED_OF[digest]) for digest in (_digest(0), _digest(1))
+        ]
+        assert pool.seen[0] == {_digest(0), _digest(1)}
+
+    def test_busy_worker_waits_for_reset(self, monkeypatch):
+        """A reply in flight would re-add digests the reset drops, so a
+        busy worker gets nothing until it is idle."""
+        pool = self._over_limit(monkeypatch, outstanding=1)
+        pool._pump(0)
+        assert pool._handles[0].sent == []
+        assert len(pool.seen[0]) == 3
