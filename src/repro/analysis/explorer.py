@@ -191,28 +191,31 @@ def reachable_decision_sets(
     opposed to a DAG pass) is required because protocol graphs contain
     cycles (processes spin on dummy steps).
     """
-    local: dict[State, frozenset] = {
-        state: view.decision_values(state) for state in graph.states
-    }
-    # Build the reverse adjacency once.
-    predecessors: dict[State, list[State]] = {state: [] for state in graph.states}
+    states = list(graph.states)
+    position = {state: index for index, state in enumerate(states)}
+    decision_values = view.decision_values
+    result = [decision_values(state) for state in states]
+    # Reverse adjacency over positions: the worklist below never hashes
+    # a state again.
+    predecessors: list[list[int]] = [[] for _ in states]
     for state, out in graph.edges.items():
+        source = position[state]
         for _, _, successor in out:
-            predecessors[successor].append(state)
-    result = dict(local)
-    worklist: deque = deque(graph.states)
-    queued = set(graph.states)
+            predecessors[position[successor]].append(source)
+    worklist: deque = deque(range(len(states)))
+    queued = [True] * len(states)
     while worklist:
-        state = worklist.popleft()
-        queued.discard(state)
-        for predecessor in predecessors[state]:
-            merged = result[predecessor] | result[state]
-            if merged != result[predecessor]:
-                result[predecessor] = merged
-                if predecessor not in queued:
+        index = worklist.popleft()
+        queued[index] = False
+        values = result[index]
+        for predecessor in predecessors[index]:
+            current = result[predecessor]
+            if not values <= current:
+                result[predecessor] = current | values
+                if not queued[predecessor]:
                     worklist.append(predecessor)
-                    queued.add(predecessor)
-    return result
+                    queued[predecessor] = True
+    return dict(zip(states, result))
 
 
 def find_state(

@@ -11,7 +11,8 @@ whole of Section 3 runs.
 :class:`DeterministicSystemView` packages a :class:`DistributedSystem`
 as exactly this object: a function ``step(state, task)`` returning the
 unique ``(action, post_state)`` or ``None`` when the task is not
-applicable.  The view refuses to operate on states with failures (the
+applicable, and ``successors(state)`` returning every applicable task's
+step at once.  The view refuses to operate on states with failures (the
 valence machinery is defined over failure-free executions) and raises
 :class:`NondeterminismError` if a task ever has more than one enabled
 transition, surfacing violations of the Section 3.1 assumptions instead
@@ -38,6 +39,12 @@ class DeterministicSystemView:
     ``transition(e, s)`` from Section 3.1 is :meth:`step`; the paper's
     notations ``action(e, s)`` and ``e(s)`` are :meth:`action_of` and
     :meth:`apply`.
+
+    :meth:`step` memoizes its ``(state, task)`` results for callers that
+    revisit the same transitions (the hook search, the adversary, graph
+    replays); :meth:`apply`, :meth:`action_of`, :meth:`applicable` and
+    :meth:`run_task_sequence` share that memo.  :meth:`successors`, the
+    exploration engine's expansion step, never reads or fills it.
     """
 
     def __init__(self, system: DistributedSystem) -> None:
@@ -60,11 +67,7 @@ class DeterministicSystemView:
             return cached
         transitions = self.system.enabled(state, task)
         if len(transitions) > 1:
-            raise NondeterminismError(
-                f"task {task} has {len(transitions)} enabled transitions; "
-                "the Section 3.1 determinism assumptions do not hold "
-                "(restrict the protocol or the sequential type first)"
-            )
+            raise _nondeterminism(task, len(transitions))
         result = None
         if transitions:
             result = (transitions[0].action, transitions[0].post)
@@ -85,25 +88,6 @@ class DeterministicSystemView:
             raise ValueError(f"task {task} is not applicable")
         return step[0]
 
-    def trim_step_cache(self, limit: int | None = None) -> int:
-        """Drop the transition memo; returns the number of entries freed.
-
-        The memo holds full decoded states keyed by ``(state, task)``,
-        so it grows with every state the view touches — fine for
-        analysis passes that re-walk a small graph, fatal for
-        disk-backed explorations whose whole point is an RSS ceiling.
-        With ``limit``, the memo is only cleared once it exceeds that
-        many entries, so callers can cap it on a hot path with an O(1)
-        length check.  The store-backed engine does exactly that on
-        every expansion; a BFS expands each parent exactly once, so the
-        only cost is recomputing the few in-flight states it revisits.
-        """
-        if limit is not None and len(self._step_cache) <= limit:
-            return 0
-        freed = len(self._step_cache)
-        self._step_cache.clear()
-        return freed
-
     def applicable(self, state: State, task: Task) -> bool:
         """Task applicability (Lemma 1 terminology)."""
         return self.step(state, task) is not None
@@ -113,12 +97,23 @@ class DeterministicSystemView:
         return [task for task in self.tasks if self.applicable(state, task)]
 
     def successors(self, state: State) -> list[tuple[Task, Action, State]]:
-        """All task-labeled successor states."""
+        """All task-labeled successor states.
+
+        Computed straight from ``system.enabled``, bypassing the
+        :meth:`step` memo: an exploration expands each state once, so
+        memoizing its transitions would only hash every composite state
+        again per task and keep a tracked tuple alive per transition.
+        The Section 3.1 determinism check is the same as :meth:`step`'s.
+        """
+        enabled = self.system.enabled
         result = []
         for task in self.tasks:
-            step = self.step(state, task)
-            if step is not None:
-                result.append((task, step[0], step[1]))
+            transitions = enabled(state, task)
+            if transitions:
+                if len(transitions) > 1:
+                    raise _nondeterminism(task, len(transitions))
+                transition = transitions[0]
+                result.append((task, transition.action, transition.post))
         return result
 
     # -- participants (Section 2.2.3 / Lemma 8) -----------------------------------
@@ -176,3 +171,11 @@ class DeterministicSystemView:
 
 
 _MISSING = object()
+
+
+def _nondeterminism(task: Task, count: int) -> NondeterminismError:
+    return NondeterminismError(
+        f"task {task} has {count} enabled transitions; "
+        "the Section 3.1 determinism assumptions do not hold "
+        "(restrict the protocol or the sequential type first)"
+    )

@@ -109,10 +109,13 @@ from .store import (
 #: Sequential deadline checks happen every this many expansions.
 _DEADLINE_STRIDE = 512
 
-#: Store-mode cap on the view's decoded-state transition memo (entries).
-#: Each entry pins a full decoded state, so the cap — not the store —
-#: decides the coordinator's working-set RSS between flushes.
-STEP_CACHE_LIMIT = 20_000
+#: ``StateIndex.interned`` default marking a novel successor.
+_NOVEL = object()
+
+#: Store-mode cap on a reduced view's orbit cache (entries).  Each entry
+#: pins a full decoded state, so the cap — not the store — decides the
+#: coordinator's working-set RSS between flushes.
+ORBIT_CACHE_LIMIT = 20_000
 
 #: Store-mode cap on the codec's interning caches (combined entries).
 #: They pin one component object + encoding per distinct component value
@@ -1210,23 +1213,25 @@ class ExplorationEngine:
         # With a state-keyed index the visited set doubles as an intern
         # table: edges reference the first-seen object per state (and per
         # action), so the retained graph holds one object per distinct
-        # value instead of one per discovery.
-        resolve = getattr(run.index, "resolve", None)
+        # value instead of one per discovery.  One lookup per successor
+        # both tests membership and fetches the interned object.
+        interned = getattr(run.index, "interned", None)
         intern_action = run.action_intern
-        rebuilt = [] if resolve is not None else None
+        rebuilt = [] if interned is not None else None
         added = []
+        succ_digest = None
         for task, action, successor in out:
-            known, succ_digest = run.index.check(successor)
-            if known:
-                if rebuilt is not None:
+            if interned is not None:
+                known = interned(successor, _NOVEL)
+                if known is not _NOVEL:
                     rebuilt.append(
-                        (
-                            task,
-                            intern_action.setdefault(action, action),
-                            resolve(successor),
-                        )
+                        (task, intern_action.setdefault(action, action), known)
                     )
-                continue
+                    continue
+            else:
+                known, succ_digest = run.index.check(successor)
+                if known:
+                    continue
             if budget.max_states is not None and len(run.index) >= budget.max_states:
                 run.frontier.extend(added)
                 run.frontier.appendleft(state)
@@ -1330,20 +1335,16 @@ class ExplorationEngine:
 
     def _maybe_checkpoint(self, run: _Run) -> None:
         if run.store_mode:
-            # The view memoizes every (state, task) transition it
-            # computes — useful for analysis passes that re-walk a
-            # materialized graph, but an unbounded decoded-state cache
-            # that defeats the store's RSS ceiling.  Trimming only on
-            # the flush cadence is not enough: between flushes the memo
-            # window alone (flush_interval parents x branching entries,
-            # each pinning a decoded composite state) reaches hundreds
-            # of MB on 10^5-state instances.  So cap it by entry count
-            # on every expansion — an O(1) length check.  BFS expands
-            # each parent exactly once, so dropping the memo costs at
-            # most a recompute of in-flight states.
-            trim = getattr(run.view, "trim_step_cache", None)
+            # A reduced view's orbit cache maps every orbit image it has
+            # seen to its representative — an unbounded decoded-state
+            # cache that defeats the store's RSS ceiling.  Trimming only
+            # on the flush cadence is not enough (a flush window of
+            # parents x branching x orbit size entries reaches hundreds
+            # of MB), so cap it by entry count on every expansion — an
+            # O(1) length check; a dropped entry costs one recompute.
+            trim = getattr(run.view, "trim_orbit_cache", None)
             if trim is not None:
-                trim(STEP_CACHE_LIMIT)
+                trim(ORBIT_CACHE_LIMIT)
             # Same story for the codec's interning caches: they pin
             # every distinct component object ever encoded or decoded,
             # which for a streaming run is the whole history.

@@ -180,20 +180,23 @@ class StateIndex:
     every state anyway.
 
     The set is stored as a state-to-state mapping so it doubles as an
-    **interning table**: :meth:`resolve` maps any state equal to a
-    visited one onto the first-seen object, letting the engine store one
-    object per distinct state in the graph instead of one per discovery
-    (deep composite tuples arrive as fresh objects from every
-    expansion).
+    **interning table**: ``interned(state, default)`` returns the
+    first-seen object equal to ``state``, or ``default`` when ``state``
+    is novel, letting the engine store one object per distinct state in
+    the graph instead of one per discovery (deep composite tuples arrive
+    as fresh objects from every expansion).  It is the mapping's own
+    ``get``, so the membership test and the interning share one hash of
+    the state.
     """
 
-    __slots__ = ("digest_size", "_states")
+    __slots__ = ("digest_size", "_states", "interned")
 
     audit = False
 
     def __init__(self, digest_size: int = DIGEST_SIZE) -> None:
         self.digest_size = digest_size
         self._states: dict[Hashable, Hashable] = {}
+        self.interned = self._states.get
 
     def __len__(self) -> int:
         return len(self._states)
@@ -208,7 +211,3 @@ class StateIndex:
     def add_states(self, states: Iterable[Hashable]) -> None:
         for state in states:
             self._states[state] = state
-
-    def resolve(self, state: Hashable) -> Hashable:
-        """The interned object for ``state`` (``state`` itself if novel)."""
-        return self._states.get(state, state)

@@ -205,7 +205,7 @@ HEARTBEAT_SECONDS = 5.0
 
 #: Cap (entries) on each worker's decoded-state caches.  The
 #: digest->state cache is reset by the coordinator (see the module
-#: docstring); the view's transition memo and the codec's interning
+#: docstring); a reduced view's orbit cache and the codec's interning
 #: caches are trimmed by the worker itself.  All three are performance
 #: caches only, so the cap keeps disk-backed runs that stream millions
 #: of states through a worker from growing its RSS without bound.
@@ -225,8 +225,8 @@ def _self_rss_kb() -> int:
 
 
 def _trim_worker_caches(view, codec: Codec) -> None:
-    """Trim the view's transition memo and the codec's interning caches."""
-    trim = getattr(view, "trim_step_cache", None)
+    """Trim a reduced view's orbit cache and the codec's interning caches."""
+    trim = getattr(view, "trim_orbit_cache", None)
     if trim is not None:
         trim(WORKER_CACHE_LIMIT)
     codec.trim(WORKER_CACHE_LIMIT)

@@ -347,24 +347,22 @@ class ReducedView:
         if self.por:
             self._pipeline, self._locals = _por_tables(base.system)
 
-    def trim_step_cache(self, limit: int | None = None) -> int:
-        """Drop the decoded-state memos (base view + orbit cache).
+    def trim_orbit_cache(self, limit: int) -> int:
+        """Clear the orbit cache once it exceeds ``limit`` entries.
 
-        The store-backed engine calls this on every expansion with a
-        cap so a reduced disk-backed run keeps the same RSS ceiling as
-        a raw one; see :meth:`DeterministicSystemView.trim_step_cache`.
-        The orbit cache is capped independently — its entries hold full
-        decoded states too, one per orbit image.
+        Returns the number of entries freed.  The store-backed engine
+        calls this on every expansion and each pool worker before every
+        batch, so a reduced disk-backed run keeps the same RSS ceiling
+        as a raw one: each entry holds a full decoded state, one per
+        orbit image.
         """
-        freed = 0
-        trim = getattr(self.base, "trim_step_cache", None)
-        if trim is not None:
-            freed += trim(limit)
-        if self.canonicalizer is not None:
-            cache = self.canonicalizer._cache
-            if cache and (limit is None or len(cache) > limit):
-                freed += len(cache)
-                cache.clear()
+        if self.canonicalizer is None:
+            return 0
+        cache = self.canonicalizer._cache
+        if len(cache) <= limit:
+            return 0
+        freed = len(cache)
+        cache.clear()
         return freed
 
     # -- the reduced expansion ----------------------------------------------

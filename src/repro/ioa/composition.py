@@ -47,6 +47,12 @@ class Composition(Automaton):
                 if task in self._task_owner:
                     raise IncompatibleComposition(f"duplicate task {task}")
                 self._task_owner[task] = i
+        # Synchronization routes, filled lazily by :meth:`_route`:
+        # ``self._routes[owner][action]`` is the tuple of the other
+        # components' indices with ``action`` in their signature.
+        self._routes: tuple[dict[Action, tuple[int, ...]], ...] = tuple(
+            {} for _ in self.components
+        )
 
     # -- component access ----------------------------------------------------
 
@@ -123,25 +129,42 @@ class Composition(Automaton):
         owner = self._task_owner.get(task)
         if owner is None:
             raise KeyError(f"unknown task {task}")
-        component = self.components[owner]
+        routes = self._routes[owner]
+        components = self.components
         transitions = []
-        for local in component.enabled(state[owner], task):
+        for local in components[owner].enabled(state[owner], task):
+            action = local.action
             post = list(state)
             post[owner] = local.post
             # Synchronize: every *other* component with the action in its
             # signature takes it as an input.
-            for j, other in enumerate(self.components):
-                if j == owner:
-                    continue
-                if other.in_signature(local.action):
-                    if other.is_locally_controlled(local.action):
-                        raise IncompatibleComposition(
-                            f"action {local.action} locally controlled by both "
-                            f"{component.name!r} and {other.name!r}"
-                        )
-                    post[j] = other.apply_input(post[j], local.action)
-            transitions.append(Transition(local.action, tuple(post)))
+            receivers = routes.get(action)
+            if receivers is None:
+                receivers = self._route(owner, action)
+            for j in receivers:
+                post[j] = components[j].apply_input(post[j], action)
+            transitions.append(Transition(action, tuple(post)))
         return transitions
+
+    def _route(self, owner: int, action: Action) -> tuple[int, ...]:
+        """The components other than ``owner`` that take ``action`` as input.
+
+        Signatures depend on the action alone, so the answer is cached
+        per ``(owner, action)``.  An incompatible pair raises before
+        anything is cached, so every later attempt raises again.
+        """
+        receivers = []
+        for j, other in enumerate(self.components):
+            if j == owner or not other.in_signature(action):
+                continue
+            if other.is_locally_controlled(action):
+                raise IncompatibleComposition(
+                    f"action {action} locally controlled by both "
+                    f"{self.components[owner].name!r} and {other.name!r}"
+                )
+            receivers.append(j)
+        route = self._routes[owner][action] = tuple(receivers)
+        return route
 
     def apply_input(self, state: State, action: Action) -> State:
         post = list(state)

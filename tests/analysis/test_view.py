@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import DeterministicSystemView, NondeterminismError
+from repro.analysis import DeterministicSystemView, NondeterminismError, explore
 from repro.protocols import delegation_consensus_system
 from repro.services import CanonicalAtomicObject
 from repro.system import DistributedSystem, IdleProcess, ScriptProcess
@@ -54,23 +54,35 @@ class TestStep:
         assert first is second
 
 
+@pytest.fixture
+def branching_perform():
+    """A view and a state whose next ``perform`` has two outcomes."""
+    kset = k_set_consensus_type(2, proposals=(0, 1, 2))
+    service = CanonicalAtomicObject(kset, (0,), 0, service_id="k")
+    process = ScriptProcess(
+        0, [invoke("k", 0, ("init", 0)), invoke("k", 0, ("init", 1))],
+        connections=["k"],
+    )
+    system = DistributedSystem([process], services=[service])
+    view = DeterministicSystemView(system)
+    state = system.some_start_state()
+    # Queue two proposals so the second perform branches.
+    for _ in range(2):
+        state = view.apply(state, process.tasks()[0])
+    state = view.apply(state, Task(service.name, ("perform", 0)))
+    return view, state, Task(service.name, ("perform", 0))
+
+
 class TestDeterminismEnforcement:
-    def test_nondeterministic_type_raises(self):
-        kset = k_set_consensus_type(2, proposals=(0, 1, 2))
-        service = CanonicalAtomicObject(kset, (0,), 0, service_id="k")
-        process = ScriptProcess(
-            0, [invoke("k", 0, ("init", 0)), invoke("k", 0, ("init", 1))],
-            connections=["k"],
-        )
-        system = DistributedSystem([process], services=[service])
-        view = DeterministicSystemView(system)
-        state = system.some_start_state()
-        # Queue two proposals so the second perform branches.
-        for _ in range(2):
-            state = view.apply(state, process.tasks()[0])
-        state = view.apply(state, Task(service.name, ("perform", 0)))
+    def test_nondeterministic_type_raises(self, branching_perform):
+        view, state, task = branching_perform
         with pytest.raises(NondeterminismError):
-            view.step(state, Task(service.name, ("perform", 0)))
+            view.step(state, task)
+
+    def test_successors_raises_on_branching_task(self, branching_perform):
+        view, state, task = branching_perform
+        with pytest.raises(NondeterminismError, match="2 enabled transitions"):
+            view.successors(state)
 
     def test_failure_free_guard(self, view_and_root):
         system, view, root = view_and_root
@@ -119,3 +131,16 @@ class TestReplay:
         tasks = [t for t, _, _ in successors]
         assert len(tasks) == len(set(tasks))
         assert all(view.applicable(root, t) for t in tasks)
+
+    def test_successors_match_step_on_every_reachable_state(self):
+        system = delegation_consensus_system(3, resilience=1)
+        root = system.initialization({0: 0, 1: 1, 2: 0}).final_state
+        view = DeterministicSystemView(system)
+        graph = explore(view, root)
+        for state in graph.states:
+            expected = [
+                (task, *view.step(state, task))
+                for task in view.tasks
+                if view.step(state, task)
+            ]
+            assert view.successors(state) == expected

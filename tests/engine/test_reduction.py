@@ -181,14 +181,18 @@ class TestAnalysisIntegration:
 
 
 class TestFingerprintSupport:
-    def test_state_index_resolve_interns(self):
+    def test_state_index_interned_returns_first_seen(self):
         index = StateIndex()
         first = (1, ("a", frozenset({2})))
         duplicate = (1, ("a", frozenset({2})))
         assert first is not duplicate
         index.add(first)
-        assert index.resolve(duplicate) is first
-        assert index.resolve(("novel",)) == ("novel",)
+        novel = object()
+        assert index.interned(duplicate, novel) is first
+        assert index.interned(("novel",), novel) is novel
+        # A falsy stored state is still found: the default is a sentinel.
+        index.add(())
+        assert index.interned((), novel) == ()
 
     def test_fingerprint_components_matches_fingerprint(self):
         cache: dict = {}

@@ -46,6 +46,8 @@ from repro.engine import (
     resolve_store,
     segment_dir,
 )
+from repro.engine import api
+from repro.engine.reduction import build_reduced_view
 from repro.engine.store import _SpillFrontier
 from repro.protocols import delegation_consensus_system, tob_delegation_system
 
@@ -424,6 +426,41 @@ class TestIdenticalGraph:
         payload = report.to_json()
         assert payload["store_backend"] == "sqlite"
         assert payload["peak_rss_kb"] == report.peak_rss_kb
+
+
+class TestCacheCeilings:
+    """A store-backed run keeps no decoded state beyond its caps."""
+
+    def test_scan_leaves_the_step_memo_empty(self, tmp_path):
+        system = delegation_consensus_system(5, 1)
+        view = DeterministicSystemView(system)
+        root = system.initialization({0: 0, 1: 1, 2: 0, 3: 1, 4: 0}).final_state
+        engine = ExplorationEngine(workers=1, store=store_uri("sqlite", tmp_path))
+        assert engine.scan(view, root).states > 1000
+        assert view._step_cache == {}
+
+    def test_reduced_scan_orbit_cache_stays_capped(self, tmp_path, monkeypatch):
+        cap = 64
+        monkeypatch.setattr(api, "ORBIT_CACHE_LIMIT", cap)
+        system = delegation_consensus_system(4, 1)
+        view = DeterministicSystemView(system)
+        root = system.initialization({0: 0, 1: 1, 2: 0, 3: 1}).final_state
+        reduced = build_reduced_view(view, root, ReductionConfig.from_name("symmetry"))
+        cache = reduced.canonicalizer._cache
+        freed = []
+        trim = reduced.trim_orbit_cache
+
+        def recording_trim(limit):
+            freed.append(trim(limit))
+            assert len(cache) <= cap
+            return freed[-1]
+
+        monkeypatch.setattr(reduced, "trim_orbit_cache", recording_trim)
+        engine = ExplorationEngine(workers=1, store=store_uri("sqlite", tmp_path))
+        engine.scan(reduced, root)
+        assert sum(freed) > cap  # the cap was reached and enforced
+        assert len(cache) <= cap
+        assert view._step_cache == {}
 
 
 class TestComposability:

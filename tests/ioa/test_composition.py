@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import DeterministicSystemView, explore
 from repro.ioa import (
     Action,
     Automaton,
@@ -12,6 +13,9 @@ from repro.ioa import (
     Transition,
     check_compatibility,
 )
+from repro.protocols.message_passing import arbiter_consensus_system
+from repro.serve.wire import build_system
+from repro.sim import FaultBudget
 
 
 class Sender(Automaton):
@@ -107,6 +111,9 @@ class TestComposition:
         state = composed.some_start_state()
         with pytest.raises(IncompatibleComposition):
             composed.enabled(state, Task("s1", "send"))
+        # A failed route is never cached: the conflict surfaces every time.
+        with pytest.raises(IncompatibleComposition):
+            composed.enabled(state, Task("s1", "send"))
 
     def test_component_lookup(self):
         sender = Sender()
@@ -122,6 +129,53 @@ class TestComposition:
         composed = Composition([sender, receiver])
         participants = composed.participants(Action("msg", (0,)))
         assert {p.name for p in participants} == {"sender", "receiver"}
+
+
+def full_scan_enabled(composition, state, task):
+    """``Composition.enabled`` as a scan of every component's signature."""
+    (owner,) = [
+        i for i, c in enumerate(composition.components) if task in c.tasks()
+    ]
+    transitions = []
+    for local in composition.components[owner].enabled(state[owner], task):
+        post = list(state)
+        post[owner] = local.post
+        for j, other in enumerate(composition.components):
+            if j != owner and other.in_signature(local.action):
+                assert not other.is_locally_controlled(local.action)
+                post[j] = other.apply_input(post[j], local.action)
+        transitions.append(Transition(local.action, tuple(post)))
+    return transitions
+
+
+ROUTING_SYSTEMS = {
+    "delegation-4-1": lambda: build_system("delegation", 4, 1),
+    "tob-3-1": lambda: build_system("tob", 3, 1),
+    "arbiter-3-1": lambda: build_system("arbiter", 3, 1),
+    # FaultyNetwork overrides is_internal (fault actions) and enabled
+    # (fault tasks).
+    "faulty-arbiter-3-1": lambda: arbiter_consensus_system(
+        3, 1, faults=FaultBudget(drop=1)
+    ),
+}
+
+
+class TestRoutingTable:
+    """The per-action routing table synchronizes exactly like a full scan."""
+
+    @pytest.mark.parametrize("name", sorted(ROUTING_SYSTEMS))
+    def test_routed_transitions_match_full_scan(self, name):
+        system = ROUTING_SYSTEMS[name]()
+        proposals = {e: i % 2 for i, e in enumerate(system.process_ids)}
+        root = system.initialization(proposals).final_state
+        graph = explore(DeterministicSystemView(system), root)
+        checked = 0
+        for state in graph.states:
+            for task in system.tasks():
+                expected = full_scan_enabled(system, state, task)
+                assert system.enabled(state, task) == expected
+                checked += bool(expected)
+        assert checked == graph.edge_count()
 
 
 class TestHiding:
