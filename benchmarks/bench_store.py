@@ -3,8 +3,8 @@
 Two evidence tables, both appended to ``BENCH_engine.json``:
 
 * **backend comparison** — one instance explored through every
-  :class:`repro.engine.StateStore` backend (``memory``/``sqlite``/
-  ``mmap``) plus the classic in-RAM engine, workers=1.  Every run must
+  :class:`repro.engine.StateStore` backend (``memory``/``sqlite``)
+  plus the classic in-RAM engine, workers=1.  Every run must
   reproduce the *identical* graph (state discovery order and edge dict —
   the store's documented guarantee); rows record states/sec, peak RSS,
   flush count/seconds and spilled frontier digests, so the price of
@@ -40,7 +40,7 @@ from repro.engine import Budget, ExplorationEngine
 from repro.protocols import delegation_consensus_system, tob_delegation_system
 
 FULL = os.environ.get("REPRO_BENCH_FULL", "") not in ("", "0")
-BACKENDS = ("memory", "sqlite", "mmap")
+BACKENDS = ("memory", "sqlite")
 RSS_LIMIT_MB = 1536
 SCALE_TARGET_STATES = 1_000_000
 SCALE_BUDGET = 1_050_000

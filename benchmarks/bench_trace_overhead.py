@@ -50,7 +50,7 @@ from time import perf_counter
 from conftest import report
 
 from repro.analysis import DeterministicSystemView, StateGraph, StateSet, explore
-from repro.engine import DIGEST_SIZE, fingerprint
+from repro.engine import fingerprint
 from repro.engine.fingerprint import StateIndex
 from repro.protocols import tob_delegation_system
 
@@ -101,11 +101,11 @@ class _UninstrumentedEngine:
     def explore(self, view, root):
         run = _BaselineRun()
         run.view = view
-        run.index = StateIndex(DIGEST_SIZE)
+        run.index = StateIndex()
         run.order = [root]
         run.edges = {}
         run.frontier = deque(
-            [(root, run.index.add(root, fingerprint(root, DIGEST_SIZE)))]
+            [(root, run.index.add(root, fingerprint(root)))]
         )
         run.action_intern = {}
         run.transitions = 0

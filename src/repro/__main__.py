@@ -51,8 +51,8 @@ tunes crash recovery, and ``--checkpoint DIR`` / ``--resume DIR``
 snapshot interrupted explorations and continue them on the next
 invocation instead of starting over.  ``--store URI`` keeps packed
 states in a disk-backed :class:`~repro.engine.StateStore`
-(``sqlite:/path`` or ``mmap:/path``; default from
-``$REPRO_ENGINE_STORE``) with streaming delta checkpoints, and
+(``sqlite:/path``; default from ``$REPRO_ENGINE_STORE``) with
+streaming delta checkpoints, and
 ``--rss-limit-mb MB`` enforces an address-space ceiling on the run.  ``--json`` replaces the narrative
 with one machine-readable document built from the results' shared
 ``summary()``/``to_json()`` protocol.
@@ -72,6 +72,21 @@ def _build_candidate(name: str, n: int, resilience: int):
         return build_system(name, n, resilience)
     except WireError as error:
         raise SystemExit(error.detail) from None
+
+
+def _store_uri(text: str) -> str:
+    """``--store`` type: a URI :meth:`~repro.engine.StoreConfig.from_uri` accepts.
+
+    Rejecting a bad URI at parse time makes it a usage error (exit 2)
+    before any run-ledger record exists.
+    """
+    from .engine import StoreConfig
+
+    try:
+        StoreConfig.from_uri(text)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+    return text
 
 
 def _balanced_proposals(system) -> dict:
@@ -184,20 +199,9 @@ def _run_pipeline(args: argparse.Namespace, tracer, metrics, run_artifacts=None)
     system = _build_candidate(args.candidate, args.n, args.resilience)
     say(f"Candidate: {args.candidate} (n={args.n}, f={args.resilience})")
     reduction = ReductionConfig.from_name(getattr(args, "reduction", "none"))
-    if getattr(args, "audit_reduction", False):
-        if not reduction.enabled:
-            raise SystemExit("--audit-reduction requires --reduction other than none")
-        from .engine import audit_reduction
-
-        root = system.initialization(_balanced_proposals(system)).final_state
-        comparison = audit_reduction(
-            system, root, reduction, max_states=args.max_states
-        )
-        say(
-            f"Reduction audit OK: full {comparison.full_states} states -> "
-            f"reduced {comparison.reduced_states} "
-            f"(ratio {comparison.state_ratio:.2f}x), verdicts identical"
-        )
+    audit = getattr(args, "audit_reduction", False)
+    if audit and not reduction.enabled:
+        raise SystemExit("--audit-reduction requires --reduction other than none")
     checkpoint_dir = args.resume if args.resume is not None else args.checkpoint
     rss_limit_mb = getattr(args, "rss_limit_mb", None)
     if rss_limit_mb is not None:
@@ -245,6 +249,52 @@ def _run_pipeline(args: argparse.Namespace, tracer, metrics, run_artifacts=None)
     )
     if document is not None and run is not None:
         document["run_id"] = run.run_id
+
+    def exhausted(error, elapsed: float | None):
+        say(f"Exploration budget exhausted: {error}")
+        checkpoint = getattr(error, "checkpoint", None)
+        if checkpoint is not None:
+            say(f"Checkpoint: {checkpoint}")
+            say(f"Resume:     {getattr(error, 'resume_command', None)}")
+        if run is not None:
+            report = engine.last_report
+            resume_command = getattr(error, "resume_command", None)
+            if resume_command is not None:
+                run.add_artifact("resume", resume_command)
+            run.finish(
+                "exhausted",
+                counters=_ledger_counters(metrics),
+                phases={} if report is None else report.phase_seconds,
+                peak_rss_kb=0 if report is None else report.peak_rss_kb,
+                error=str(error),
+            )
+        if not emit_json and elapsed is not None:
+            _print_exploration_summary(metrics, elapsed)
+        if document is not None:
+            document["verdict"] = None
+            document["error"] = (
+                error.to_json()
+                if hasattr(error, "to_json")
+                else {"error": "budget_exhausted", "detail": str(error)}
+            )
+            document["engine"] = (
+                None if engine.last_report is None else engine.last_report.to_json()
+            )
+        return None, 2, document
+
+    if audit:
+        from .engine import audit_reduction
+
+        root = system.initialization(_balanced_proposals(system)).final_state
+        try:
+            comparison = audit_reduction(system, root, reduction, budget=budget)
+        except ExplorationBudget as error:
+            return exhausted(error, None)
+        say(
+            f"Reduction audit OK: full {comparison.full_states} states -> "
+            f"reduced {comparison.reduced_states} "
+            f"(ratio {comparison.state_ratio:.2f}x), verdicts identical"
+        )
     if getattr(args, "seed", None) is not None:
         from .analysis import random_decision_probe
 
@@ -263,39 +313,8 @@ def _run_pipeline(args: argparse.Namespace, tracer, metrics, run_artifacts=None)
                 engine=engine,
                 reduction=reduction if reduction.enabled else None,
             )
-        except ExplorationBudget as budget:
-            say(f"Exploration budget exhausted: {budget}")
-            checkpoint = getattr(budget, "checkpoint", None)
-            if checkpoint is not None:
-                say(f"Checkpoint: {checkpoint}")
-                say(f"Resume:     {getattr(budget, 'resume_command', None)}")
-            if run is not None:
-                report = engine.last_report
-                resume_command = getattr(budget, "resume_command", None)
-                if resume_command is not None:
-                    run.add_artifact("resume", resume_command)
-                run.finish(
-                    "exhausted",
-                    counters=_ledger_counters(metrics),
-                    phases={} if report is None else report.phase_seconds,
-                    peak_rss_kb=0 if report is None else report.peak_rss_kb,
-                    error=str(budget),
-                )
-            if not emit_json:
-                _print_exploration_summary(metrics, timer.elapsed)
-            if document is not None:
-                document["verdict"] = None
-                document["error"] = (
-                    budget.to_json()
-                    if hasattr(budget, "to_json")
-                    else {"error": "budget_exhausted", "detail": str(budget)}
-                )
-                document["engine"] = (
-                    None
-                    if engine.last_report is None
-                    else engine.last_report.to_json()
-                )
-            return None, 2, document
+        except ExplorationBudget as error:
+            return exhausted(error, timer.elapsed)
     report = engine.last_report
     if run is not None:
         run.finish(
@@ -358,17 +377,31 @@ def cmd_stats(args: argparse.Namespace) -> int:
     from .obs import MetricsRegistry, NULL_TRACER, render_metrics_table
 
     if args.compare_reduction:
-        from .engine import ReductionConfig, compare_reduction
+        from .engine import (
+            Budget,
+            BudgetExhausted,
+            ReductionConfig,
+            compare_reduction,
+        )
 
         reduction = ReductionConfig.from_name(args.reduction)
         if not reduction.enabled:
             reduction = ReductionConfig.from_name("full")
         system = _build_candidate(args.candidate, args.n, args.resilience)
         root = system.initialization(_balanced_proposals(system)).final_state
-        comparison = compare_reduction(
-            system, root, reduction, max_states=args.max_states
-        )
         print(f"Candidate: {args.candidate} (n={args.n}, f={args.resilience})")
+        try:
+            comparison = compare_reduction(
+                system,
+                root,
+                reduction,
+                budget=Budget(
+                    max_states=args.max_states, deadline_seconds=args.deadline
+                ),
+            )
+        except BudgetExhausted as error:
+            print(f"Exploration budget exhausted: {error}")
+            return 2
         print(
             f"Symmetry group: {comparison.group_size} permutations "
             f"({comparison.stabilizer_size} fixing the balanced inputs)"
@@ -1091,10 +1124,11 @@ def main(argv: list[str] | None = None) -> int:
         )
         subparser.add_argument(
             "--store",
+            type=_store_uri,
             default=os.environ.get("REPRO_ENGINE_STORE") or None,
             metavar="URI",
-            help="state-store backend for explorations: 'memory' (default), "
-            "'sqlite:/path' or 'mmap:/path' to hold packed states on disk "
+            help="state-store backend for explorations: 'memory' (default) "
+            "or 'sqlite:/path' to hold packed states on disk "
             "(10^6+-state runs under a bounded RSS; default from "
             "$REPRO_ENGINE_STORE)",
         )

@@ -124,14 +124,13 @@ def default_resilience(system: DistributedSystem) -> int:
 def refute_candidate(
     system: DistributedSystem,
     resilience: int | None = None,
-    max_states: int | None = None,
+    *,
     horizon: int = 100_000,
     failure_aware_services: Collection[Hashable] = (),
     tracer: Tracer = NULL_TRACER,
     metrics: MetricsRegistry = NULL_METRICS,
     engine=None,
     reduction=None,
-    *,
     budget=None,
     store=None,
 ) -> Verdict:
@@ -141,9 +140,7 @@ def refute_candidate(
     exploration of the pipeline (default ``Budget(max_states=200_000)``);
     when it carries a deadline, each post-exploration stage (hook search,
     silencing runs) also gets a fresh wall-clock allowance of
-    ``deadline_seconds``.  ``max_states`` survives as a deprecated alias
-    for ``budget=Budget(max_states=...)`` and warns once for the whole
-    pipeline.
+    ``deadline_seconds``.
 
     ``tracer``/``metrics`` (defaulting to the disabled singletons) are
     threaded through every stage — Lemma 4 exploration, the Fig. 3 hook
@@ -176,9 +173,9 @@ def refute_candidate(
     engine already carries its own store choice.
     """
     # Lazy: repro.engine imports this package at load time.
-    from ..engine.budget import resolve_budget
+    from ..engine.budget import DEFAULT_BUDGET
 
-    budget = resolve_budget(budget, max_states)
+    budget = DEFAULT_BUDGET if budget is None else budget
     if store is not None:
         if engine is not None:
             raise TypeError(
@@ -202,7 +199,7 @@ def refute_candidate(
     def stage_deadline():
         """A fresh per-stage Deadline from the governing budget, or None."""
         governing = engine.budget if engine is not None else budget
-        if governing is None or governing.deadline_seconds is None:
+        if governing.deadline_seconds is None:
             return None
         from ..engine import Deadline
 

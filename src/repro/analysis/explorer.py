@@ -13,16 +13,16 @@ reachable task-transition graph.  This module provides:
   backward fixpoint over the graph (sound for cyclic graphs), this is
   precisely the semantic ingredient of valence.
 
-Budgets: exploration takes a ``max_states`` bound and raises
+Budgets: exploration takes a :class:`repro.engine.Budget` and raises
 :class:`ExplorationBudget` when exceeded, so callers can distinguish
 "exhausted the space" from "the space is too large" — the latter is the
 signal to switch to the bounded adversary of
 :mod:`repro.analysis.adversary`.
 
 :func:`explore` is now a thin compatibility wrapper over
-:class:`repro.engine.ExplorationEngine` (one worker, ``max_states``
-budget) — the engine adds worker-pool parallelism, fingerprint visited
-sets, checkpoints, and deadlines behind the same semantics, and its
+:class:`repro.engine.ExplorationEngine` (one worker) — the engine
+adds worker-pool parallelism, fingerprint visited sets, checkpoints,
+and deadlines behind the same semantics, and its
 budget error :class:`~repro.engine.budget.BudgetExhausted` subclasses
 :class:`ExplorationBudget`, so existing handlers keep working while the
 message now reports the progress made before exhaustion.
@@ -127,25 +127,22 @@ class StateGraph:
 def explore(
     view: DeterministicSystemView,
     root: State,
-    max_states: int | None = None,
+    *,
     prune: Callable[[State], bool] | None = None,
     tracer: Tracer = NULL_TRACER,
     metrics: MetricsRegistry = NULL_METRICS,
-    *,
     budget=None,
     store=None,
 ) -> StateGraph:
     """Breadth-first exploration of the failure-free reachable graph.
 
     ``budget`` is a :class:`repro.engine.Budget` bounding the search
-    (defaulting to the historical ``Budget(max_states=200_000)``);
-    ``max_states`` survives as a deprecated alias for
-    ``budget=Budget(max_states=...)`` and emits a
-    :class:`DeprecationWarning`.
+    (``None`` means :data:`repro.engine.DEFAULT_BUDGET`,
+    ``Budget(max_states=200_000)``).
 
     ``store`` selects a :mod:`repro.engine.store` backend for the
-    run's states — a URI string (``"sqlite:/path"``, ``"mmap:/path"``,
-    ``"memory"``), a :class:`repro.engine.StoreConfig`, or a
+    run's states — a URI string (``"sqlite:/path"`` or ``"memory"``),
+    a :class:`repro.engine.StoreConfig`, or a
     :class:`repro.engine.StateStore` instance.  ``None`` (the default)
     keeps the classic in-RAM exploration.  Note this function still
     returns the fully materialized graph; for disk-bound runs that must
@@ -170,11 +167,8 @@ def explore(
     """
     # Imported lazily: repro.engine imports this module at load time.
     from ..engine import ExplorationEngine
-    from ..engine.budget import resolve_budget
 
-    engine = ExplorationEngine(
-        workers=1, budget=resolve_budget(budget, max_states), store=store
-    )
+    engine = ExplorationEngine(workers=1, budget=budget, store=store)
     return engine.explore(view, root, prune=prune, tracer=tracer, metrics=metrics)
 
 

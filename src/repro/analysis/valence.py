@@ -157,25 +157,22 @@ class ValenceAnalysis:
 def analyze_valence(
     system: DistributedSystem,
     root: State,
-    max_states: int | None = None,
+    *,
     tracer: Tracer = NULL_TRACER,
     metrics: MetricsRegistry = NULL_METRICS,
     engine=None,
     reduction=None,
-    *,
     budget=None,
 ) -> ValenceAnalysis:
     """Explore from ``root`` and compute the valence of every state.
 
     ``budget`` is a :class:`repro.engine.Budget` bounding the
-    exploration (default ``Budget(max_states=200_000)``); ``max_states``
-    survives as a deprecated alias for ``budget=Budget(max_states=...)``
-    and emits a :class:`DeprecationWarning`.
+    exploration (``None`` means ``Budget(max_states=200_000)``).
 
     ``engine`` may be a preconfigured
     :class:`repro.engine.ExplorationEngine` (workers, deadline,
     checkpointing); its own budget then governs the exploration, and the
-    ``budget``/``max_states`` arguments here are ignored.
+    ``budget`` argument here is ignored.
 
     ``reduction`` may be a :class:`repro.engine.ReductionConfig`; the
     exploration then runs through a
@@ -184,10 +181,6 @@ def analyze_valence(
     valence lookups.  Both reductions preserve reachable decision sets
     (see ``docs/reduction.md``), so every valence verdict is unchanged.
     """
-    # Lazy: repro.engine imports this package at load time.
-    from ..engine.budget import resolve_budget
-
-    budget = resolve_budget(budget, max_states)
     view = DeterministicSystemView(system)
     view.check_failure_free(root)
     explore_view = view
@@ -278,12 +271,11 @@ class Lemma4Result:
 
 def lemma4_bivalent_initialization(
     system: DistributedSystem,
-    max_states: int | None = None,
+    *,
     tracer: Tracer = NULL_TRACER,
     metrics: MetricsRegistry = NULL_METRICS,
     engine=None,
     reduction=None,
-    *,
     budget=None,
 ) -> Lemma4Result:
     """Find a bivalent initialization, per the proof of Lemma 4.
@@ -295,12 +287,8 @@ def lemma4_bivalent_initialization(
     endpoints are 0-valent and 1-valent by validity, so a bivalent
     element or a critical adjacent pair must exist.
 
-    ``budget`` bounds each exploration of the chain (``max_states`` is
-    the deprecated alias, warning once for the whole chain).
+    ``budget`` bounds each exploration of the chain.
     """
-    from ..engine.budget import resolve_budget
-
-    budget = resolve_budget(budget, max_states)
     endpoints = list(system.process_ids)
     chain: list[InitializationValence] = []
     for split in range(len(endpoints) + 1):

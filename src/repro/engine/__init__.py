@@ -8,7 +8,7 @@ The engine is the scalable successor of
   fingerprint preimage and the wire/checkpoint format, with a verified
   decode path and component/string interning;
 * :mod:`repro.engine.fingerprint` — hash-seed-independent state digests
-  (``blake2b`` over the packed bytes); the visited set stores 8-16-byte
+  (``blake2b`` over the packed bytes); the visited set stores 16-byte
   digests instead of full states, with an optional collision-audit mode;
 * :mod:`repro.engine.visited`     — the lock-free shared-memory visited
   table (:class:`SharedVisitedTable`) forked workers consult before
@@ -20,11 +20,11 @@ The engine is the scalable successor of
   snapshots so interrupted or budget-exhausted runs resume instead of
   restarting (monolithic files for in-RAM runs, streaming delta
   segments for store-backed ones);
-* :mod:`repro.engine.store`       — the pluggable :class:`StateStore`
-  backends (``memory`` / ``sqlite`` / ``mmap``) behind external-memory
-  exploration: digest-keyed state storage, a prefix-sharded visited
-  set, and a spillable FIFO frontier, so 10^6+-state runs hold packed
-  bytes on disk instead of decoded states in RAM;
+* :mod:`repro.engine.store`       — the :class:`StateStore` backends
+  (``memory`` / ``sqlite``) behind external-memory exploration:
+  digest-keyed state storage, an in-memory digest visited set, and a
+  spillable FIFO frontier, so 10^6+-state runs hold packed bytes on disk
+  instead of decoded states in RAM;
 * :mod:`repro.engine.parallel`    — the fork-based worker pool doing
   frontier-partitioned parallel BFS (states sharded by digest) for the
   engine's store-backed round loop, with an in-process fallback when
@@ -50,7 +50,6 @@ from .budget import (
     Budget,
     BudgetExhausted,
     Deadline,
-    resolve_budget,
 )
 from .chaos import FaultPlan
 from .codec import (
@@ -97,14 +96,12 @@ from .fingerprint import (
 from .parallel import WorkerPool, fork_available
 from .store import (
     MemoryStore,
-    MmapStore,
     SQLiteStore,
     StateStore,
     StoreConfig,
     StoreError,
     StoreStats,
     open_store,
-    resolve_flush_interval,
     resolve_store,
 )
 from .visited import (
@@ -142,7 +139,6 @@ __all__ = [
     "FingerprintIndex",
     "LocalVisitedFilter",
     "MemoryStore",
-    "MmapStore",
     "PartitionRetryExhausted",
     "ReducedView",
     "ReductionAuditError",
@@ -179,8 +175,6 @@ __all__ = [
     "open_store",
     "register_codec_type",
     "registered_codec_types",
-    "resolve_budget",
-    "resolve_flush_interval",
     "resolve_store",
     "resume_hint",
     "save_checkpoint",

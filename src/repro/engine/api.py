@@ -96,13 +96,14 @@ from .checkpoint import (
 )
 from .codec import Codec, digest_of_packed
 from .errors import EngineError
-from .fingerprint import DIGEST_SIZE, FingerprintIndex, StateIndex
+from .fingerprint import FingerprintIndex, StateIndex
 from .parallel import PRUNED, QUARANTINED, WorkerPool
 from .store import (
+    DEFAULT_FLUSH_INTERVAL,
     StateStore,
     StoreConfig,
+    _split_digests,
     open_store,
-    resolve_flush_interval,
     resolve_store,
 )
 
@@ -347,7 +348,7 @@ class ExplorationEngine:
         Where discovered states live: ``None`` (the default) keeps
         today's in-RAM exploration; otherwise a
         :mod:`~repro.engine.store` selector — a URI string
-        (``"memory"``, ``"sqlite:/path"``, ``"mmap:/path"``), a
+        (``"memory"`` or ``"sqlite:/path"``), a
         :class:`~repro.engine.store.StoreConfig`, or a ready
         :class:`~repro.engine.store.StateStore` instance (bound to
         exactly one exploration).  With a store the engine runs
@@ -368,8 +369,7 @@ class ExplorationEngine:
         Expansions between durable store flushes / checkpoint
         snapshots.  ``None`` defers to the store's configured
         :attr:`~repro.engine.store.StoreConfig.flush_interval` (50,000
-        without a store).  ``checkpoint_interval=`` is the deprecated
-        alias from the monolithic-snapshot era.
+        without a store).
     resume:
         When true (and ``checkpoint_dir`` holds a checkpoint for this
         root), continue from the snapshot instead of starting over.
@@ -446,11 +446,9 @@ class ExplorationEngine:
         store: StateStore | StoreConfig | str | None = None,
         checkpoint_dir: str | Path | None = None,
         flush_interval: int | None = None,
-        checkpoint_interval: int | None = None,
         resume: bool = False,
         rss_limit_mb: int | None = None,
         audit: bool = False,
-        digest_size: int = DIGEST_SIZE,
         tracer: Tracer = NULL_TRACER,
         metrics: MetricsRegistry = NULL_METRICS,
         max_worker_restarts: int | None = None,
@@ -464,9 +462,13 @@ class ExplorationEngine:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.store = resolve_store(store)
-        flush_interval = resolve_flush_interval(
-            flush_interval, checkpoint_interval, store=self.store
-        )
+        if flush_interval is None:
+            config = getattr(self.store, "config", self.store)
+            flush_interval = (
+                config.flush_interval
+                if isinstance(config, StoreConfig)
+                else DEFAULT_FLUSH_INTERVAL
+            )
         if flush_interval < 1:
             raise ValueError("flush_interval must be >= 1")
         if rss_limit_mb is not None and rss_limit_mb < 1:
@@ -491,15 +493,11 @@ class ExplorationEngine:
         self.budget = DEFAULT_BUDGET if budget is None else budget
         self.checkpoint_dir = None if checkpoint_dir is None else Path(checkpoint_dir)
         self.flush_interval = flush_interval
-        #: Deprecated alias of :attr:`flush_interval` (attribute reads
-        #: only; the constructor keyword warns).
-        self.checkpoint_interval = flush_interval
         self.rss_limit_mb = rss_limit_mb
         #: Root digest a caller-owned StateStore instance is bound to.
         self._store_bound: bytes | None = None
         self.resume = resume
         self.audit = audit
-        self.digest_size = digest_size
         self.tracer = tracer
         self.metrics = metrics
         self.max_worker_restarts = max_worker_restarts
@@ -665,14 +663,14 @@ class ExplorationEngine:
 
     def _make_index(self, codec: Codec):
         if self.audit:
-            return FingerprintIndex(self.digest_size, audit=True, codec=codec)
-        return StateIndex(self.digest_size)
+            return FingerprintIndex(audit=True, codec=codec)
+        return StateIndex()
 
     def _start_run(self, view, root, prune, tracer, metrics) -> _Run:
         run = _Run()
         run.view = view
         run.root = root
-        run.codec = Codec(self.digest_size)
+        run.codec = Codec()
         packed_root, run.root_digest = run.codec.encode_digest(root)
         run.prune = prune
         run.tracer = tracer
@@ -755,7 +753,7 @@ class ExplorationEngine:
             self._store_bound = root_digest
             return configured, False
         return (
-            open_store(configured, self.digest_size, namespace=root_digest.hex()),
+            open_store(configured, namespace=root_digest.hex()),
             True,
         )
 
@@ -826,7 +824,7 @@ class ExplorationEngine:
         digest_of = {}
         if checkpoint.packed_order is not None:
             for state, packed in zip(checkpoint.order, checkpoint.packed_order):
-                digest = digest_of_packed(packed, self.digest_size)
+                digest = digest_of_packed(packed)
                 if digest not in store:
                     store.add(digest, packed)
                 digest_of.setdefault(id(state), digest)
@@ -882,7 +880,7 @@ class ExplorationEngine:
         order: list = []
         index_of: dict[bytes, int] = {}
         for packed in store.iter_packed():
-            digest = digest_of_packed(packed, self.digest_size)
+            digest = digest_of_packed(packed)
             index_of.setdefault(digest, len(order))
             order.append(codec.decode(packed))
         tasks = run.view.tasks
@@ -1003,7 +1001,6 @@ class ExplorationEngine:
             self.workers,
             run.view,
             run.prune,
-            self.digest_size,
             expected_states=budget.max_states,
             max_worker_restarts=self.max_worker_restarts,
             max_partition_retries=self.max_partition_retries,
@@ -1391,7 +1388,6 @@ class ExplorationEngine:
                     frontier=list(run.frontier),
                     transitions=run.transitions,
                     elapsed_seconds=run.elapsed(),
-                    digest_size=self.digest_size,
                     workers=self.workers,
                     meta=self._checkpoint_meta(run),
                 ),
@@ -1413,7 +1409,6 @@ class ExplorationEngine:
             self.checkpoint_dir,
             Segment(
                 root_digest=run.root_digest,
-                digest_size=self.digest_size,
                 seq=run.segment_seq,
                 states=len(store),
                 transitions=run.transitions,
@@ -1430,13 +1425,11 @@ class ExplorationEngine:
 
     def _write_monolithic_from_store(self, run: _Run) -> Path:
         graph = self._materialize_graph(run)
-        frontier_digests = run.store.frontier_snapshot()
-        size = self.digest_size
         codec = run.codec
         store = run.store
         frontier = [
-            codec.decode(store.get(frontier_digests[offset : offset + size]))
-            for offset in range(0, len(frontier_digests), size)
+            codec.decode(store.get(digest))
+            for digest in _split_digests(store.frontier_snapshot())
         ]
         return save_checkpoint(
             self.checkpoint_dir,
@@ -1448,7 +1441,6 @@ class ExplorationEngine:
                 frontier=frontier,
                 transitions=run.transitions,
                 elapsed_seconds=run.elapsed(),
-                digest_size=self.digest_size,
                 workers=self.workers,
                 meta=self._checkpoint_meta(run),
             ),

@@ -17,7 +17,6 @@ is hit the engine raises :class:`BudgetExhausted`, which
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass
 
 from ..analysis.explorer import ExplorationBudget
@@ -101,44 +100,6 @@ class Budget:
 
 #: The default budget, matching the original explorer's ``max_states``.
 DEFAULT_BUDGET = Budget(max_states=200_000)
-
-
-def resolve_budget(
-    budget: Budget | None,
-    max_states: int | None,
-    *,
-    default: Budget | None = DEFAULT_BUDGET,
-    stacklevel: int = 3,
-) -> Budget | None:
-    """Resolve the ``budget=`` / legacy ``max_states=`` pair of an entry point.
-
-    Every analysis entry point accepts ``budget=Budget(...)`` as the one
-    way to bound an exploration; ``max_states=`` survives as a
-    deprecated alias.  This helper implements the shared contract:
-
-    * both given — :class:`TypeError` (they would contradict);
-    * ``max_states`` given — emit exactly one :class:`DeprecationWarning`
-      and return ``Budget(max_states=max_states)``;
-    * ``budget`` given — return it unchanged;
-    * neither — return ``default``.
-
-    Callers resolve once at the outermost entry point and pass
-    ``budget=`` downstream, so a deprecated call warns exactly once.
-    """
-    if budget is not None and max_states is not None:
-        raise TypeError(
-            "pass budget=Budget(...) or the deprecated max_states=, not both"
-        )
-    if max_states is not None:
-        warnings.warn(
-            "max_states= is deprecated; pass budget=Budget(max_states=...) instead",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-        return Budget(max_states=max_states)
-    if budget is not None:
-        return budget
-    return default
 
 
 class BudgetExhausted(ExplorationBudget):

@@ -119,15 +119,23 @@ class Checkpoint:
     frontier: list
     transitions: int
     elapsed_seconds: float
-    digest_size: int = DIGEST_SIZE
     workers: int = 1
     meta: dict = field(default_factory=dict)
     packed_order: list | None = field(default=None, repr=False, compare=False)
 
 
-def root_digest(root: Hashable, digest_size: int = DIGEST_SIZE) -> bytes:
+def root_digest(root: Hashable) -> bytes:
     """The digest identifying the exploration rooted at ``root``."""
-    return fingerprint(root, digest_size)
+    return fingerprint(root)
+
+
+def _check_width(path: Path, width) -> None:
+    """Reject a file whose digests are not :data:`DIGEST_SIZE` bytes wide."""
+    if width != DIGEST_SIZE:
+        raise CheckpointError(
+            f"{path} stores {width!r}-byte digests; this engine uses "
+            f"{DIGEST_SIZE}-byte digests"
+        )
 
 
 def checkpoint_path(directory: str | os.PathLike, digest: bytes) -> Path:
@@ -196,7 +204,7 @@ def _pack_payload(checkpoint: Checkpoint, codec: Codec) -> dict:
         # fresh process can re-register them before touching the bytes.
         "codec_types": registered_codec_types(),
         "root_digest": checkpoint.root_digest,
-        "digest_size": checkpoint.digest_size,
+        "digest_size": DIGEST_SIZE,
         "workers": checkpoint.workers,
         "transitions": checkpoint.transitions,
         "elapsed_seconds": checkpoint.elapsed_seconds,
@@ -221,12 +229,16 @@ def save_checkpoint(
     path = checkpoint_path(directory, checkpoint.root_digest)
     payload = {"format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION}
     if codec is None:
-        codec = Codec(checkpoint.digest_size)
+        codec = Codec()
     try:
         body = _pack_payload(checkpoint, codec)
         blob = pickle.dumps(payload | body, protocol=pickle.HIGHEST_PROTOCOL)
     except (CodecError, pickle.PicklingError, AttributeError, TypeError):
-        body = {"mode": "pickle", "checkpoint": checkpoint}
+        body = {
+            "mode": "pickle",
+            "checkpoint": checkpoint,
+            "digest_size": DIGEST_SIZE,
+        }
         blob = pickle.dumps(payload | body, protocol=pickle.HIGHEST_PROTOCOL)
     temporary = path.with_suffix(path.suffix + f".tmp{os.getpid()}")
     try:
@@ -248,7 +260,7 @@ def _unpack_payload(payload: dict, path: Path) -> Checkpoint:
             # the in-process class wins (it is the one states compare
             # against).
             pass
-    codec = Codec(payload["digest_size"])
+    codec = Codec()
     try:
         order = [codec.decode(packed) for packed in payload["packed_order"]]
     except CodecError as error:
@@ -276,7 +288,6 @@ def _unpack_payload(payload: dict, path: Path) -> Checkpoint:
         frontier=[order[index] for index in payload["frontier"]],
         transitions=payload["transitions"],
         elapsed_seconds=payload["elapsed_seconds"],
-        digest_size=payload["digest_size"],
         workers=payload["workers"],
         meta=payload.get("meta", {}),
         packed_order=payload["packed_order"],
@@ -310,10 +321,15 @@ def load_checkpoint(path: str | os.PathLike) -> Checkpoint:
         checkpoint = payload.get("checkpoint")
         if not isinstance(checkpoint, Checkpoint):  # pragma: no cover - corrupt
             raise CheckpointError(f"{path} payload is not a Checkpoint")
+        # Object pickles from before the width became a constant carry
+        # it as an attribute of the checkpoint itself.
+        stored = vars(checkpoint).pop("digest_size", DIGEST_SIZE)
+        _check_width(path, payload.get("digest_size", stored))
         return checkpoint
     if version == 2:
         if payload.get("mode") != "packed":  # pragma: no cover - corrupt
             raise CheckpointError(f"{path} has unknown payload mode")
+        _check_width(path, payload.get("digest_size"))
         return _unpack_payload(payload, path)
     raise CheckpointError(
         f"{path} has checkpoint version {version!r}, "
@@ -333,7 +349,6 @@ class Segment:
     """
 
     root_digest: bytes
-    digest_size: int
     seq: int
     states: int
     transitions: int
@@ -375,7 +390,7 @@ def save_segment(directory: str | os.PathLike, segment: Segment) -> Path:
         "format": SEGMENT_FORMAT,
         "version": SEGMENT_VERSION,
         "root_digest": segment.root_digest,
-        "digest_size": segment.digest_size,
+        "digest_size": DIGEST_SIZE,
         "seq": segment.seq,
         "states": segment.states,
         "transitions": segment.transitions,
@@ -406,9 +421,10 @@ def save_segment(directory: str | os.PathLike, segment: Segment) -> Path:
 def load_segment(directory: str | os.PathLike, digest: bytes) -> Segment | None:
     """The newest readable segment for ``digest``, or None.
 
-    Falls back through older segments if the newest is torn or foreign
-    (atomic writes make that near-impossible, but resume must never die
-    on a half-written file when an older complete one exists).
+    Falls back through older segments if the newest is torn, foreign, or
+    stores digests of another width (atomic writes make a torn one
+    near-impossible, but resume must never die on a half-written file
+    when an older complete one exists).
     """
     segments = segment_dir(directory, digest)
     if not segments.is_dir():
@@ -427,11 +443,11 @@ def load_segment(directory: str | os.PathLike, digest: bytes) -> Segment | None:
             or payload.get("format") != SEGMENT_FORMAT
             or payload.get("version") != SEGMENT_VERSION
             or payload.get("root_digest") != digest
+            or payload.get("digest_size") != DIGEST_SIZE
         ):
             continue
         return Segment(
             root_digest=payload["root_digest"],
-            digest_size=payload["digest_size"],
             seq=payload["seq"],
             states=payload["states"],
             transitions=payload["transitions"],

@@ -58,7 +58,7 @@ except ImportError:  # pragma: no cover - exotic builds only
     blake2b = None
     from hashlib import sha256
 
-#: Default digest width in bytes (collision-safe for any feasible run).
+#: The digest width in bytes (collision-safe for any feasible run).
 DIGEST_SIZE = 16
 
 
@@ -225,7 +225,7 @@ def canonical_bytes(value: Any) -> bytes:
     return bytes(out)
 
 
-def digest_of_packed(packed: bytes, digest_size: int = DIGEST_SIZE) -> bytes:
+def digest_of_packed(packed: bytes) -> bytes:
     """The fingerprint of the state ``packed`` encodes, from bytes alone.
 
     ``digest_of_packed(encode(s)) == fingerprint(s)`` — this is what lets
@@ -233,8 +233,8 @@ def digest_of_packed(packed: bytes, digest_size: int = DIGEST_SIZE) -> bytes:
     without decoding (let alone re-encoding) a single state.
     """
     if blake2b is not None:
-        return blake2b(packed, digest_size=digest_size).digest()
-    return sha256(packed).digest()[:digest_size]  # pragma: no cover
+        return blake2b(packed, digest_size=DIGEST_SIZE).digest()
+    return sha256(packed).digest()[:DIGEST_SIZE]  # pragma: no cover
 
 
 # ---------------------------------------------------------------------------
@@ -435,10 +435,9 @@ class Codec:
     components of a composite state).
     """
 
-    __slots__ = ("digest_size", "hits", "misses", "_encode_cache", "_decode_memo")
+    __slots__ = ("hits", "misses", "_encode_cache", "_decode_memo")
 
-    def __init__(self, digest_size: int = DIGEST_SIZE) -> None:
-        self.digest_size = digest_size
+    def __init__(self) -> None:
         self.hits = 0
         self.misses = 0
         self._encode_cache: dict[Any, bytes] = {}
@@ -479,18 +478,16 @@ class Codec:
         shipped.
         """
         packed = self.encode(state)
-        return packed, digest_of_packed(packed, self.digest_size)
+        return packed, digest_of_packed(packed)
 
     def digest(self, state: Any) -> bytes:
         """The fingerprint of ``state`` through the component cache."""
         if type(state) is not tuple:
-            return digest_of_packed(self.component_bytes(state), self.digest_size)
+            return digest_of_packed(self.component_bytes(state))
         if blake2b is not None:
-            hasher = blake2b(digest_size=self.digest_size)
+            hasher = blake2b(digest_size=DIGEST_SIZE)
         else:  # pragma: no cover - exotic builds only
-            from hashlib import sha256 as _sha256
-
-            return digest_of_packed(self.encode(state), self.digest_size)
+            return digest_of_packed(self.encode(state))
         hasher.update(_TUPLE + len(state).to_bytes(4, "big"))
         for component in state:
             hasher.update(self.component_bytes(component))

@@ -1,6 +1,6 @@
 """Canonical, stable state fingerprinting.
 
-The engine's visited set stores fixed-size digests (8-16 bytes) instead
+The engine's visited set stores fixed-size 16-byte digests instead
 of full ``State`` objects: workers dedupe and shard by digest, and
 checkpoints identify explorations by the digest of their root.  Two
 properties make a digest usable for that:
@@ -26,7 +26,7 @@ module keeps the digest-level API on top of it: :func:`fingerprint`,
 
 Soundness: a digest collision would make the engine silently identify
 two distinct states (dropping one subtree of the graph).  With the
-default 16-byte BLAKE2b digest, the collision probability over an
+16-byte BLAKE2b digest, the collision probability over an
 ``n``-state exploration is about ``n^2 / 2^129`` — below ``10^-28`` even
 at a billion states.  For certification-grade runs,
 :class:`FingerprintIndex` offers a **collision-audit mode** that
@@ -50,28 +50,19 @@ from .codec import (  # noqa: F401  (canonical_bytes re-exported for compat)
     digest_of_packed,
 )
 
-try:  # pragma: no cover - blake2b is part of CPython's hashlib
-    from hashlib import blake2b
-except ImportError:  # pragma: no cover - exotic builds only
-    blake2b = None
-    from hashlib import sha256
-
-
 class FingerprintCollision(RuntimeError):
     """Two unequal states produced the same digest (audit mode only)."""
 
 
-def fingerprint(value: Any, digest_size: int = DIGEST_SIZE) -> bytes:
-    """The ``digest_size``-byte canonical digest of ``value``."""
-    return digest_of_packed(canonical_bytes(value), digest_size)
+def fingerprint(value: Any) -> bytes:
+    """The :data:`DIGEST_SIZE`-byte canonical digest of ``value``."""
+    return digest_of_packed(canonical_bytes(value))
 
 
-def fingerprint_components(
-    state: Any, cache: dict, digest_size: int = DIGEST_SIZE
-) -> bytes:
+def fingerprint_components(state: Any, cache: dict) -> bytes:
     """:func:`fingerprint` of a tuple state via a per-component cache.
 
-    Bit-identical to ``fingerprint(state, digest_size)``: the tuple
+    Bit-identical to ``fingerprint(state)``: the tuple
     encoding is tag + length + concatenated component encodings, so the
     digest can be assembled from cached ``canonical_bytes`` of the
     components.  Composite states share component states massively
@@ -88,13 +79,13 @@ def fingerprint_components(
     :func:`repro.engine.codec._cached_bytes`).
     """
     if type(state) is not tuple:
-        return fingerprint(state, digest_size)
+        return fingerprint(state)
     out = bytearray()
     out += _TUPLE
     out += len(state).to_bytes(4, "big")
     for component in state:
         out += _cached_bytes(cache, component)[0]
-    return digest_of_packed(bytes(out), digest_size)
+    return digest_of_packed(bytes(out))
 
 
 def shard_of(digest: bytes, shards: int) -> int:
@@ -123,16 +114,10 @@ class FingerprintIndex:
     between its index and its merge loop).
     """
 
-    __slots__ = ("digest_size", "codec", "_digests", "_audit")
+    __slots__ = ("codec", "_digests", "_audit")
 
-    def __init__(
-        self,
-        digest_size: int = DIGEST_SIZE,
-        audit: bool = False,
-        codec: Codec | None = None,
-    ) -> None:
-        self.digest_size = digest_size
-        self.codec = codec if codec is not None else Codec(digest_size)
+    def __init__(self, audit: bool = False, codec: Codec | None = None) -> None:
+        self.codec = codec if codec is not None else Codec()
         self._digests: set[bytes] = set()
         self._audit: dict[bytes, Hashable] | None = {} if audit else None
 
@@ -157,7 +142,7 @@ class FingerprintIndex:
                 raise FingerprintCollision(
                     f"digest {digest.hex()} identifies two distinct states:\n"
                     f"  {stored!r}\n  {state!r}\n"
-                    "(raise digest_size, or report if at the default width)"
+                    "(please report this)"
                 )
         return known, digest
 
@@ -189,12 +174,11 @@ class StateIndex:
     the state.
     """
 
-    __slots__ = ("digest_size", "_states", "interned")
+    __slots__ = ("_states", "interned")
 
     audit = False
 
-    def __init__(self, digest_size: int = DIGEST_SIZE) -> None:
-        self.digest_size = digest_size
+    def __init__(self) -> None:
         self._states: dict[Hashable, Hashable] = {}
         self.interned = self._states.get
 

@@ -242,11 +242,11 @@ class _ChunkExpander:
     was unavailable, in which case every locally-novel successor ships).
     """
 
-    def __init__(self, view, prune, digest_size: int, visited, label) -> None:
+    def __init__(self, view, prune, visited, label) -> None:
         self.view = view
         self.prune = prune
         self.visited = visited
-        self.codec = Codec(digest_size)
+        self.codec = Codec()
         self.store: dict = {}
         self.task_ids = {task: index for index, task in enumerate(view.tasks)}
         self.action_ids: dict = {}
@@ -353,7 +353,6 @@ def _worker_main(
     inherited,
     view,
     prune,
-    digest_size: int,
     visited,
     poison: frozenset = frozenset(),
     telemetry: bool = False,
@@ -378,7 +377,7 @@ def _worker_main(
     for other in inherited:
         other.close()
     expander = _ChunkExpander(
-        view, prune, digest_size, visited, f"w{os.getpid()}" if telemetry else None
+        view, prune, visited, f"w{os.getpid()}" if telemetry else None
     )
     send_seconds = 0.0
     closing = False
@@ -470,7 +469,6 @@ class LocalExpander:
         self,
         view,
         prune,
-        digest_size: int,
         visited=None,
         telemetry: bool = False,
     ) -> None:
@@ -480,7 +478,7 @@ class LocalExpander:
             # label carries an incarnation counter to keep span ids unique.
             LocalExpander._incarnations += 1
             label = f"local{LocalExpander._incarnations}"
-        self._expander = _ChunkExpander(view, prune, digest_size, visited, label)
+        self._expander = _ChunkExpander(view, prune, visited, label)
         self._replies: deque = deque()
 
     def send(self, message) -> None:
@@ -544,7 +542,6 @@ class WorkerPool:
         workers: int,
         view,
         prune: Callable[[Hashable], bool] | None,
-        digest_size: int,
         *,
         expected_states: int | None = None,
         max_worker_restarts: int = 3,
@@ -557,9 +554,8 @@ class WorkerPool:
         self.workers = max(1, workers)
         self._view = view
         self._prune = prune
-        self._digest_size = digest_size
         self._expected_states = expected_states
-        self._codec = Codec(digest_size)  # decodes quarantined states
+        self._codec = Codec()  # decodes quarantined states
         self.max_worker_restarts = max_worker_restarts
         self.max_partition_retries = max_partition_retries
         self.quarantine = quarantine
@@ -605,7 +601,6 @@ class WorkerPool:
                 LocalExpander(
                     self._view,
                     self._prune,
-                    self._digest_size,
                     visited=self.visited,
                     telemetry=self.tracer.enabled or self.metrics.enabled,
                 )
@@ -632,7 +627,7 @@ class WorkerPool:
         if not shared_memory_available():  # pragma: no cover - exotic builds
             return None
         try:
-            return SharedVisitedTable(self._digest_size, self._expected_states)
+            return SharedVisitedTable(self._expected_states)
         except OSError:  # pragma: no cover - /dev/shm unavailable or full
             return None
 
@@ -660,7 +655,6 @@ class WorkerPool:
                 inherited,
                 self._view,
                 self._prune,
-                self._digest_size,
                 self.visited,
                 poison,
                 self.tracer.enabled or self.metrics.enabled,
@@ -1157,7 +1151,6 @@ class WorkerPool:
             LocalExpander(
                 self._view,
                 self._prune,
-                self._digest_size,
                 visited=self.visited,
                 telemetry=self.tracer.enabled or self.metrics.enabled,
             )

@@ -521,20 +521,15 @@ class ReductionComparison:
     pruned_tasks: int
 
 
-def _explore_graph(view, root, max_states):
+def _run_both(system, root, config, budget):
     from .api import ExplorationEngine
-    from .budget import Budget
 
-    engine = ExplorationEngine(workers=1, budget=Budget(max_states=max_states))
-    return engine.explore(view, root)
-
-
-def _run_both(system, root, config, max_states):
+    engine = ExplorationEngine(workers=1, budget=budget)
     view = DeterministicSystemView(system)
     view.check_failure_free(root)
-    full_graph = _explore_graph(view, root, max_states)
+    full_graph = engine.explore(view, root)
     reduced_view = build_reduced_view(view, root, config)
-    reduced_graph = _explore_graph(reduced_view, root, max_states)
+    reduced_graph = engine.explore(reduced_view, root)
     return view, full_graph, reduced_view, reduced_graph
 
 
@@ -562,11 +557,18 @@ def compare_reduction(
     system,
     root: State,
     config: ReductionConfig,
-    max_states: int = 200_000,
+    *,
+    budget=None,
 ) -> ReductionComparison:
-    """Explore both graphs and report sizes/ratios without asserting."""
+    """Explore both graphs and report sizes/ratios without asserting.
+
+    ``budget`` (a :class:`~repro.engine.budget.Budget`, ``None`` for
+    :data:`~repro.engine.budget.DEFAULT_BUDGET`) bounds each of the two
+    explorations; exhausting it raises
+    :class:`~repro.engine.budget.BudgetExhausted`.
+    """
     _, full_graph, reduced_view, reduced_graph = _run_both(
-        system, root, config, max_states
+        system, root, config, budget
     )
     return _make_comparison(full_graph, reduced_graph, reduced_view)
 
@@ -575,9 +577,12 @@ def audit_reduction(
     system,
     root: State,
     config: ReductionConfig,
-    max_states: int = 200_000,
+    *,
+    budget=None,
 ) -> ReductionComparison:
     """Explore both graphs and assert the reduction preserved every verdict.
+
+    ``budget`` bounds each exploration, as for :func:`compare_reduction`.
 
     Checks, for every reduced-graph state, that it is reachable in the
     full graph (canonical representatives are genuine states) with an
@@ -591,7 +596,7 @@ def audit_reduction(
     if not config.enabled:
         raise ValueError("audit_reduction requires symmetry or POR to be enabled")
     view, full_graph, reduced_view, reduced_graph = _run_both(
-        system, root, config, max_states
+        system, root, config, budget
     )
     full_sets = reachable_decision_sets(full_graph, view)
     reduced_sets = reachable_decision_sets(reduced_graph, view)

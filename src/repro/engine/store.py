@@ -15,10 +15,10 @@ exploration actually needs, each keyed by the 16-byte state fingerprint:
   canonical bytes, appended once in discovery order (the append order
   *is* the BFS discovery order, which is what lets a store-backed run
   reproduce the classic engine's graph exactly);
-* a **visited set** — exact membership, kept as in-memory digest shards
-  (sharded by fingerprint prefix) and rebuilt from the state sequence on
-  resume; 16 bytes per state means 10^7 states cost ~160 MB of RAM while
-  the multi-KB decoded states stay on disk;
+* a **visited set** — exact membership, kept as an in-memory set of
+  digests and rebuilt from the state sequence on resume; 16 bytes per
+  state means 10^7 states cost ~160 MB of RAM while the multi-KB
+  decoded states stay on disk;
 * a spillable **FIFO frontier** — discovered-but-unexpanded digests; an
   in-memory window backed by a spill file, so a 10^6-wide frontier costs
   a bounded amount of RAM.
@@ -27,21 +27,18 @@ plus an append-only **expansion log** (``parent, task, action,
 successor`` rows) from which :meth:`iter_expansions` replays the exact
 edge structure for graph materialization and checkpoint compatibility.
 
-Three backends implement the protocol:
+Two backends implement the protocol:
 
 * ``memory`` — plain dicts and deques; today's behavior, used to assert
-  the identical-graph guarantee against the disk backends;
+  the identical-graph guarantee against the disk backend;
 * ``sqlite`` — one WAL-mode database (stdlib ``sqlite3``), batched
-  writes, durable ``flush()``;
-* ``mmap``  — an append-only record log plus an on-disk open-addressing
-  hash index (digest -> log offset), memory-mapped for reads.
+  writes, durable ``flush()``.
 
 Stores are selected with a string URI (resolved by
-:func:`resolve_store`, the :func:`~repro.engine.budget.resolve_budget`
-of storage)::
+:func:`resolve_store`)::
 
     ExplorationEngine(store="sqlite:/var/tmp/run")     # URI
-    ExplorationEngine(store=StoreConfig(backend="mmap", path=...))
+    ExplorationEngine(store=StoreConfig(backend="sqlite", path=...))
     ExplorationEngine(store=my_store_instance)          # pre-opened
 
 Durability contract (the streaming-delta checkpoint protocol): the
@@ -57,32 +54,26 @@ prefix of the run.
 
 from __future__ import annotations
 
-import os
 import pickle
 import shutil
-import struct
 import tempfile
 import time
-import warnings
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Hashable, Iterable, Iterator
+from typing import Hashable, Iterator
 
 from .fingerprint import DIGEST_SIZE
 
 #: The backends :func:`open_store` can construct.
-BACKENDS = ("memory", "sqlite", "mmap")
+BACKENDS = ("memory", "sqlite")
 
 #: Default expansions between store flushes / delta segments.
 DEFAULT_FLUSH_INTERVAL = 50_000
 
 #: Default in-memory frontier window (digests) before spilling to disk.
 DEFAULT_FRONTIER_WINDOW = 65_536
-
-#: Default visited-set shard count (sharded by fingerprint prefix).
-DEFAULT_SHARDS = 16
 
 
 class StoreError(RuntimeError):
@@ -100,15 +91,13 @@ class StoreConfig:
     ``flush_interval`` is the number of committed expansions between
     durable flushes (and therefore between delta-checkpoint segments);
     ``frontier_window`` bounds the in-memory frontier before digests
-    spill to disk; ``shards`` is the visited-set shard count (sharded by
-    the leading byte of the fingerprint).
+    spill to disk.
     """
 
     backend: str = "memory"
     path: str | None = None
     flush_interval: int = DEFAULT_FLUSH_INTERVAL
     frontier_window: int = DEFAULT_FRONTIER_WINDOW
-    shards: int = DEFAULT_SHARDS
 
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
@@ -119,16 +108,14 @@ class StoreConfig:
             raise ValueError("flush_interval must be >= 1")
         if self.frontier_window < 1:
             raise ValueError("frontier_window must be >= 1")
-        if self.shards < 1:
-            raise ValueError("shards must be >= 1")
 
     @classmethod
     def from_uri(cls, uri: str) -> "StoreConfig":
-        """Parse a store URI: ``memory``, ``sqlite:/path``, ``mmap:/path``.
+        """Parse a store URI: ``memory`` or ``sqlite:/path``.
 
         The path part is optional (a scratch directory is used when
         omitted).  Tuning knobs ride a query string:
-        ``sqlite:/var/run?flush=10000&window=4096&shards=32``.
+        ``sqlite:/var/run?flush=10000&window=4096``.
         """
         if not isinstance(uri, str) or not uri:
             raise ValueError(f"store URI must be a nonempty string, got {uri!r}")
@@ -141,7 +128,7 @@ class StoreConfig:
             )
         overrides: dict = {}
         if query:
-            names = {"flush": "flush_interval", "window": "frontier_window", "shards": "shards"}
+            names = {"flush": "flush_interval", "window": "frontier_window"}
             for pair in query.split("&"):
                 key, _, value = pair.partition("=")
                 if key not in names:
@@ -167,8 +154,6 @@ class StoreConfig:
             query.append(f"flush={self.flush_interval}")
         if self.frontier_window != DEFAULT_FRONTIER_WINDOW:
             query.append(f"window={self.frontier_window}")
-        if self.shards != DEFAULT_SHARDS:
-            query.append(f"shards={self.shards}")
         if query:
             if self.path is None:
                 uri += ":"
@@ -201,40 +186,12 @@ class StoreStats:
         }
 
 
-class _ShardedVisited:
-    """Exact in-memory visited membership, sharded by fingerprint prefix.
-
-    The shard key is the digest's leading byte — fingerprints are
-    uniform, so prefix sharding balances for free.  Sharding keeps each
-    set small enough that CPython's set resizing never stalls a run on
-    one multi-hundred-MB rehash, and gives a disk backend a natural
-    unit for future per-shard eviction.
-    """
-
-    __slots__ = ("_shards", "_mask", "count")
-
-    def __init__(self, shards: int) -> None:
-        size = 1
-        while size < shards:
-            size <<= 1
-        self._shards: list[set] = [set() for _ in range(size)]
-        self._mask = size - 1
-        self.count = 0
-
-    def add(self, digest: bytes) -> bool:
-        """Insert; True when the digest was new."""
-        shard = self._shards[digest[0] & self._mask]
-        if digest in shard:
-            return False
-        shard.add(digest)
-        self.count += 1
-        return True
-
-    def __contains__(self, digest: bytes) -> bool:
-        return digest in self._shards[digest[0] & self._mask]
-
-    def __len__(self) -> int:
-        return self.count
+def _split_digests(blob: bytes) -> Iterator[bytes]:
+    """The digests of a concatenated frontier blob, in order."""
+    return (
+        blob[offset : offset + DIGEST_SIZE]
+        for offset in range(0, len(blob), DIGEST_SIZE)
+    )
 
 
 class _SpillFrontier:
@@ -250,7 +207,6 @@ class _SpillFrontier:
     """
 
     __slots__ = (
-        "digest_size",
         "window",
         "_head",
         "_tail",
@@ -261,8 +217,7 @@ class _SpillFrontier:
         "spilled",
     )
 
-    def __init__(self, directory: Path | None, digest_size: int, window: int) -> None:
-        self.digest_size = digest_size
+    def __init__(self, directory: Path | None, window: int) -> None:
         self.window = window
         self._head: deque = deque()
         self._tail: deque = deque()
@@ -281,7 +236,7 @@ class _SpillFrontier:
         return self._file
 
     def _spill_len(self) -> int:
-        return (self._write_offset - self._read_offset) // self.digest_size
+        return (self._write_offset - self._read_offset) // DIGEST_SIZE
 
     def push(self, digest: bytes) -> None:
         if self._spill_len() == 0 and not self._tail and len(self._head) < self.window:
@@ -316,12 +271,9 @@ class _SpillFrontier:
             handle = self._spill_handle()
             handle.seek(self._read_offset)
             take = min(pending, self.window)
-            blob = handle.read(take * self.digest_size)
+            blob = handle.read(take * DIGEST_SIZE)
             self._read_offset += len(blob)
-            size = self.digest_size
-            self._head.extend(
-                blob[offset : offset + size] for offset in range(0, len(blob), size)
-            )
+            self._head.extend(_split_digests(blob))
             if self._spill_len() == 0:
                 # Fully drained: rewind so the file never grows unboundedly.
                 handle.seek(0)
@@ -355,9 +307,8 @@ class _SpillFrontier:
             self._file.seek(0)
             self._file.truncate(0)
         self._read_offset = self._write_offset = 0
-        size = self.digest_size
-        for offset in range(0, len(blob), size):
-            self.push(blob[offset : offset + size])
+        for digest in _split_digests(blob):
+            self.push(digest)
 
     def close(self) -> None:
         if self._file is not None:
@@ -391,7 +342,6 @@ class StateStore(ABC):
     durable = False
 
     config: StoreConfig
-    digest_size: int
 
     # -- states ------------------------------------------------------------
 
@@ -508,16 +458,15 @@ class MemoryStore(StateStore):
     """Plain in-RAM backend: today's behavior behind the store protocol.
 
     Exists so the digest-native driver can be asserted identical against
-    the classic one (and against the disk backends) without any disk in
+    the classic one (and against the sqlite backend) without any disk in
     the loop; not durable, so checkpointing falls back to monolithic
     snapshots.
     """
 
     durable = False
 
-    def __init__(self, config: StoreConfig, digest_size: int = DIGEST_SIZE) -> None:
+    def __init__(self, config: StoreConfig) -> None:
         self.config = config
-        self.digest_size = digest_size
         self._packed: dict[bytes, bytes] = {}
         self._order: list[bytes] = []
         self._expansions: list = []
@@ -576,10 +525,7 @@ class MemoryStore(StateStore):
         return b"".join(self._frontier)
 
     def frontier_load(self, blob: bytes) -> None:
-        size = self.digest_size
-        self._frontier = deque(
-            blob[offset : offset + size] for offset in range(0, len(blob), size)
-        )
+        self._frontier = deque(_split_digests(blob))
 
     def frontier_len(self) -> int:
         return len(self._frontier)
@@ -607,92 +553,7 @@ class MemoryStore(StateStore):
         self._frontier.clear()
 
 
-class _DiskStore(StateStore):
-    """Shared plumbing of the durable backends (directory, frontier, stats)."""
-
-    durable = True
-
-    def __init__(self, config: StoreConfig, digest_size: int = DIGEST_SIZE) -> None:
-        self.config = config
-        self.digest_size = digest_size
-        if config.path is None:
-            self._scratch = True
-            self.directory = Path(tempfile.mkdtemp(prefix=f"repro-{config.backend}-"))
-        else:
-            self._scratch = False
-            self.directory = Path(config.path)
-            self.directory.mkdir(parents=True, exist_ok=True)
-        self._visited = _ShardedVisited(config.shards)
-        self._frontier = _SpillFrontier(
-            self.directory, digest_size, config.frontier_window
-        )
-        self._flushes = 0
-        self._flush_seconds = 0.0
-        self._last_flush_seconds = 0.0
-        self._closed = False
-
-    # frontier delegation
-    def push(self, digest: bytes) -> None:
-        self._frontier.push(digest)
-
-    def push_front(self, digest: bytes) -> None:
-        self._frontier.push_front(digest)
-
-    def pop(self) -> bytes | None:
-        return self._frontier.pop()
-
-    def frontier_snapshot(self) -> bytes:
-        return self._frontier.snapshot()
-
-    def frontier_load(self, blob: bytes) -> None:
-        self._frontier.load(blob)
-
-    def frontier_len(self) -> int:
-        return len(self._frontier)
-
-    def __contains__(self, digest: bytes) -> bool:
-        return digest in self._visited
-
-    def __len__(self) -> int:
-        return len(self._visited)
-
-    def _disk_bytes(self) -> int:
-        total = 0
-        try:
-            for entry in self.directory.iterdir():
-                try:
-                    total += entry.stat().st_size
-                except OSError:  # pragma: no cover - raced deletion
-                    pass
-        except OSError:  # pragma: no cover - directory gone
-            pass
-        return total
-
-    def stats(self) -> StoreStats:
-        return StoreStats(
-            backend=self.config.backend,
-            states=len(self._visited),
-            spilled_states=self._frontier.spilled,
-            flushes=self._flushes,
-            flush_seconds=self._flush_seconds,
-            last_flush_seconds=self._last_flush_seconds,
-            bytes_on_disk=self._disk_bytes(),
-        )
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self._frontier.close()
-        self._close_backend()
-        if self._scratch:
-            shutil.rmtree(self.directory, ignore_errors=True)
-
-    def _close_backend(self) -> None:  # pragma: no cover - overridden
-        pass
-
-
-class SQLiteStore(_DiskStore):
+class SQLiteStore(StateStore):
     """The ``sqlite`` backend: one WAL database, batched durable writes.
 
     ``states`` rows carry discovery order via an autoincrementing
@@ -700,13 +561,30 @@ class SQLiteStore(_DiskStore):
     dict in commit order (an expansion of ``nrows`` owns the next
     ``nrows`` edge rows).  Writes buffer in RAM and hit the database in
     one transaction per :meth:`flush`, so the durability point the delta
-    checkpoints rely on is also the only fsync.
+    checkpoints rely on is also the only fsync.  Membership is an
+    in-memory digest set rebuilt from the ``states`` table on open, and
+    the frontier is a :class:`_SpillFrontier` in the same directory.
     """
 
-    def __init__(self, config: StoreConfig, digest_size: int = DIGEST_SIZE) -> None:
+    durable = True
+
+    def __init__(self, config: StoreConfig) -> None:
         import sqlite3
 
-        super().__init__(config, digest_size)
+        self.config = config
+        if config.path is None:
+            self._scratch = True
+            self.directory = Path(tempfile.mkdtemp(prefix=f"repro-{config.backend}-"))
+        else:
+            self._scratch = False
+            self.directory = Path(config.path)
+            self.directory.mkdir(parents=True, exist_ok=True)
+        self._visited: set[bytes] = set()
+        self._frontier = _SpillFrontier(self.directory, config.frontier_window)
+        self._flushes = 0
+        self._flush_seconds = 0.0
+        self._last_flush_seconds = 0.0
+        self._closed = False
         self._db = sqlite3.connect(self.directory / "store.db")
         self._db.execute("PRAGMA journal_mode=WAL")
         self._db.execute("PRAGMA synchronous=NORMAL")
@@ -725,7 +603,6 @@ class SQLiteStore(_DiskStore):
                 key TEXT PRIMARY KEY, value BLOB NOT NULL);
             """
         )
-        self._count = 0
         self._pending_states: list[tuple[bytes, bytes]] = []
         self._pending_packed: dict[bytes, bytes] = {}
         self._pending_expansions: list[tuple[bytes, int]] = []
@@ -742,7 +619,6 @@ class SQLiteStore(_DiskStore):
             return
         for (digest,) in self._db.execute("SELECT digest FROM states ORDER BY seq"):
             self._visited.add(bytes(digest))
-        self._count = len(self._visited)
         blob = self._db.execute(
             "SELECT value FROM meta WHERE key='actions'"
         ).fetchone()
@@ -753,13 +629,13 @@ class SQLiteStore(_DiskStore):
             }
 
     def add(self, digest: bytes, packed: bytes) -> int:
-        if not self._visited.add(digest):
+        visited = self._visited
+        if digest in visited:
             return -1
-        index = self._count
-        self._count += 1
+        visited.add(digest)
         self._pending_states.append((digest, packed))
         self._pending_packed[digest] = packed
-        return index
+        return len(visited) - 1
 
     def get(self, digest: bytes) -> bytes | None:
         packed = self._pending_packed.get(digest)
@@ -769,6 +645,12 @@ class SQLiteStore(_DiskStore):
             "SELECT packed FROM states WHERE digest=?", (digest,)
         ).fetchone()
         return None if row is None else bytes(row[0])
+
+    def __contains__(self, digest: bytes) -> bool:
+        return digest in self._visited
+
+    def __len__(self) -> int:
+        return len(self._visited)
 
     def iter_packed(self) -> Iterator[bytes]:
         self.flush()
@@ -844,7 +726,7 @@ class SQLiteStore(_DiskStore):
         self._flush_seconds += self._last_flush_seconds
 
     def marks(self) -> dict:
-        return {"states": self._count, "expansions": self._expansion_count()}
+        return {"states": len(self._visited), "expansions": self._expansion_count()}
 
     def _expansion_count(self) -> int:
         pending = len(self._pending_expansions)
@@ -877,8 +759,7 @@ class SQLiteStore(_DiskStore):
                 "(SELECT seq FROM edges ORDER BY seq LIMIT ?)",
                 (keep_edges,),
             )
-        self._visited = _ShardedVisited(self.config.shards)
-        self._count = 0
+        self._visited = set()
         self._reload()
 
     def clear(self) -> None:
@@ -891,366 +772,71 @@ class SQLiteStore(_DiskStore):
             self._db.execute("DELETE FROM expansions")
             self._db.execute("DELETE FROM edges")
             self._db.execute("DELETE FROM meta")
-        self._visited = _ShardedVisited(self.config.shards)
-        self._count = 0
+        self._visited = set()
         self._actions = []
         self._action_index = {}
         self._actions_dirty = False
         self._frontier.load(b"")
 
-    def _close_backend(self) -> None:
+    # -- frontier ----------------------------------------------------------
+
+    def push(self, digest: bytes) -> None:
+        self._frontier.push(digest)
+
+    def push_front(self, digest: bytes) -> None:
+        self._frontier.push_front(digest)
+
+    def pop(self) -> bytes | None:
+        return self._frontier.pop()
+
+    def frontier_snapshot(self) -> bytes:
+        return self._frontier.snapshot()
+
+    def frontier_load(self, blob: bytes) -> None:
+        self._frontier.load(blob)
+
+    def frontier_len(self) -> int:
+        return len(self._frontier)
+
+    # -- lifecycle ---------------------------------------------------------
+
+    def _disk_bytes(self) -> int:
+        total = 0
+        try:
+            for entry in self.directory.iterdir():
+                try:
+                    total += entry.stat().st_size
+                except OSError:  # pragma: no cover - raced deletion
+                    pass
+        except OSError:  # pragma: no cover - directory gone
+            pass
+        return total
+
+    def stats(self) -> StoreStats:
+        return StoreStats(
+            backend=self.config.backend,
+            states=len(self._visited),
+            spilled_states=self._frontier.spilled,
+            flushes=self._flushes,
+            flush_seconds=self._flush_seconds,
+            last_flush_seconds=self._last_flush_seconds,
+            bytes_on_disk=self._disk_bytes(),
+        )
+
+    def close(self) -> None:
+        if self._closed:
+            return
+        self._closed = True
+        self._frontier.close()
         try:
             self.flush()
         finally:
             self._db.close()
+        if self._scratch:
+            shutil.rmtree(self.directory, ignore_errors=True)
 
 
-#: mmap backend record headers.
-_LOG_HEADER = struct.Struct("<I")  # packed length; digest follows, then packed
-_EXP_HEADER = struct.Struct("<H")  # row count; rows follow
-_EDGE_ROW = struct.Struct("<HI")  # task, action slot; succ digest follows
-_SLOT = struct.Struct("<Q")  # log offset + 1 (0 = empty slot)
-
-#: Initial mmap index capacity (slots; grows by rebuild at 60% load).
-_INDEX_MIN_SLOTS = 1 << 15
-
-
-class MmapStore(_DiskStore):
-    """The ``mmap`` backend: append-only logs + an on-disk hash index.
-
-    ``states.log`` holds ``[len][digest][packed]`` records in discovery
-    order; ``index.bin`` is an open-addressing table of 8-byte slots
-    (log offset + 1, keyed by the digest bits at the slot's position)
-    memory-mapped for reads and writes.  ``edges.log`` holds the
-    expansion records.  Appends buffer in RAM; :meth:`flush` writes and
-    fsyncs the logs and flushes the index pages, which is the durable
-    point :meth:`marks` reports.  The index is sized for the digests it
-    holds and rebuilt at double size past 60% load (an offline rehash —
-    the store is single-process by contract).
-    """
-
-    def __init__(self, config: StoreConfig, digest_size: int = DIGEST_SIZE) -> None:
-        import mmap as _mmap
-
-        super().__init__(config, digest_size)
-        self._mmap_module = _mmap
-        self._log = open(self.directory / "states.log", "a+b")
-        self._edges = open(self.directory / "edges.log", "a+b")
-        self._index_path = self.directory / "index.bin"
-        self._count = 0
-        self._log_offset = 0
-        self._edges_offset = 0
-        self._expansions = 0
-        self._pending: list[tuple[bytes, bytes]] = []
-        self._pending_packed: dict[bytes, bytes] = {}
-        self._pending_offset: dict[bytes, int] = {}
-        self._pending_edges: list[bytes] = []
-        self._pending_expansions = 0
-        self._actions: list = []
-        self._action_index: dict = {}
-        self._actions_dirty = False
-        self._slots = 0
-        self._index = None
-        self._open_index(_INDEX_MIN_SLOTS)
-        self._adopt_log()
-
-    # -- index plumbing ----------------------------------------------------
-
-    def _open_index(self, slots: int) -> None:
-        if self._index is not None:
-            self._index.close()
-        size = slots * _SLOT.size
-        with open(self._index_path, "a+b") as handle:
-            handle.seek(0, os.SEEK_END)
-            if handle.tell() < size:
-                handle.truncate(size)
-        self._index_file = open(self._index_path, "r+b")
-        actual = os.fstat(self._index_file.fileno()).st_size
-        self._slots = actual // _SLOT.size
-        self._index = self._mmap_module.mmap(self._index_file.fileno(), 0)
-
-    def _probe(self, digest: bytes) -> tuple[int, int | None]:
-        """(slot index for insert, stored offset or None) for ``digest``."""
-        mask = self._slots - 1
-        index = int.from_bytes(digest[:8], "little") & mask
-        view = self._index
-        while True:
-            position = index * _SLOT.size
-            (value,) = _SLOT.unpack_from(view, position)
-            if value == 0:
-                return index, None
-            offset = value - 1
-            if self._digest_at(offset) == digest:
-                return index, offset
-            index = (index + 1) & mask
-
-    def _digest_at(self, offset: int) -> bytes:
-        self._log.seek(offset + _LOG_HEADER.size)
-        return self._log.read(self.digest_size)
-
-    def _packed_at(self, offset: int) -> bytes:
-        self._log.seek(offset)
-        (length,) = _LOG_HEADER.unpack(self._log.read(_LOG_HEADER.size))
-        self._log.seek(offset + _LOG_HEADER.size + self.digest_size)
-        return self._log.read(length)
-
-    def _index_insert(self, digest: bytes, offset: int) -> None:
-        if (self._count + 1) * 10 > self._slots * 6:
-            self._grow_index()
-        slot, existing = self._probe(digest)
-        if existing is None:
-            _SLOT.pack_into(self._index, slot * _SLOT.size, offset + 1)
-
-    def _grow_index(self) -> None:
-        entries = []
-        view = self._index
-        for slot in range(self._slots):
-            (value,) = _SLOT.unpack_from(view, slot * _SLOT.size)
-            if value:
-                entries.append(value)
-        self._index.close()
-        self._index = None
-        self._index_file.close()
-        self._index_path.unlink()
-        self._open_index(self._slots * 2)
-        mask = self._slots - 1
-        for value in entries:
-            digest = self._digest_at(value - 1)
-            index = int.from_bytes(digest[:8], "little") & mask
-            while True:
-                position = index * _SLOT.size
-                (existing,) = _SLOT.unpack_from(self._index, position)
-                if existing == 0:
-                    _SLOT.pack_into(self._index, position, value)
-                    break
-                index = (index + 1) & mask
-
-    def _adopt_log(self) -> None:
-        """Scan an existing log (resume): rebuild visited set + index."""
-        self._log.seek(0, os.SEEK_END)
-        end = self._log.tell()
-        if end == 0:
-            return
-        offset = 0
-        while offset < end:
-            self._log.seek(offset)
-            header = self._log.read(_LOG_HEADER.size)
-            if len(header) < _LOG_HEADER.size:
-                break  # torn tail from a crash mid-write; dropped
-            (length,) = _LOG_HEADER.unpack(header)
-            digest = self._log.read(self.digest_size)
-            record_end = offset + _LOG_HEADER.size + self.digest_size + length
-            if len(digest) < self.digest_size or record_end > end:
-                break
-            self._visited.add(digest)
-            self._count += 1
-            self._index_insert(digest, offset)
-            offset = record_end
-        self._log_offset = offset
-        self._log.truncate(offset)
-        self._edges.seek(0, os.SEEK_END)
-        self._edges_offset = self._edges.tell()
-        self._expansions = self._count_expansions(self._edges_offset)
-        actions_path = self.directory / "actions.pkl"
-        if actions_path.exists():
-            self._actions = pickle.loads(actions_path.read_bytes())
-            self._action_index = {
-                action: slot for slot, action in enumerate(self._actions)
-            }
-
-    def _count_expansions(self, end: int) -> int:
-        count = 0
-        offset = 0
-        size = self.digest_size
-        while offset < end:
-            self._edges.seek(offset + size)
-            header = self._edges.read(_EXP_HEADER.size)
-            if len(header) < _EXP_HEADER.size:
-                break
-            (nrows,) = _EXP_HEADER.unpack(header)
-            offset += size + _EXP_HEADER.size + nrows * (_EDGE_ROW.size + size)
-            if offset > end:
-                break
-            count += 1
-        return count
-
-    # -- protocol ----------------------------------------------------------
-
-    def add(self, digest: bytes, packed: bytes) -> int:
-        if not self._visited.add(digest):
-            return -1
-        index = self._count
-        self._count += 1
-        self._pending.append((digest, packed))
-        self._pending_packed[digest] = packed
-        return index
-
-    def get(self, digest: bytes) -> bytes | None:
-        packed = self._pending_packed.get(digest)
-        if packed is not None:
-            return packed
-        _, offset = self._probe(digest)
-        return None if offset is None else self._packed_at(offset)
-
-    def iter_packed(self) -> Iterator[bytes]:
-        self.flush()
-        offset = 0
-        while offset < self._log_offset:
-            yield self._packed_at(offset)
-            self._log.seek(offset)
-            (length,) = _LOG_HEADER.unpack(self._log.read(_LOG_HEADER.size))
-            offset += _LOG_HEADER.size + self.digest_size + length
-
-    def append_expansion(self, parent, rows) -> None:
-        parts = [parent, _EXP_HEADER.pack(len(rows))]
-        for task, action, succ in rows:
-            parts.append(_EDGE_ROW.pack(task, action))
-            parts.append(succ)
-        self._pending_edges.append(b"".join(parts))
-        self._pending_expansions += 1
-
-    def iter_expansions(self):
-        self.flush()
-        offset = 0
-        size = self.digest_size
-        end = self._edges_offset
-        while offset < end:
-            self._edges.seek(offset)
-            parent = self._edges.read(size)
-            (nrows,) = _EXP_HEADER.unpack(self._edges.read(_EXP_HEADER.size))
-            rows = []
-            for _ in range(nrows):
-                task, action = _EDGE_ROW.unpack(self._edges.read(_EDGE_ROW.size))
-                rows.append((task, action, self._edges.read(size)))
-            offset += size + _EXP_HEADER.size + nrows * (_EDGE_ROW.size + size)
-            yield parent, rows
-
-    def action_slot(self, action) -> int:
-        slot = self._action_index.get(action)
-        if slot is None:
-            slot = self._action_index[action] = len(self._actions)
-            self._actions.append(action)
-            self._actions_dirty = True
-        return slot
-
-    def actions(self) -> list:
-        return self._actions
-
-    def flush(self) -> None:
-        if not (self._pending or self._pending_edges or self._actions_dirty):
-            return
-        started = time.perf_counter()
-        if self._pending:
-            # Write the whole batch as one blob and flush it BEFORE any
-            # index insert.  The inserts probe the log (``_digest_at``
-            # on slot collisions, and ``_grow_index`` re-reads every
-            # entry), and interleaving those buffered-file reads with
-            # buffered appends silently LOSES writes on CPython's
-            # ``a+b`` files — reads reposition the stream and pending
-            # buffered writes are dropped instead of landing at EOF.
-            offset = self._log_offset
-            blob = bytearray()
-            inserts = []
-            for digest, packed in self._pending:
-                blob += _LOG_HEADER.pack(len(packed))
-                blob += digest
-                blob += packed
-                inserts.append((digest, offset))
-                offset += _LOG_HEADER.size + len(digest) + len(packed)
-            self._log.seek(self._log_offset)
-            self._log.write(blob)
-            self._log.flush()
-            os.fsync(self._log.fileno())
-            self._log_offset = offset
-            for digest, record_offset in inserts:
-                self._index_insert(digest, record_offset)
-        else:
-            self._log.flush()
-            os.fsync(self._log.fileno())
-        if self._pending_edges:
-            self._edges.seek(self._edges_offset)
-            blob = b"".join(self._pending_edges)
-            self._edges.write(blob)
-            self._edges_offset += len(blob)
-            self._expansions += self._pending_expansions
-            self._edges.flush()
-            os.fsync(self._edges.fileno())
-        if self._actions_dirty:
-            blob = pickle.dumps(self._actions, protocol=pickle.HIGHEST_PROTOCOL)
-            temporary = self.directory / f"actions.pkl.tmp{os.getpid()}"
-            temporary.write_bytes(blob)
-            os.replace(temporary, self.directory / "actions.pkl")
-            self._actions_dirty = False
-        self._index.flush()
-        self._pending.clear()
-        self._pending_packed.clear()
-        self._pending_edges.clear()
-        self._pending_expansions = 0
-        self._last_flush_seconds = time.perf_counter() - started
-        self._flushes += 1
-        self._flush_seconds += self._last_flush_seconds
-
-    def marks(self) -> dict:
-        return {
-            "states": self._count,
-            "log_offset": self._log_offset + sum(
-                _LOG_HEADER.size + self.digest_size + len(packed)
-                for _, packed in self._pending
-            ),
-            "edges_offset": self._edges_offset
-            + sum(len(blob) for blob in self._pending_edges),
-            "expansions": self._expansions + self._pending_expansions,
-        }
-
-    def truncate(self, marks: dict) -> None:
-        self.flush()
-        self._log.truncate(marks["log_offset"])
-        self._edges.truncate(marks["edges_offset"])
-        self._edges_offset = marks["edges_offset"]
-        self._expansions = marks["expansions"]
-        # Rebuild membership and the index from the surviving log prefix.
-        self._visited = _ShardedVisited(self.config.shards)
-        self._count = 0
-        self._log_offset = 0
-        self._index.close()
-        self._index = None
-        self._index_file.close()
-        self._index_path.unlink()
-        self._open_index(_INDEX_MIN_SLOTS)
-        self._adopt_log()
-
-    def clear(self) -> None:
-        self._pending.clear()
-        self._pending_packed.clear()
-        self._pending_edges.clear()
-        self._pending_expansions = 0
-        self._actions = []
-        self._action_index = {}
-        self._actions_dirty = False
-        (self.directory / "actions.pkl").unlink(missing_ok=True)
-        self._log.truncate(0)
-        self._edges.truncate(0)
-        self._frontier.load(b"")
-        self.truncate(
-            {"states": 0, "log_offset": 0, "edges_offset": 0, "expansions": 0}
-        )
-
-    def _close_backend(self) -> None:
-        try:
-            self.flush()
-        finally:
-            if self._index is not None:
-                self._index.close()
-            self._index_file.close()
-            self._log.close()
-            self._edges.close()
-
-
-def open_store(
-    config: StoreConfig,
-    digest_size: int = DIGEST_SIZE,
-    namespace: str | None = None,
-) -> StateStore:
+def open_store(config: StoreConfig, namespace: str | None = None) -> StateStore:
     """Open a backend for one exploration.
 
     ``namespace`` (the engine passes the root digest's hex) is appended
@@ -1261,10 +847,8 @@ def open_store(
     if namespace is not None and config.path is not None:
         config = replace(config, path=str(Path(config.path) / namespace))
     if config.backend == "memory":
-        return MemoryStore(config, digest_size)
-    if config.backend == "sqlite":
-        return SQLiteStore(config, digest_size)
-    return MmapStore(config, digest_size)
+        return MemoryStore(config)
+    return SQLiteStore(config)
 
 
 def resolve_store(store) -> StoreConfig | StateStore | None:
@@ -1283,42 +867,3 @@ def resolve_store(store) -> StoreConfig | StateStore | None:
         "store must be None, a URI string, a StoreConfig, or a StateStore; "
         f"got {type(store).__name__}"
     )
-
-
-def resolve_flush_interval(
-    flush_interval: int | None,
-    checkpoint_interval: int | None,
-    *,
-    store: StoreConfig | StateStore | None = None,
-    stacklevel: int = 3,
-) -> int:
-    """Resolve ``flush_interval=`` / legacy ``checkpoint_interval=``.
-
-    The store redesign renamed the engine's snapshot cadence: one
-    ``flush_interval`` now governs both the delta-segment cadence of
-    disk-backed runs and the monolithic-snapshot cadence of classic
-    runs (and defaults from the store's own
-    :attr:`StoreConfig.flush_interval` when a store is configured).
-    ``checkpoint_interval=`` survives as a deprecated alias, mirroring
-    the :func:`~repro.engine.budget.resolve_budget` contract: both
-    given is a :class:`TypeError`; the alias warns exactly once per
-    call site.
-    """
-    if flush_interval is not None and checkpoint_interval is not None:
-        raise TypeError(
-            "pass flush_interval= or the deprecated checkpoint_interval=, not both"
-        )
-    if checkpoint_interval is not None:
-        warnings.warn(
-            "checkpoint_interval= is deprecated; pass flush_interval= "
-            "(or a store with StoreConfig(flush_interval=...)) instead",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-        return checkpoint_interval
-    if flush_interval is not None:
-        return flush_interval
-    config = getattr(store, "config", store)
-    if isinstance(config, StoreConfig):
-        return config.flush_interval
-    return DEFAULT_FLUSH_INTERVAL

@@ -41,6 +41,8 @@ digest is special-cased as "always absent" rather than given a marker.
 
 from __future__ import annotations
 
+from .codec import DIGEST_SIZE
+
 try:  # pragma: no cover - exercised by presence on every CPython >= 3.8
     from multiprocessing import shared_memory
 except ImportError:  # pragma: no cover - exotic builds only
@@ -82,18 +84,15 @@ class SharedVisitedTable:
     races are benign.
     """
 
-    __slots__ = ("slots", "digest_size", "_shm", "_buf", "_mask", "overflows")
+    __slots__ = ("slots", "_shm", "_buf", "_mask", "overflows")
 
-    def __init__(
-        self, digest_size: int, expected_states: int | None = None
-    ) -> None:
+    def __init__(self, expected_states: int | None = None) -> None:
         if shared_memory is None:  # pragma: no cover - exotic builds only
             raise RuntimeError("multiprocessing.shared_memory is unavailable")
-        self.digest_size = digest_size
         self.slots = _slot_count(expected_states)
         self._mask = self.slots - 1
         self._shm = shared_memory.SharedMemory(
-            create=True, size=self.slots * digest_size
+            create=True, size=self.slots * DIGEST_SIZE
         )
         # A fresh segment is zero-filled by the OS; zero slot == empty.
         self._buf = self._shm.buf
@@ -110,7 +109,7 @@ class SharedVisitedTable:
         *not* inserted and the answer is False — "absent" — so callers
         fall back to shipping, never to dropping.
         """
-        size = self.digest_size
+        size = DIGEST_SIZE
         buf = self._buf
         mask = self._mask
         index = int.from_bytes(digest[:8], "little") & mask
@@ -130,7 +129,7 @@ class SharedVisitedTable:
         return False
 
     def __contains__(self, digest: bytes) -> bool:
-        size = self.digest_size
+        size = DIGEST_SIZE
         buf = self._buf
         mask = self._mask
         index = int.from_bytes(digest[:8], "little") & mask

@@ -17,8 +17,8 @@ digest, so a restarted server re-running the job with ``resume=True``
 continues the interrupted stage instead of starting over; the directory
 is removed once the job reaches a terminal verdict.
 
-Jobs requesting a disk-backed state store (``"store": "sqlite"`` or
-``"mmap"`` in the spec — backend names only, never client paths) get a
+Jobs requesting a disk-backed state store (``"store": "sqlite"`` in
+the spec — a backend name only, never a client path) get a
 per-cache-key store directory next to the checkpoints; it is likewise
 removed at a terminal verdict, and a restarted server resumes from the
 store's delta segments.  A spec's ``rss_limit_mb`` is clamped to the

@@ -15,7 +15,7 @@ A job request is one JSON object::
       "budget": {"max_states": 200000, "deadline_seconds": 60},
       "workers": 1,                // engine workers (server-clamped)
       "reduction": "none",         // none | symmetry | por | full
-      "store": "sqlite",           // memory | sqlite | mmap (backend name only)
+      "store": "sqlite",           // memory | sqlite (backend name only)
       "rss_limit_mb": 1024,        // RSS ceiling hint (server-clamped)
       "proposals": {"0": 0, "1": 1},  // optional: cache-key root inputs
       "tenant": "alice"            // fair-queueing identity
@@ -123,7 +123,7 @@ REDUCTIONS = ("none", "symmetry", "por", "full")
 #: Backend names a job's ``store`` field may carry.  Bare names only —
 #: a path in the request would let clients choose server filesystem
 #: locations, so URIs are rejected at validation time.
-STORES = ("memory", "sqlite", "mmap")
+STORES = ("memory", "sqlite")
 
 #: Submitted request bodies larger than this are refused with 413.
 MAX_BODY_BYTES = 1 << 20

@@ -15,15 +15,19 @@ import os
 
 import pytest
 
-from repro.analysis import DeterministicSystemView, explore
+from repro.analysis import DeterministicSystemView, analyze_valence, explore
 from repro.engine import (
+    DEFAULT_BUDGET,
     Budget,
     BudgetExhausted,
     ExplorationEngine,
     FingerprintIndex,
+    MemoryStore,
+    StoreConfig,
     find_checkpoint,
     fingerprint,
 )
+from repro.engine.store import DEFAULT_FLUSH_INTERVAL
 from repro.obs import MetricsRegistry
 from repro.protocols import delegation_consensus_system, tob_delegation_system
 
@@ -126,6 +130,54 @@ class TestBudgets:
     def test_invalid_workers_rejected(self):
         with pytest.raises(ValueError):
             ExplorationEngine(workers=0)
+
+    def test_budget_none_means_default_budget(self, instance, monkeypatch):
+        """``budget=None`` is DEFAULT_BUDGET, on the engine and through
+        the analysis entry points that build one."""
+        assert ExplorationEngine(budget=None).budget is DEFAULT_BUDGET
+        seen = []
+        original = ExplorationEngine.explore
+
+        def spy(self, *args, **kwargs):
+            seen.append(self.budget)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(ExplorationEngine, "explore", spy)
+        view, root = instance
+        explore(view, root, budget=None)
+        analyze_valence(delegation_consensus_system(3, resilience=1), root)
+        assert seen == [DEFAULT_BUDGET, DEFAULT_BUDGET]
+
+    def test_removed_max_states_alias_rejected(self, instance):
+        view, root = instance
+        with pytest.raises(TypeError):
+            explore(view, root, max_states=10)
+        with pytest.raises(TypeError):
+            explore(view, root, 10)  # prune= and later are keyword-only
+
+
+class TestFlushInterval:
+    """One rule: explicit value, else the store config's, else the default."""
+
+    def test_default_without_store(self):
+        assert ExplorationEngine().flush_interval == DEFAULT_FLUSH_INTERVAL
+
+    def test_store_config_supplies_default(self):
+        config = StoreConfig(backend="memory", flush_interval=77)
+        assert ExplorationEngine(store=config).flush_interval == 77
+        assert ExplorationEngine(store="sqlite:/x?flush=33").flush_interval == 33
+        assert ExplorationEngine(store=MemoryStore(config)).flush_interval == 77
+
+    def test_explicit_value_wins(self):
+        config = StoreConfig(backend="memory", flush_interval=77)
+        engine = ExplorationEngine(store=config, flush_interval=99)
+        assert engine.flush_interval == 99
+
+    def test_invalid_and_removed_spellings_rejected(self):
+        with pytest.raises(ValueError, match="flush_interval"):
+            ExplorationEngine(flush_interval=0)
+        with pytest.raises(TypeError):
+            ExplorationEngine(checkpoint_interval=42)
 
 
 class TestCheckpointResume:

@@ -119,9 +119,8 @@ class TestKillRecovery:
             fault_plan=FaultPlan(kills=frozenset({(2, 1), (4, 0)})),
         )
         graph = engine.explore(view, root)
-        size = engine.digest_size
-        recovered = {fingerprint(s, size) for s in graph.states}
-        baseline = {fingerprint(s, size) for s in sequential_graph.states}
+        recovered = {fingerprint(s) for s in graph.states}
+        baseline = {fingerprint(s) for s in sequential_graph.states}
         assert recovered == baseline
 
     def test_respawn_emits_trace_events(self, instance):
@@ -166,28 +165,25 @@ class TestKillRecovery:
 
 @needs_fork
 class TestQuarantine:
-    def _poison_plan(self, instance, engine_digest_size):
+    def _poison_plan(self, instance):
         """Poison a mid-frontier state so it kills whoever expands it."""
         view, root = instance
         graph = explore(view, root, budget=Budget(max_states=50_000))
         victim = list(graph.states)[10]
         return FaultPlan(
-            poison=frozenset({fingerprint(victim, engine_digest_size)})
+            poison=frozenset({fingerprint(victim)})
         ), victim
 
     def test_poisoned_state_quarantined_and_surfaced(
         self, instance, sequential_graph
     ):
         view, root = instance
-        engine = ExplorationEngine(workers=2, budget=Budget())
-        plan, victim = self._poison_plan(instance, engine.digest_size)
+        plan, victim = self._poison_plan(instance)
         engine = ExplorationEngine(workers=2, budget=Budget(), fault_plan=plan)
         graph = engine.explore(view, root)
         report = engine.last_report
         assert len(report.quarantined) == 1
-        assert report.quarantined[0] == fingerprint(
-            victim, engine.digest_size
-        ).hex()
+        assert report.quarantined[0] == fingerprint(victim).hex()
         assert report.quarantined_states == (victim,)
         # The node is kept (documented graph caveat) but gets no edges.
         assert victim in graph.states
@@ -203,8 +199,7 @@ class TestQuarantine:
 
     def test_quarantine_disabled_raises(self, instance):
         view, root = instance
-        probe = ExplorationEngine(workers=2, budget=Budget())
-        plan, _ = self._poison_plan(instance, probe.digest_size)
+        plan, _ = self._poison_plan(instance)
         engine = ExplorationEngine(
             workers=2, budget=Budget(), fault_plan=plan, quarantine=False
         )
@@ -215,8 +210,7 @@ class TestQuarantine:
         # Poison (not a scheduled kill) so the fatal chunk is
         # deterministically in flight when the worker dies.
         view, root = instance
-        probe = ExplorationEngine(workers=2, budget=Budget())
-        plan, _ = self._poison_plan(instance, probe.digest_size)
+        plan, _ = self._poison_plan(instance)
         engine = ExplorationEngine(
             workers=2,
             budget=Budget(),

@@ -9,12 +9,16 @@ from repro.engine.checkpoint import CHECKPOINT_FORMAT
 from repro.engine import (
     Checkpoint,
     CheckpointError,
+    Segment,
     checkpoint_path,
     digest_of_packed,
     discard_checkpoint,
     find_checkpoint,
     load_checkpoint,
+    load_segment,
     save_checkpoint,
+    save_segment,
+    segment_dir,
     fingerprint,
 )
 
@@ -237,3 +241,62 @@ class TestValidation:
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "absent.ckpt")
+
+
+class TestDigestWidth:
+    """Files keep recording their digest width; only 16 bytes loads."""
+
+    def test_packed_payload_records_and_checks_width(self, tmp_path):
+        path = save_checkpoint(tmp_path, _sample())
+        payload = pickle.loads(path.read_bytes())
+        assert payload["digest_size"] == 16
+        payload["digest_size"] = 8
+        path.write_bytes(pickle.dumps(payload))
+        with pytest.raises(CheckpointError, match="8-byte digests"):
+            load_checkpoint(path)
+
+    def test_object_pickle_width_checked(self, tmp_path):
+        # Object pickles written before the width became a constant
+        # carry it as an attribute of the Checkpoint itself.
+        for width, loads in ((16, True), (8, False)):
+            checkpoint = _sample()
+            checkpoint.digest_size = width
+            path = checkpoint_path(tmp_path, checkpoint.root_digest)
+            payload = {
+                "format": CHECKPOINT_FORMAT,
+                "version": 1,
+                "checkpoint": checkpoint,
+            }
+            path.write_bytes(pickle.dumps(payload))
+            if loads:
+                loaded = load_checkpoint(path)
+                assert loaded.order == checkpoint.order
+                assert not hasattr(loaded, "digest_size")
+            else:
+                with pytest.raises(CheckpointError):
+                    load_checkpoint(path)
+
+    def test_segment_with_wrong_width_is_skipped(self, tmp_path):
+        digest = fingerprint("root")
+        for seq in (0, 1):
+            save_segment(
+                tmp_path,
+                Segment(
+                    root_digest=digest,
+                    seq=seq,
+                    states=seq + 1,
+                    transitions=seq,
+                    elapsed_seconds=0.0,
+                    workers=1,
+                    marks={"states": seq + 1},
+                    frontier_blob=b"",
+                    store_uri="sqlite",
+                ),
+            )
+        newest = segment_dir(tmp_path, digest) / "segment-00000001.seg"
+        payload = pickle.loads(newest.read_bytes())
+        assert payload["digest_size"] == 16
+        assert load_segment(tmp_path, digest).seq == 1
+        payload["digest_size"] = 8
+        newest.write_bytes(pickle.dumps(payload))
+        assert load_segment(tmp_path, digest).seq == 0

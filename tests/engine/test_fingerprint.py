@@ -66,7 +66,6 @@ class TestFingerprint:
 
     def test_digest_size(self):
         assert len(fingerprint("x")) == DIGEST_SIZE
-        assert len(fingerprint("x", 8)) == 8
 
     def test_real_states_fingerprint_distinctly(self):
         system = delegation_consensus_system(2, resilience=0)
@@ -83,7 +82,7 @@ class TestFingerprint:
 class TestIndexes:
     @pytest.mark.parametrize("index_cls", [FingerprintIndex, StateIndex])
     def test_check_add_roundtrip(self, index_cls):
-        index = index_cls(DIGEST_SIZE)
+        index = index_cls()
         known, digest = index.check("alpha", None)
         assert not known
         index.add("alpha", digest)
@@ -92,14 +91,14 @@ class TestIndexes:
         assert known
 
     def test_audit_mode_detects_collisions(self):
-        index = FingerprintIndex(DIGEST_SIZE, audit=True)
+        index = FingerprintIndex(audit=True)
         digest = fingerprint("a")
         index.add("a", digest)
         with pytest.raises(FingerprintCollision):
             index.check("b", digest)  # forged digest: same bytes, different state
 
     def test_audit_mode_accepts_equal_states(self):
-        index = FingerprintIndex(DIGEST_SIZE, audit=True)
+        index = FingerprintIndex(audit=True)
         digest = fingerprint("a")
         index.add("a", digest)
         known, _ = index.check("a", digest)
@@ -111,12 +110,12 @@ class TestIndexes:
         first, which audit mode then surfaced as a FingerprintCollision
         (REVIEW: codec cache).  Both orders, one warm cache."""
         for states in [((True, "x"), (1, "x")), ((1, "x"), (True, "x"))]:
-            index = FingerprintIndex(DIGEST_SIZE, audit=True)
+            index = FingerprintIndex(audit=True)
             digests = set()
             for state in states:
                 known, digest = index.check(state, None)
                 assert not known
                 index.add(state, digest)
-                assert digest == fingerprint(state, DIGEST_SIZE)
+                assert digest == fingerprint(state)
                 digests.add(digest)
             assert len(digests) == 2

@@ -203,7 +203,7 @@ class TestFingerprintSupport:
             (),
         ]
         for state in states:
-            assert fingerprint_components(state, cache, 16) == fingerprint(state, 16)
+            assert fingerprint_components(state, cache) == fingerprint(state)
         assert fingerprint_components("scalar", cache) == fingerprint("scalar")
 
     def test_fingerprint_components_bool_int_not_conflated(self):
@@ -211,10 +211,10 @@ class TestFingerprintSupport:
         once the bool had been cached first (REVIEW: codec cache)."""
         cache: dict = {}
         states = [(True, "x"), (1, "x"), (1.0, "x"), ((False,), "y"), ((0,), "y")]
-        digests = [fingerprint_components(state, cache, 16) for state in states]
+        digests = [fingerprint_components(state, cache) for state in states]
         assert len(set(digests)) == len(states)
         for state, digest in zip(states, digests):
-            assert digest == fingerprint(state, 16)
+            assert digest == fingerprint(state)
 
 
 class TestCli:

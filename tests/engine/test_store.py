@@ -5,7 +5,7 @@ Three layers of guarantees:
 * unit: ``StoreConfig`` URI round-trips, the spillable frontier's FIFO
   invariant across its head/spill-file/tail windows, and the backend
   contract (add/get/contains, expansion log order, truncate-to-marks,
-  clear, reopen) for all three backends;
+  clear, reopen) for both backends;
 * equivalence: a store-backed exploration — any backend, sequential or
   parallel — produces the *identical* graph (state order and edge dict)
   to the classic in-RAM engine, on tob(3,1) and delegation(5,1);
@@ -33,7 +33,6 @@ from repro.engine import (
     EngineError,
     ExplorationEngine,
     MemoryStore,
-    MmapStore,
     ReductionConfig,
     SQLiteStore,
     StoreConfig,
@@ -51,7 +50,7 @@ from repro.engine.reduction import build_reduced_view
 from repro.engine.store import _SpillFrontier
 from repro.protocols import delegation_consensus_system, tob_delegation_system
 
-BACKENDS = ("memory", "sqlite", "mmap")
+BACKENDS = ("memory", "sqlite")
 
 
 def make_store(backend, tmp_path, **overrides):
@@ -113,13 +112,12 @@ class TestStoreConfig:
         assert config.path == "/var/run/store"
 
     def test_from_uri_query_overrides(self):
-        config = StoreConfig.from_uri("mmap:/d?flush=100&window=64&shards=4")
+        config = StoreConfig.from_uri("sqlite:/d?flush=100&window=64")
         assert config.flush_interval == 100
         assert config.frontier_window == 64
-        assert config.shards == 4
 
     def test_to_uri_round_trips(self):
-        for uri in ("memory", "sqlite:/p", "mmap:/d?flush=100&window=64"):
+        for uri in ("memory", "sqlite:/p", "sqlite:/d?flush=100&window=64"):
             assert StoreConfig.from_uri(uri).to_uri() == uri
 
     def test_unknown_backend_rejected(self):
@@ -131,6 +129,16 @@ class TestStoreConfig:
     def test_unknown_option_rejected(self):
         with pytest.raises(ValueError, match="unknown store option"):
             StoreConfig.from_uri("sqlite:/p?turbo=1")
+
+    def test_removed_backend_and_option_rejected(self):
+        """The mmap backend and the shards= option are gone; both are
+        the ordinary unknown-value errors, naming what is accepted."""
+        with pytest.raises(ValueError, match="expected one of memory, sqlite"):
+            StoreConfig.from_uri("mmap:/x")
+        with pytest.raises(ValueError, match="expected one of flush, window"):
+            StoreConfig.from_uri("sqlite:/x?shards=4")
+        with pytest.raises(TypeError):
+            StoreConfig(backend="sqlite", shards=4)
 
     def test_bad_values_rejected(self):
         with pytest.raises(ValueError, match="flush_interval"):
@@ -156,7 +164,7 @@ class TestSpillFrontier:
         return [index.to_bytes(16, "little") for index in range(count)]
 
     def test_fifo_within_window(self, tmp_path):
-        frontier = _SpillFrontier(tmp_path, 16, window=64)
+        frontier = _SpillFrontier(tmp_path, window=64)
         digests = self.digests(10)
         for digest in digests:
             frontier.push(digest)
@@ -166,7 +174,7 @@ class TestSpillFrontier:
         frontier.close()
 
     def test_fifo_across_spill(self, tmp_path):
-        frontier = _SpillFrontier(tmp_path, 16, window=8)
+        frontier = _SpillFrontier(tmp_path, window=8)
         digests = self.digests(100)
         for digest in digests:
             frontier.push(digest)
@@ -177,7 +185,7 @@ class TestSpillFrontier:
         frontier.close()
 
     def test_push_front(self, tmp_path):
-        frontier = _SpillFrontier(tmp_path, 16, window=4)
+        frontier = _SpillFrontier(tmp_path, window=4)
         digests = self.digests(20)
         for digest in digests:
             frontier.push(digest)
@@ -187,7 +195,7 @@ class TestSpillFrontier:
         frontier.close()
 
     def test_interleaved_push_pop(self, tmp_path):
-        frontier = _SpillFrontier(tmp_path, 16, window=4)
+        frontier = _SpillFrontier(tmp_path, window=4)
         expected = []
         digests = iter(self.digests(60))
         got = []
@@ -203,12 +211,12 @@ class TestSpillFrontier:
         frontier.close()
 
     def test_snapshot_load_round_trip(self, tmp_path):
-        frontier = _SpillFrontier(tmp_path, 16, window=4)
+        frontier = _SpillFrontier(tmp_path, window=4)
         digests = self.digests(30)
         for digest in digests:
             frontier.push(digest)
         blob = frontier.snapshot()
-        other = _SpillFrontier(tmp_path / "other", 16, window=4)
+        other = _SpillFrontier(tmp_path / "other", window=4)
         other.load(blob)
         assert [other.pop() for _ in digests] == digests
         frontier.close()
@@ -260,7 +268,7 @@ class TestBackendContract:
             store.frontier_load(blob)
             assert [store.pop() for _ in digests] == digests
 
-    @pytest.mark.parametrize("backend", ("sqlite", "mmap"))
+    @pytest.mark.parametrize("backend", ("sqlite",))
     def test_truncate_to_marks(self, backend, tmp_path):
         with make_store(backend, tmp_path) as store:
             digest_a, digest_b = b"a" * 16, b"b" * 16
@@ -277,7 +285,7 @@ class TestBackendContract:
             assert store.get(digest_b) is None
             assert list(store.iter_expansions()) == [(digest_a, [])]
 
-    @pytest.mark.parametrize("backend", ("sqlite", "mmap"))
+    @pytest.mark.parametrize("backend", ("sqlite",))
     def test_reopen_preserves_everything(self, backend, tmp_path):
         config = StoreConfig(backend=backend, path=str(tmp_path / backend))
         with open_store(config) as store:
@@ -317,65 +325,6 @@ class TestBackendContract:
         assert directory.exists()
         store.close()
         assert not directory.exists()
-
-    def test_mmap_index_growth(self, tmp_path):
-        # Push well past the initial index capacity to force rebuilds.
-        with make_store("mmap", tmp_path) as store:
-            digests = [index.to_bytes(16, "big") for index in range(5000)]
-            for index, digest in enumerate(digests):
-                assert store.add(digest, b"x" * 20 + digest) == index
-            for index, digest in enumerate(digests):
-                assert digest in store
-                assert store.get(digest) == b"x" * 20 + digest
-
-    def test_mmap_flushed_batches_survive_index_probes(self, tmp_path):
-        # Regression: flushing a batch used to interleave buffered log
-        # appends with index-probe reads of the same file (slot
-        # collisions, and the offline rehash past 60% load) — on
-        # CPython a+b files that interleaving silently LOSES writes.
-        # Many small flushes + enough records to cross a rehash cover
-        # both read paths; every record must survive, also on reopen.
-        import random
-
-        rng = random.Random(7)
-        records = []
-        config = StoreConfig(
-            backend="mmap", path=str(tmp_path / "mmap"), flush_interval=500
-        )
-        with open_store(config) as store:
-            for count in range(25_000):
-                packed = bytes(
-                    rng.randrange(256) for _ in range(rng.randrange(20, 60))
-                )
-                digest = fingerprint(packed)
-                if store.add(digest, packed) >= 0:
-                    records.append((digest, packed))
-                if count % 500 == 499:
-                    store.flush()
-            store.flush()
-            assert all(store.get(d) == p for d, p in records)
-            assert [p for p in store.iter_packed()] == [p for _, p in records]
-        with open_store(config) as store:
-            assert len(store) == len(records)
-            assert all(store.get(d) == p for d, p in records)
-
-    def test_mmap_adopt_drops_torn_tail(self, tmp_path):
-        config = StoreConfig(backend="mmap", path=str(tmp_path / "mmap"))
-        with open_store(config) as store:
-            store.add(b"a" * 16, b"packed-a")
-            store.flush()
-            marks = store.marks()
-            store.add(b"b" * 16, b"packed-b")
-            store.flush()
-        # Simulate a torn append: truncate the log mid-record.
-        log = tmp_path / "mmap" / "states.log"
-        log_size = log.stat().st_size
-        with open(log, "r+b") as handle:
-            handle.truncate(marks["log_offset"] + 7)
-        with open_store(config) as store:
-            assert len(store) == 1
-            assert b"a" * 16 in store and b"b" * 16 not in store
-        assert log.stat().st_size < log_size
 
 
 class TestIdenticalGraph:
@@ -526,7 +475,7 @@ class TestSegmentCheckpoints:
             ).explore(view, root)
         return checkpoint_dir, uri, info.value
 
-    @pytest.mark.parametrize("backend", ("sqlite", "mmap"))
+    @pytest.mark.parametrize("backend", ("sqlite",))
     def test_exhaust_writes_segments_and_resume_completes(
         self, backend, small_instance, tmp_path
     ):
@@ -638,7 +587,7 @@ class TestSegmentCheckpoints:
         graph = ExplorationEngine(
             workers=1,
             budget=Budget(max_states=100_000),
-            store=store_uri("mmap", tmp_path),
+            store=store_uri("sqlite", tmp_path),
             checkpoint_dir=checkpoint_dir,
             resume=True,
         ).explore(view, root)
@@ -699,7 +648,7 @@ KILL_CHILD = textwrap.dedent(
 
 
 class TestKillAndResume:
-    @pytest.mark.parametrize("backend", ("sqlite", "mmap"))
+    @pytest.mark.parametrize("backend", ("sqlite",))
     def test_sigkill_mid_run_resumes_to_identical_graph(
         self, backend, instances, tmp_path
     ):

@@ -37,7 +37,7 @@ class TestSlotCount:
 
 class TestTestAndSet:
     def test_absent_then_present(self):
-        table = SharedVisitedTable(16)
+        table = SharedVisitedTable()
         try:
             digest = _digest(7)
             assert digest not in table
@@ -48,7 +48,7 @@ class TestTestAndSet:
             table.close(unlink=True)
 
     def test_colliding_digests_probe_past_each_other(self):
-        table = SharedVisitedTable(16)
+        table = SharedVisitedTable()
         try:
             # Same low-64-bits prefix -> same home slot; linear probing
             # must still distinguish them.
@@ -62,7 +62,7 @@ class TestTestAndSet:
             table.close(unlink=True)
 
     def test_all_zero_digest_always_absent(self):
-        table = SharedVisitedTable(16)
+        table = SharedVisitedTable()
         try:
             zero = b"\x00" * 16
             assert table.test_and_set(zero) is False
@@ -73,7 +73,7 @@ class TestTestAndSet:
 
     def test_overflow_reports_absent_and_counts(self, monkeypatch):
         monkeypatch.setattr("repro.engine.visited.PROBE_LIMIT", 4)
-        table = SharedVisitedTable(16)
+        table = SharedVisitedTable()
         try:
             # Five digests with the same home slot overflow a 4-probe
             # window; the fifth insert must degrade to "absent".
@@ -94,7 +94,7 @@ class TestCrossProcess:
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("fork start method unavailable")
         context = multiprocessing.get_context("fork")
-        table = SharedVisitedTable(16)
+        table = SharedVisitedTable()
         digest = _digest(1234)
 
         def child(result):

@@ -68,7 +68,7 @@ class _StubHandle:
 
 
 def _pool(workers=2, **kwargs):
-    pool = WorkerPool(workers, view=None, prune=None, digest_size=16, **kwargs)
+    pool = WorkerPool(workers, view=None, prune=None, **kwargs)
     pool._handles = [_StubHandle() for _ in range(workers)]
     pool._alive = [True] * workers
     # Exhaust restarts so a loss reassigns to survivors instead of forking.
@@ -87,7 +87,7 @@ def _pool(workers=2, **kwargs):
     return pool
 
 
-CODEC = Codec(16)
+CODEC = Codec()
 
 
 def _state(index):

@@ -111,10 +111,7 @@ class TestChaosTraceCompleteness:
         view, root = instance
         graph = explore(view, root, budget=Budget(max_states=50_000))
         victim = list(graph.states)[10]
-        probe = ExplorationEngine(workers=2)
-        plan = FaultPlan(
-            poison=frozenset({fingerprint(victim, probe.digest_size)})
-        )
+        plan = FaultPlan(poison=frozenset({fingerprint(victim)}))
         _, engine, events = traced_exploration(instance, tmp_path, fault_plan=plan)
         assert engine.last_report.worker_failures >= 1
         records = assemble_spans(events)

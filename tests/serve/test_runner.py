@@ -123,10 +123,10 @@ class TestStoreJobs:
         assert not job_store_dir(tmp_path, job.key).exists()
 
     def test_store_backed_job_without_data_dir_uses_scratch(self, tmp_path):
-        job = make_job({"candidate": "delegation", "n": 3, "f": 1, "store": "mmap"})
+        job = make_job({"candidate": "delegation", "n": 3, "f": 1, "store": "sqlite"})
         outcome, _ = run(job, data_dir=None)
         assert outcome.state == COMPLETED
-        assert outcome.engine_report["store_backend"] == "mmap"
+        assert outcome.engine_report["store_backend"] == "sqlite"
         assert not any(tmp_path.iterdir())
 
     def test_exhausted_store_job_resumes_from_segments(self, tmp_path):

@@ -66,14 +66,18 @@ class TestJobSpecFromJson:
             JobSpec.from_json({"candidate": "tob", "budget": {"max_states": "lots"}})
 
     def test_store_accepts_backend_names_only(self):
-        for backend in ("memory", "sqlite", "mmap"):
+        for backend in ("memory", "sqlite"):
             spec = JobSpec.from_json({"candidate": "tob", "store": backend})
             assert spec.store == backend
+
+    def test_store_rejects_removed_mmap_backend(self):
+        with pytest.raises(WireError, match="one of memory, sqlite"):
+            JobSpec.from_json({"candidate": "tob", "store": "mmap"})
 
     def test_store_rejects_paths(self):
         # A path-carrying URI would let a client choose server filesystem
         # locations; only bare backend names cross the wire.
-        for bad in ("sqlite:/etc/passwd", "mmap:/tmp/x", "redis", "", 7):
+        for bad in ("sqlite:/etc/passwd", "sqlite:/tmp/x", "redis", "", 7):
             with pytest.raises(WireError, match="store must be one of"):
                 JobSpec.from_json({"candidate": "tob", "store": bad})
 

@@ -109,7 +109,6 @@ class TestHeadlineSignatures:
         assert list(parameters) == [
             "system",
             "resilience",
-            "max_states",
             "horizon",
             "failure_aware_services",
             "tracer",
@@ -119,11 +118,10 @@ class TestHeadlineSignatures:
             "budget",
             "store",
         ]
-        assert (
-            parameters["budget"].kind is inspect.Parameter.KEYWORD_ONLY
-        )
-        assert parameters["store"].kind is inspect.Parameter.KEYWORD_ONLY
-        assert parameters["max_states"].default is None
+        # Everything after ``resilience`` is keyword-only, so a stale
+        # positional call from the max_states= era fails loudly.
+        for name in list(parameters)[2:]:
+            assert parameters[name].kind is inspect.Parameter.KEYWORD_ONLY
 
     @pytest.mark.parametrize(
         "entry_point",
@@ -145,21 +143,46 @@ class TestHeadlineSignatures:
         assert "budget" in parameters
         assert parameters["budget"].kind is inspect.Parameter.KEYWORD_ONLY
         assert parameters["budget"].default is None
+        assert "max_states" not in parameters
 
     def test_exploration_engine_signature(self):
+        """The complete engine option list, snapshotted.
+
+        Adding an option is an API addition (update the snapshot and
+        docs/api.md together); removing one is a breaking change.
+        """
         parameters = inspect.signature(
             repro.engine.ExplorationEngine.__init__
         ).parameters
-        for name in (
+        assert list(parameters) == [
+            "self",
             "workers",
             "budget",
             "store",
             "checkpoint_dir",
+            "flush_interval",
             "resume",
             "rss_limit_mb",
             "audit",
-        ):
-            assert name in parameters
+            "tracer",
+            "metrics",
+            "max_worker_restarts",
+            "max_partition_retries",
+            "quarantine",
+            "fault_plan",
+            "progress",
+            "cancel",
+            "run",
+        ]
+
+    def test_store_config_fields(self):
+        """The complete ``StoreConfig`` field list, snapshotted."""
+        import dataclasses
+
+        assert [
+            field.name for field in dataclasses.fields(repro.engine.StoreConfig)
+        ] == ["backend", "path", "flush_interval", "frontier_window"]
+        assert repro.engine.store.BACKENDS == ("memory", "sqlite")
 
     def test_run_consensus_round_signature(self):
         parameters = inspect.signature(

@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import json
+
 import pytest
 
 from repro.__main__ import main
@@ -82,6 +84,49 @@ class TestEngineFlags:
         out = capsys.readouterr().out
         assert "Exploration budget exhausted" in out
         assert "deadline" in out
+
+    def test_exhausted_reduction_audit_exits_2(self, capsys, tmp_path):
+        runs_dir = str(tmp_path / "runs")
+        code = main(
+            ["refute", "delegation", "-n", "4", "--reduction", "full",
+             "--audit-reduction", "--max-states", "50", "--runs-dir", runs_dir]
+        )
+        assert code == 2
+        assert "Exploration budget exhausted" in capsys.readouterr().out
+        # The ledger records the run as exhausted, not interrupted.
+        assert main(["runs", "list", "--json", "--runs-dir", runs_dir]) == 0
+        records = json.loads(capsys.readouterr().out)
+        assert [record["status"] for record in records] == ["exhausted"]
+
+    def test_exhausted_compare_reduction_exits_2(self, capsys):
+        code = main(
+            ["stats", "delegation", "-n", "4", "--compare-reduction",
+             "--max-states", "50"]
+        )
+        assert code == 2
+        assert "Exploration budget exhausted" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("uri", ["bogus:x", "mmap:/tmp/x", "sqlite:/x?shards=4"])
+    def test_bad_store_uri_is_a_usage_error(self, capsys, tmp_path, uri):
+        runs_dir = str(tmp_path / "runs")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["refute", "delegation", "--store", uri, "--runs-dir", runs_dir])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --store" in err
+        assert "expected one of" in err
+        # Rejected before the run ledger opened: no false "interrupted" run.
+        assert main(["runs", "list", "--json", "--runs-dir", runs_dir]) == 0
+        assert json.loads(capsys.readouterr().out) == []
+
+    def test_bad_store_environment_default_is_a_usage_error(
+        self, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_ENGINE_STORE", "mmap:/tmp/x")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["refute", "delegation"])
+        assert excinfo.value.code == 2
+        assert "memory, sqlite" in capsys.readouterr().err
 
     def test_interrupted_run_resumes_to_same_verdict(self, capsys, tmp_path):
         checkpoints = str(tmp_path / "ckpt")
