@@ -58,7 +58,7 @@ import os
 import resource
 from time import perf_counter
 
-from conftest import report
+from conftest import Gen2Collections, report
 
 from repro.analysis import DeterministicSystemView, explore
 from repro.engine import Budget, ExplorationEngine, ReductionConfig, build_reduced_view
@@ -106,11 +106,11 @@ def test_engine_scaling_and_equivalence():
     system, root, label = _instance()
     budget = Budget(max_states=2_000_000)
 
-    # Every contender gets a FRESH view: exploration cost is dominated by
-    # first-touch transition computation (the view memoizes steps), and a
-    # shared warm cache — inherited by forked workers too — would turn
-    # the benchmark into a measure of pure IPC overhead rather than of
-    # the engine's actual use case, the first exploration of a space.
+    # Every contender gets a FRESH system: the composition memoizes
+    # component transitions, and a shared warm memo — inherited by forked
+    # workers too — would turn the benchmark into a measure of pure IPC
+    # overhead rather than of the engine's actual use case, the first
+    # exploration of a space.
     started = perf_counter()
     baseline = explore(
         DeterministicSystemView(system), root, budget=Budget(max_states=budget.max_states)
@@ -132,12 +132,16 @@ def test_engine_scaling_and_equivalence():
     speedups = {}
     cache_rates = {}
     for workers, store in CONFIGS:
+        system, root, _ = _instance()
         engine = ExplorationEngine(workers=workers, budget=budget, store=store)
         metrics = MetricsRegistry()
         gc.collect()
-        started = perf_counter()
-        graph = engine.explore(DeterministicSystemView(system), root, metrics=metrics)
-        seconds = perf_counter() - started
+        with Gen2Collections() as collections:
+            started = perf_counter()
+            graph = engine.explore(
+                DeterministicSystemView(system), root, metrics=metrics
+            )
+            seconds = perf_counter() - started
         assert list(graph.states) == baseline_order, (
             f"workers={workers} store={store} produced a different graph"
         )
@@ -164,6 +168,9 @@ def test_engine_scaling_and_equivalence():
                 "peak_rss_kb": _peak_rss_kb(engine.last_report),
                 "worker_rss_kb": list(engine.last_report.worker_rss_kb),
                 "codec_cache_hit_rate": round(cache_rate, 4),
+                "memo_misses": engine.last_report.memo_misses,
+                "gc_gen2_seconds": round(collections.seconds, 3),
+                "gc_gen2_collections": collections.count,
                 # Every phase column at every worker count (0.0 when the
                 # phase did not run), so artifact rows stay comparable.
                 **{
@@ -209,6 +216,7 @@ def test_reduction_ratio():
     full_transitions = full_graph.edge_count()
     del full_graph
 
+    system, root, _ = _instance()
     reduced_view = build_reduced_view(DeterministicSystemView(system), root, config)
     gc.collect()
     started = perf_counter()
@@ -224,8 +232,9 @@ def test_reduction_ratio():
 
     # Combined reduction + parallelism: the two optimizations compose —
     # symmetry/POR shrink the space, the worker pool splits what's left.
-    # A fresh reduced view keeps the comparison honest (cold step cache).
+    # A fresh system keeps the comparison honest (cold transition memo).
     combined_workers = 2
+    system, root, _ = _instance()
     combined_view = build_reduced_view(DeterministicSystemView(system), root, config)
     engine = ExplorationEngine(workers=combined_workers, budget=budget)
     gc.collect()

@@ -33,7 +33,7 @@ import textwrap
 from time import perf_counter
 
 import pytest
-from conftest import report
+from conftest import Gen2Collections, report
 
 from repro.analysis import DeterministicSystemView
 from repro.engine import Budget, ExplorationEngine
@@ -66,15 +66,19 @@ def _store_uri(backend, tmp_path):
 
 
 def test_backend_comparison(tmp_path):
+    # Each contender explores a fresh system, so none inherits another's
+    # warm transition memo.
     label, view, root = _instance()
     budget = Budget(max_states=2_000_000)
 
-    start = perf_counter()
-    classic = ExplorationEngine(workers=1, budget=budget).explore(view, root)
-    classic_seconds = perf_counter() - start
+    engine = ExplorationEngine(workers=1, budget=budget)
+    with Gen2Collections() as collections:
+        start = perf_counter()
+        classic = engine.explore(view, root)
+        classic_seconds = perf_counter() - start
     states = len(classic.states)
 
-    def row(backend, seconds, engine_report):
+    def row(backend, seconds, engine_report, collections):
         return {
             "backend": backend,
             "states": states,
@@ -84,22 +88,25 @@ def test_backend_comparison(tmp_path):
             "flushes": engine_report.store_flushes,
             "flush_seconds": round(engine_report.store_flush_seconds, 3),
             "spilled_states": engine_report.spilled_states,
+            "memo_misses": engine_report.memo_misses,
+            "gc_gen2_seconds": round(collections.seconds, 3),
+            "cpu_count": os.cpu_count(),
         }
 
-    engine = ExplorationEngine(workers=1, budget=budget)
-    engine.explore(view, root)
-    rows = [row("none (classic)", classic_seconds, engine.last_report)]
+    rows = [row("none (classic)", classic_seconds, engine.last_report, collections)]
 
     for backend in BACKENDS:
+        _, view, root = _instance()
         engine = ExplorationEngine(
             workers=1, budget=budget, store=_store_uri(backend, tmp_path)
         )
-        start = perf_counter()
-        graph = engine.explore(view, root)
-        seconds = perf_counter() - start
+        with Gen2Collections() as collections:
+            start = perf_counter()
+            graph = engine.explore(view, root)
+            seconds = perf_counter() - start
         assert list(graph.states) == list(classic.states), backend
         assert graph.edges == classic.edges, backend
-        rows.append(row(backend, seconds, engine.last_report))
+        rows.append(row(backend, seconds, engine.last_report, collections))
 
     report(
         f"E-store: backend comparison {label} workers=1 (identical graph)",

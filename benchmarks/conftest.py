@@ -25,6 +25,7 @@ bench rows across time exactly like engine runs, covering the perf
 trajectory.  Ledger failures never fail a benchmark.
 """
 
+import gc
 import json
 import os
 import time
@@ -109,6 +110,35 @@ def _ledger_bench_record(title: str, rows, artifact: Path) -> None:
         )
     except OSError:  # pragma: no cover - read-only checkout
         pass
+
+
+class Gen2Collections:
+    """Wall-clock seconds spent in generation-2 collections (``gc.callbacks``).
+
+    Use as a context manager around a timed run; ``seconds`` and
+    ``count`` hold the totals afterwards.  A cache that keeps many
+    tracked objects alive shows up here as full-collection time.
+    """
+
+    def __enter__(self):
+        self.seconds = 0.0
+        self.count = 0
+        self._started = None
+        gc.callbacks.append(self._callback)
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        gc.callbacks.remove(self._callback)
+
+    def _callback(self, phase: str, info: dict) -> None:
+        if info["generation"] != 2:
+            return
+        if phase == "start":
+            self._started = time.perf_counter()
+        elif self._started is not None:
+            self.seconds += time.perf_counter() - self._started
+            self.count += 1
+            self._started = None
 
 
 def report(title: str, rows, artifact: str | None = None) -> None:

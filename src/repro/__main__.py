@@ -166,11 +166,12 @@ def _open_run_handle(
 
 
 def _ledger_counters(metrics) -> dict:
-    """The numeric counters a terminal run record carries."""
-    counters = metrics.snapshot().get("counters", {})
+    """The numeric counters and gauges a terminal run record carries."""
+    snapshot = metrics.snapshot()
+    values = {**snapshot.get("gauges", {}), **snapshot.get("counters", {})}
     return {
         name: value
-        for name, value in counters.items()
+        for name, value in values.items()
         if isinstance(value, (int, float)) and not isinstance(value, bool)
     }
 

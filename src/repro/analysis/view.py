@@ -12,11 +12,13 @@ whole of Section 3 runs.
 as exactly this object: a function ``step(state, task)`` returning the
 unique ``(action, post_state)`` or ``None`` when the task is not
 applicable, and ``successors(state)`` returning every applicable task's
-step at once.  The view refuses to operate on states with failures (the
-valence machinery is defined over failure-free executions) and raises
-:class:`NondeterminismError` if a task ever has more than one enabled
-transition, surfacing violations of the Section 3.1 assumptions instead
-of silently picking a branch.
+step at once.  Both read the composition's per-component transition
+memo (:class:`~repro.ioa.composition.Composition`), so every successor
+is assembled from cached component posts.  The view refuses to operate
+on states with failures (the valence machinery is defined over
+failure-free executions) and raises :class:`NondeterminismError` if a
+task ever has more than one enabled transition, surfacing violations of
+the Section 3.1 assumptions instead of silently picking a branch.
 """
 
 from __future__ import annotations
@@ -44,7 +46,9 @@ class DeterministicSystemView:
     revisit the same transitions (the hook search, the adversary, graph
     replays); :meth:`apply`, :meth:`action_of`, :meth:`applicable` and
     :meth:`run_task_sequence` share that memo.  :meth:`successors`, the
-    exploration engine's expansion step, never reads or fills it.
+    exploration engine's expansion step, never reads or fills it: it
+    relies on the composition's per-component memo alone, which
+    :meth:`trim_caches` bounds.
     """
 
     def __init__(self, system: DistributedSystem) -> None:
@@ -97,24 +101,29 @@ class DeterministicSystemView:
         return [task for task in self.tasks if self.applicable(state, task)]
 
     def successors(self, state: State) -> list[tuple[Task, Action, State]]:
-        """All task-labeled successor states.
+        """All task-labeled successor states, in :attr:`tasks` order.
 
-        Computed straight from ``system.enabled``, bypassing the
-        :meth:`step` memo: an exploration expands each state once, so
-        memoizing its transitions would only hash every composite state
-        again per task and keep a tracked tuple alive per transition.
-        The Section 3.1 determinism check is the same as :meth:`step`'s.
+        Built by ``system.enabled_steps`` from the composition's
+        per-component memo.  The Section 3.1 determinism check is the
+        same as :meth:`step`'s: the triples of one task are adjacent, so
+        a repeated task means several enabled transitions.
         """
-        enabled = self.system.enabled
-        result = []
-        for task in self.tasks:
-            transitions = enabled(state, task)
-            if transitions:
-                if len(transitions) > 1:
-                    raise _nondeterminism(task, len(transitions))
-                transition = transitions[0]
-                result.append((task, transition.action, transition.post))
-        return result
+        out = self.system.enabled_steps(state)
+        previous = None
+        for task, _, _ in out:
+            if task is previous:
+                raise _nondeterminism(task, sum(1 for t, _, _ in out if t is task))
+            previous = task
+        return out
+
+    def trim_caches(self, limit: int) -> int:
+        """Clear the composition's transition memo once it exceeds ``limit``.
+
+        Returns the entries freed.  The store-backed engine calls this on
+        every expansion and each pool worker before every batch, so a
+        disk-backed run keeps no unbounded cache of decoded components.
+        """
+        return self.system.trim_memo(limit)
 
     # -- participants (Section 2.2.3 / Lemma 8) -----------------------------------
 

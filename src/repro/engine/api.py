@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import os
 import time
+import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -113,8 +114,9 @@ _DEADLINE_STRIDE = 512
 #: ``StateIndex.interned`` default marking a novel successor.
 _NOVEL = object()
 
-#: Store-mode cap on a reduced view's orbit cache (entries).  Each entry
-#: pins a full decoded state, so the cap — not the store — decides the
+#: Store-mode cap on the view's caches (entries): a reduced view's orbit
+#: cache, whose entries each pin a full decoded state, and the
+#: composition's transition memo.  The cap — not the store — decides the
 #: coordinator's working-set RSS between flushes.
 ORBIT_CACHE_LIMIT = 20_000
 
@@ -157,7 +159,6 @@ class _Run:
         "started",
         "elapsed_prior",
         "deadline",
-        "action_intern",
         "phase",
         "orbit_hits",
         "pruned_tasks",
@@ -169,6 +170,7 @@ class _Run:
         "segment_seq",
         "last_flush_ms",
         "cache_published",
+        "memo_start",
     )
 
     def elapsed(self) -> float:
@@ -270,6 +272,11 @@ class EngineReport:
     #: report so run-ledger records and ``repro runs diff`` can compare
     #: phase histograms without a metrics registry attached.
     phase_seconds: dict = field(default_factory=dict)
+    #: Transition-memo misses during the run and the entries the memo
+    #: held at its end (:class:`~repro.ioa.composition.Composition`),
+    #: counted in this process: forked workers' copies are not included.
+    memo_misses: int = 0
+    memo_entries: int = 0
 
     def summary(self) -> str:
         """One-line human summary (the shared report protocol)."""
@@ -325,6 +332,8 @@ class EngineReport:
             "peak_rss_kb": self.peak_rss_kb,
             "rss_limit_mb": self.rss_limit_mb,
             "phase_seconds": dict(self.phase_seconds),
+            "memo_misses": self.memo_misses,
+            "memo_entries": self.memo_entries,
         }
 
 
@@ -488,6 +497,15 @@ class ExplorationEngine:
         if max_partition_retries < 0:
             raise ValueError(
                 f"max_partition_retries must be >= 0, got {max_partition_retries}"
+            )
+        if workers > 1 and self.store is None:
+            warnings.warn(
+                f"ExplorationEngine(workers={workers}) without a store runs the "
+                "store-backed worker pool, which is slower than the in-RAM loop "
+                "of workers=1; use workers=1, or pass store= for a disk-bound "
+                "run (see the 'engine scaling' rows of BENCH_engine.json)",
+                RuntimeWarning,
+                stacklevel=2,
             )
         self.workers = workers
         self.budget = DEFAULT_BUDGET if budget is None else budget
@@ -684,7 +702,6 @@ class ExplorationEngine:
         run.resumed = False
         run.recovered = 0
         run.elapsed_prior = 0.0
-        run.action_intern = {}
         run.phase = {}
         run.orbit_hits = 0
         run.pruned_tasks = 0
@@ -696,6 +713,7 @@ class ExplorationEngine:
         run.segment_seq = 0
         run.last_flush_ms = None
         run.cache_published = (0, 0)
+        run.memo_start = view.system.memo_misses
         if self.store is not None or self.workers > 1:
             self._start_run_external(run, packed_root, metrics)
             run.started = time.monotonic()
@@ -1127,7 +1145,6 @@ class ExplorationEngine:
         ):
             store.push_front(digest)
             raise _Exhausted("transitions", budget.max_transitions)
-        intern_action = run.action_intern
         rows = []
         for task_slot, action, succ_digest, packed in out:
             if succ_digest not in store:
@@ -1139,7 +1156,7 @@ class ExplorationEngine:
             rows.append(
                 (
                     task_slot,
-                    store.action_slot(intern_action.setdefault(action, action)),
+                    store.action_slot(action),
                     succ_digest,
                 )
             )
@@ -1208,12 +1225,12 @@ class ExplorationEngine:
             run.frontier.appendleft(state)
             raise _Exhausted("transitions", budget.max_transitions)
         # With a state-keyed index the visited set doubles as an intern
-        # table: edges reference the first-seen object per state (and per
-        # action), so the retained graph holds one object per distinct
-        # value instead of one per discovery.  One lookup per successor
-        # both tests membership and fetches the interned object.
+        # table: edges reference the first-seen object per state, so the
+        # retained graph holds one object per distinct value instead of
+        # one per discovery (actions arrive interned by the composition's
+        # transition memo).  One lookup per successor both tests
+        # membership and fetches the interned object.
         interned = getattr(run.index, "interned", None)
-        intern_action = run.action_intern
         rebuilt = [] if interned is not None else None
         added = []
         succ_digest = None
@@ -1221,9 +1238,7 @@ class ExplorationEngine:
             if interned is not None:
                 known = interned(successor, _NOVEL)
                 if known is not _NOVEL:
-                    rebuilt.append(
-                        (task, intern_action.setdefault(action, action), known)
-                    )
+                    rebuilt.append((task, action, known))
                     continue
             else:
                 known, succ_digest = run.index.check(successor)
@@ -1237,9 +1252,7 @@ class ExplorationEngine:
             run.order.append(successor)
             added.append(successor)
             if rebuilt is not None:
-                rebuilt.append(
-                    (task, intern_action.setdefault(action, action), successor)
-                )
+                rebuilt.append((task, action, successor))
         run.frontier.extend(added)
         run.edges[state] = out if rebuilt is None else rebuilt
         run.transitions += len(out)
@@ -1332,16 +1345,16 @@ class ExplorationEngine:
 
     def _maybe_checkpoint(self, run: _Run) -> None:
         if run.store_mode:
-            # A reduced view's orbit cache maps every orbit image it has
-            # seen to its representative — an unbounded decoded-state
-            # cache that defeats the store's RSS ceiling.  Trimming only
-            # on the flush cadence is not enough (a flush window of
-            # parents x branching x orbit size entries reaches hundreds
-            # of MB), so cap it by entry count on every expansion — an
-            # O(1) length check; a dropped entry costs one recompute.
-            trim = getattr(run.view, "trim_orbit_cache", None)
-            if trim is not None:
-                trim(ORBIT_CACHE_LIMIT)
+            # The composition's transition memo pins one decoded object
+            # per distinct component value, and a reduced view's orbit
+            # cache maps every orbit image it has seen to its
+            # representative: unbounded decoded-state caches that defeat
+            # the store's RSS ceiling.  Trimming only on the flush
+            # cadence is not enough (a flush window of parents x
+            # branching x orbit size entries reaches hundreds of MB), so
+            # cap them by entry count on every expansion; a dropped
+            # entry costs one recompute.
+            run.view.trim_caches(ORBIT_CACHE_LIMIT)
             # Same story for the codec's interning caches: they pin
             # every distinct component object ever encoded or decoded,
             # which for a streaming run is the whole history.
@@ -1491,6 +1504,8 @@ class ExplorationEngine:
             phase_seconds={
                 name: round(value, 6) for name, value in run.phase.items()
             },
+            memo_misses=run.view.system.memo_misses - run.memo_start,
+            memo_entries=run.view.system.memo_entries(),
         )
 
     # -- metrics --------------------------------------------------------------
@@ -1516,6 +1531,12 @@ class ExplorationEngine:
         # combined (the scaling bench asserts on the hit rate).  Delta
         # published: live store flushes already pushed a prefix.
         self._publish_cache_counters(run)
+        # The transition memo's, this process only (see EngineReport).
+        system = run.view.system
+        memo_misses = system.memo_misses - run.memo_start
+        if memo_misses:
+            metrics.counter("engine.memo.misses").inc(memo_misses)
+        metrics.gauge("engine.memo.entries").set(system.memo_entries())
         if run.pool is not None and run.pool.visited_overflows:
             metrics.counter("engine.visited.overflows").inc(
                 run.pool.visited_overflows

@@ -205,10 +205,11 @@ HEARTBEAT_SECONDS = 5.0
 
 #: Cap (entries) on each worker's decoded-state caches.  The
 #: digest->state cache is reset by the coordinator (see the module
-#: docstring); a reduced view's orbit cache and the codec's interning
-#: caches are trimmed by the worker itself.  All three are performance
-#: caches only, so the cap keeps disk-backed runs that stream millions
-#: of states through a worker from growing its RSS without bound.
+#: docstring); the composition's transition memo, a reduced view's
+#: orbit cache and the codec's interning caches are trimmed by the
+#: worker itself.  All of them are performance caches only, so the cap
+#: keeps disk-backed runs that stream millions of states through a
+#: worker from growing its RSS without bound.
 WORKER_CACHE_LIMIT = 32_768
 
 
@@ -225,10 +226,8 @@ def _self_rss_kb() -> int:
 
 
 def _trim_worker_caches(view, codec: Codec) -> None:
-    """Trim a reduced view's orbit cache and the codec's interning caches."""
-    trim = getattr(view, "trim_orbit_cache", None)
-    if trim is not None:
-        trim(WORKER_CACHE_LIMIT)
+    """Trim the view's caches and the codec's interning caches."""
+    view.trim_caches(WORKER_CACHE_LIMIT)
     codec.trim(WORKER_CACHE_LIMIT)
 
 

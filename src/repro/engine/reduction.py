@@ -347,22 +347,21 @@ class ReducedView:
         if self.por:
             self._pipeline, self._locals = _por_tables(base.system)
 
-    def trim_orbit_cache(self, limit: int) -> int:
-        """Clear the orbit cache once it exceeds ``limit`` entries.
+    def trim_caches(self, limit: int) -> int:
+        """Clear the orbit cache and the transition memo, each once over ``limit``.
 
         Returns the number of entries freed.  The store-backed engine
         calls this on every expansion and each pool worker before every
         batch, so a reduced disk-backed run keeps the same RSS ceiling
-        as a raw one: each entry holds a full decoded state, one per
-        orbit image.
+        as a raw one: each orbit entry holds a full decoded state, one
+        per orbit image.
         """
-        if self.canonicalizer is None:
-            return 0
-        cache = self.canonicalizer._cache
-        if len(cache) <= limit:
-            return 0
-        freed = len(cache)
-        cache.clear()
+        freed = self.base.trim_caches(limit)
+        if self.canonicalizer is not None:
+            cache = self.canonicalizer._cache
+            if len(cache) > limit:
+                freed += len(cache)
+                cache.clear()
         return freed
 
     # -- the reduced expansion ----------------------------------------------

@@ -9,12 +9,20 @@ states; its tasks are the disjoint union of the components' tasks.
 ``hide`` reclassifies chosen output actions as internal — the operation
 the paper applies to the communication actions of the complete system C
 (Section 2.2.3).
+
+The next-state function is partitioned by component.  A component's
+locally controlled steps depend only on its own state, and its effect as
+a receiver only on its state and the action, so :class:`Composition`
+memoizes both per component and assembles every composite transition
+from the cached component posts (LTSmin's partitioned next-state
+interface, with the components as transition groups).
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
+from ..obs import sinks as _obs
 from .actions import Action
 from .automaton import Automaton, State, Task, Transition
 
@@ -30,6 +38,28 @@ class Composition(Automaton):
     component, in the order the components were given.  Task identities
     are the components' own task identities (which embed the owning
     automaton's name, keeping them disjoint).
+
+    Transitions come from a per-component memo, which :meth:`enabled`
+    and :meth:`enabled_steps` both read.  Its entries are keyed by the
+    identity of the component state (and of the action, for inputs) and
+    pin their key objects, as the codec's identity tier does, so a
+    recycled ``id`` never returns a stale entry:
+
+    * the *owner half* maps a component state to every locally
+      controlled step it enables, task by task, each with its
+      synchronization route;
+    * the *receiver half* maps ``(pre, action)`` to the component's
+      post-state after the input ``action``.
+
+    A miss interns the new component posts (per component, by value) and
+    actions (per composition), so equal values reached along different
+    interleavings share one object and later lookups hit.  This relies
+    on component states being immutable values.  While a tracer is
+    installed process-wide (:func:`repro.obs.sinks.use_tracer`), inputs
+    bypass the receiver half, so every delivery reaches
+    :meth:`Automaton.apply_input` and emits its events.  The memo holds
+    one entry per distinct component value and input it has seen;
+    :meth:`trim_memo` bounds it.
     """
 
     def __init__(self, components: Sequence[Automaton], name: str = "system"):
@@ -38,12 +68,17 @@ class Composition(Automaton):
         self.name = name
         self.components: tuple[Automaton, ...] = tuple(components)
         self._index = {c.name: i for i, c in enumerate(self.components)}
+        # Each component's slice of ``self._tasks``: the memo stores
+        # these objects, so every transition carries a task of tasks().
+        self._component_tasks: tuple[tuple[Task, ...], ...] = tuple(
+            tuple(component.tasks()) for component in self.components
+        )
         self._tasks: tuple[Task, ...] = tuple(
-            task for component in self.components for task in component.tasks()
+            task for tasks in self._component_tasks for task in tasks
         )
         self._task_owner: dict[Task, int] = {}
-        for i, component in enumerate(self.components):
-            for task in component.tasks():
+        for i, tasks in enumerate(self._component_tasks):
+            for task in tasks:
                 if task in self._task_owner:
                     raise IncompatibleComposition(f"duplicate task {task}")
                 self._task_owner[task] = i
@@ -53,6 +88,15 @@ class Composition(Automaton):
         self._routes: tuple[dict[Action, tuple[int, ...]], ...] = tuple(
             {} for _ in self.components
         )
+        # The transition memo (see the class docstring): per component, one
+        # dict holding both halves (``id(local)`` and ``(id(pre),
+        # id(action))`` keys never collide) and one table of interned
+        # values; plus the composition's interned actions.
+        self._memo: tuple[dict, ...] = tuple({} for _ in self.components)
+        self._values: tuple[dict, ...] = tuple({} for _ in self.components)
+        self._actions: dict[Action, Action] = {}
+        #: Memo lookups that had to compute (owner or receiver half).
+        self.memo_misses = 0
 
     # -- component access ----------------------------------------------------
 
@@ -129,22 +173,109 @@ class Composition(Automaton):
         owner = self._task_owner.get(task)
         if owner is None:
             raise KeyError(f"unknown task {task}")
-        routes = self._routes[owner]
-        components = self.components
+        tracing = _obs.CURRENT.enabled
         transitions = []
-        for local in components[owner].enabled(state[owner], task):
-            action = local.action
+        for step_task, action, local_post, receivers in self._local_steps(
+            owner, state[owner]
+        ):
+            if step_task != task:
+                continue
             post = list(state)
-            post[owner] = local.post
-            # Synchronize: every *other* component with the action in its
-            # signature takes it as an input.
-            receivers = routes.get(action)
-            if receivers is None:
-                receivers = self._route(owner, action)
+            post[owner] = local_post
             for j in receivers:
-                post[j] = components[j].apply_input(post[j], action)
+                post[j] = self._receive(j, state[j], action, tracing)
             transitions.append(Transition(action, tuple(post)))
         return transitions
+
+    def enabled_steps(self, state: State) -> list[tuple[Task, Action, State]]:
+        """Every enabled ``(task, action, post)`` of ``state``, in :meth:`tasks` order.
+
+        Walks the components in order and builds each composite post
+        from memoized component posts; a task with several enabled
+        transitions contributes one triple per transition, adjacent.
+        """
+        tracing = _obs.CURRENT.enabled
+        out = []
+        for i, local in enumerate(state):
+            for task, action, local_post, receivers in self._local_steps(i, local):
+                post = list(state)
+                post[i] = local_post
+                for j in receivers:
+                    post[j] = self._receive(j, state[j], action, tracing)
+                out.append((task, action, tuple(post)))
+        return out
+
+    def _local_steps(self, i: int, local: State) -> tuple:
+        """Owner half: every enabled ``(task, action, post, receivers)`` of ``local``.
+
+        In component ``i``'s task order.  A miss first looks for an
+        equal interned state's entry.  Nothing is stored unless every
+        route resolves, so an incompatible composition raises on every
+        attempt.
+        """
+        memo = self._memo[i]
+        entry = memo.get(id(local))
+        if entry is not None and entry[0] is local:
+            return entry[1]
+        self.memo_misses += 1
+        values = self._values[i]
+        canonical = values.setdefault(local, local)
+        entry = memo.get(id(canonical))
+        if entry is None or entry[0] is not canonical:
+            component = self.components[i]
+            routes = self._routes[i]
+            actions = self._actions
+            steps = []
+            for task in self._component_tasks[i]:
+                for local_step in component.enabled(local, task):
+                    action = actions.setdefault(local_step.action, local_step.action)
+                    receivers = routes.get(action)
+                    if receivers is None:
+                        receivers = self._route(i, action)
+                    post = values.setdefault(local_step.post, local_step.post)
+                    steps.append((task, action, post, receivers))
+            entry = memo[id(canonical)] = (canonical, tuple(steps))
+        if canonical is not local:
+            memo[id(local)] = (local, entry[1])
+        return entry[1]
+
+    def _receive(self, j: int, pre: State, action: Action, tracing: bool) -> State:
+        """Component ``j``'s post-state after the input ``action`` (receiver half)."""
+        if tracing:
+            return self.components[j].apply_input(pre, action)
+        key = (id(pre), id(action))
+        memo = self._memo[j]
+        hit = memo.get(key)
+        if hit is not None and hit[0] is pre:
+            return hit[2]
+        self.memo_misses += 1
+        post = self.components[j].apply_input(pre, action)
+        if post is not pre:
+            post = self._values[j].setdefault(post, post)
+        memo[key] = (pre, action, post)
+        return post
+
+    def memo_entries(self) -> int:
+        """Entries the transition memo holds (both halves and the interned values)."""
+        return (
+            sum(len(memo) for memo in self._memo)
+            + sum(len(values) for values in self._values)
+            + len(self._actions)
+        )
+
+    def trim_memo(self, limit: int) -> int:
+        """Clear the transition memo once it holds more than ``limit`` entries.
+
+        Returns the entries freed.  Clearing changes no transition, only
+        hit rates and object sharing between later posts.
+        """
+        size = self.memo_entries()
+        if size <= limit:
+            return 0
+        for table in self._memo + self._values:
+            table.clear()
+        self._actions.clear()
+        return size
 
     def _route(self, owner: int, action: Action) -> tuple[int, ...]:
         """The components other than ``owner`` that take ``action`` as input.

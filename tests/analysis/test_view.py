@@ -76,13 +76,16 @@ def branching_perform():
 class TestDeterminismEnforcement:
     def test_nondeterministic_type_raises(self, branching_perform):
         view, state, task = branching_perform
-        with pytest.raises(NondeterminismError):
-            view.step(state, task)
+        # The second call reads the warm transition memo.
+        for _ in range(2):
+            with pytest.raises(NondeterminismError):
+                view.step(state, task)
 
     def test_successors_raises_on_branching_task(self, branching_perform):
         view, state, task = branching_perform
-        with pytest.raises(NondeterminismError, match="2 enabled transitions"):
-            view.successors(state)
+        for _ in range(2):
+            with pytest.raises(NondeterminismError, match="2 enabled transitions"):
+                view.successors(state)
 
     def test_failure_free_guard(self, view_and_root):
         system, view, root = view_and_root

@@ -12,6 +12,7 @@ The load-bearing guarantees under test:
 """
 
 import os
+import warnings
 
 import pytest
 
@@ -29,6 +30,7 @@ from repro.engine import (
 )
 from repro.engine.store import DEFAULT_FLUSH_INTERVAL
 from repro.obs import MetricsRegistry
+from repro.obs.export import prometheus_textfile
 from repro.protocols import delegation_consensus_system, tob_delegation_system
 
 
@@ -99,6 +101,48 @@ class TestParallelEquivalence:
             if name.startswith("engine.worker") and name.endswith(".expanded")
         ]
         assert sum(per_worker) == counters["engine.expanded"]
+
+
+class TestWorkersWithoutStoreWarn:
+    def test_pool_without_store_warns_once_per_engine(self, instance):
+        view, root = instance
+        with pytest.warns(RuntimeWarning, match="use workers=1") as caught:
+            engine = ExplorationEngine(workers=2, budget=Budget())
+        assert len(caught) == 1
+        assert "BENCH_engine.json" in str(caught[0].message)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            engine.explore(view, root)
+
+    def test_one_worker_or_a_store_does_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ExplorationEngine(workers=1)
+            ExplorationEngine(workers=2, store="memory")
+
+
+class TestMemoStatistics:
+    def test_report_metrics_and_prometheus_carry_the_memo_numbers(self):
+        system = delegation_consensus_system(3, resilience=1)
+        view = DeterministicSystemView(system)
+        root = system.initialization({0: 0, 1: 1, 2: 0}).final_state
+        metrics = MetricsRegistry()
+        engine = ExplorationEngine(workers=1, budget=Budget(), metrics=metrics)
+        engine.explore(view, root)
+        report = engine.last_report
+        assert report.memo_misses == system.memo_misses > 0
+        assert report.memo_entries == system.memo_entries() > 0
+        assert report.to_json()["memo_misses"] == report.memo_misses
+        assert report.to_json()["memo_entries"] == report.memo_entries
+        snapshot = metrics.snapshot()
+        assert snapshot["counters"]["engine.memo.misses"] == report.memo_misses
+        assert snapshot["gauges"]["engine.memo.entries"] == report.memo_entries
+        text = prometheus_textfile(snapshot)
+        assert f"repro_engine_memo_misses_total {report.memo_misses}" in text
+        assert f"repro_engine_memo_entries {report.memo_entries}" in text
+        # Every transition of a second run over the same states hits.
+        engine.explore(view, root)
+        assert engine.last_report.memo_misses == 0
 
 
 class TestBudgets:

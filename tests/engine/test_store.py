@@ -388,6 +388,38 @@ class TestCacheCeilings:
         assert engine.scan(view, root).states > 1000
         assert view._step_cache == {}
 
+    def test_scan_transition_memo_stays_capped(self, tmp_path, monkeypatch):
+        cap = 50
+        monkeypatch.setattr(api, "ORBIT_CACHE_LIMIT", cap)
+        system = delegation_consensus_system(5, 1)
+        view = DeterministicSystemView(system)
+        root = system.initialization({0: 0, 1: 1, 2: 0, 3: 1, 4: 0}).final_state
+        peaks = []
+        trim = view.trim_caches
+
+        def recording_trim(limit):
+            peaks.append(system.memo_entries())
+            freed = trim(limit)
+            assert system.memo_entries() <= cap
+            return freed
+
+        monkeypatch.setattr(view, "trim_caches", recording_trim)
+        engine = ExplorationEngine(workers=1, store=store_uri("sqlite", tmp_path))
+        graph = engine.explore(view, root)
+        reference_system = delegation_consensus_system(5, 1)
+        reference = ExplorationEngine(workers=1).explore(
+            DeterministicSystemView(reference_system), root
+        )
+        assert list(graph.states) == list(reference.states)
+        assert graph.edges == reference.edges
+        # An expansion adds at most an owner entry, its by-value twin and
+        # the interned key per component, plus an interned action and
+        # post per transition and a receiver entry and post per input.
+        branching = max(len(out) for out in reference.edges.values())
+        one_expansion = 3 * len(root) + 4 * branching
+        assert cap < max(peaks) <= cap + one_expansion
+        assert len(peaks) == len(reference.states)
+
     def test_reduced_scan_orbit_cache_stays_capped(self, tmp_path, monkeypatch):
         cap = 64
         monkeypatch.setattr(api, "ORBIT_CACHE_LIMIT", cap)
@@ -397,14 +429,17 @@ class TestCacheCeilings:
         reduced = build_reduced_view(view, root, ReductionConfig.from_name("symmetry"))
         cache = reduced.canonicalizer._cache
         freed = []
-        trim = reduced.trim_orbit_cache
+        trim = reduced.trim_caches
 
         def recording_trim(limit):
-            freed.append(trim(limit))
+            before = len(cache)
+            result = trim(limit)
+            if before > cap:
+                freed.append(before)
             assert len(cache) <= cap
-            return freed[-1]
+            return result
 
-        monkeypatch.setattr(reduced, "trim_orbit_cache", recording_trim)
+        monkeypatch.setattr(reduced, "trim_caches", recording_trim)
         engine = ExplorationEngine(workers=1, store=store_uri("sqlite", tmp_path))
         engine.scan(reduced, root)
         assert sum(freed) > cap  # the cap was reached and enforced

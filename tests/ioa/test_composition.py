@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis import DeterministicSystemView, explore
+from repro.engine.codec import canonical_bytes
 from repro.ioa import (
     Action,
     Automaton,
@@ -114,6 +115,9 @@ class TestComposition:
         # A failed route is never cached: the conflict surfaces every time.
         with pytest.raises(IncompatibleComposition):
             composed.enabled(state, Task("s1", "send"))
+        for _ in range(2):
+            with pytest.raises(IncompatibleComposition):
+                composed.enabled_steps(state)
 
     def test_component_lookup(self):
         sender = Sender()
@@ -160,22 +164,55 @@ ROUTING_SYSTEMS = {
 }
 
 
+def _reachable(system):
+    proposals = {e: i % 2 for i, e in enumerate(system.process_ids)}
+    root = system.initialization(proposals).final_state
+    return explore(DeterministicSystemView(system), root)
+
+
 class TestRoutingTable:
     """The per-action routing table synchronizes exactly like a full scan."""
 
+    def test_explored_graph_holds_one_object_per_value(self):
+        graph = _reachable(ROUTING_SYSTEMS["delegation-4-1"]())
+        actions = [a for out in graph.edges.values() for _, a, _ in out]
+        assert len({id(a) for a in actions}) == len(set(actions))
+        # Posts are interned per component, so each slot holds one
+        # object per distinct value.
+        for k in range(len(graph.root)):
+            components = [state[k] for state in graph.states]
+            assert len({id(c) for c in components}) == len(set(components))
+
     @pytest.mark.parametrize("name", sorted(ROUTING_SYSTEMS))
     def test_routed_transitions_match_full_scan(self, name):
+        """Memoized transitions match the scan, on a cold and a warm memo."""
+        graph = _reachable(ROUTING_SYSTEMS[name]())
+        # A second instance of the system starts with an empty memo.
         system = ROUTING_SYSTEMS[name]()
-        proposals = {e: i % 2 for i, e in enumerate(system.process_ids)}
-        root = system.initialization(proposals).final_state
-        graph = explore(DeterministicSystemView(system), root)
-        checked = 0
-        for state in graph.states:
-            for task in system.tasks():
-                expected = full_scan_enabled(system, state, task)
-                assert system.enabled(state, task) == expected
-                checked += bool(expected)
-        assert checked == graph.edge_count()
+        view = DeterministicSystemView(system)
+        for warm in (False, True):
+            misses = system.memo_misses
+            checked = 0
+            for state in graph.states:
+                expected = []
+                for task in system.tasks():
+                    transitions = full_scan_enabled(system, state, task)
+                    assert system.enabled(state, task) == transitions
+                    expected.extend((task, t.action, t.post) for t in transitions)
+                    checked += bool(transitions)
+                actual = view.successors(state)
+                assert actual == expected
+                for (_, _, post), (_, _, reference) in zip(actual, expected):
+                    for component, ref in zip(post, reference):
+                        assert canonical_bytes(component) == canonical_bytes(ref)
+                    for k, parent in enumerate(state):
+                        if reference[k] is parent:
+                            assert post[k] is parent
+            assert checked == graph.edge_count()
+            if warm:
+                assert system.memo_misses == misses
+            else:
+                assert system.memo_misses > misses
 
 
 class TestHiding:

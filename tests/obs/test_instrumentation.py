@@ -6,6 +6,8 @@ outcome and emits nothing, and the process-wide tracer picks up service
 input dispatch.
 """
 
+from collections import Counter
+
 from repro.analysis import (
     DeterministicSystemView,
     explore,
@@ -116,6 +118,30 @@ class TestProcessWideTracer:
         )
         assert current_tracer() is NULL_TRACER
         assert current_tracer().events_emitted == before == 0
+
+    def test_exploration_reports_one_invocation_per_invoke_edge(self):
+        system = delegation_consensus_system(3, 1)
+        root = _small_graph_root(system)
+        sink = RingBufferSink()
+        tracer = Tracer(sink)
+        with use_tracer(tracer):
+            graph = explore(DeterministicSystemView(system), root, tracer=tracer)
+        reported = Counter(
+            (e.process, e.data["service"], e.data["invocation"])
+            for e in sink.events()
+            if e.kind == SERVICE_INVOCATION
+        )
+        invoked = Counter(
+            (action.args[1], action.args[0], action.args[2])
+            for out in graph.edges.values()
+            for _, action, _ in out
+            if action.kind == "invoke"
+        )
+        assert invoked
+        assert reported == invoked
+        explored = [e for e in sink.events() if e.kind == STATE_EXPLORED]
+        assert len(explored) == len(graph.states)
+        assert sum(e.data["edges"] for e in explored) == graph.edge_count()
 
     def test_use_tracer_restores_previous(self):
         tracer = Tracer(RingBufferSink())
