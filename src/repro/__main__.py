@@ -176,6 +176,25 @@ def _ledger_counters(metrics) -> dict:
     }
 
 
+def _finish_run(run, status: str, counters: dict, **fields) -> None:
+    """Append a run's terminal record, its phases read off ``counters``.
+
+    The ``engine.phase.*`` counters sum every exploration of the run, so
+    the record's ``phases`` and ``counters`` cover the same work.
+    """
+    prefix = "engine.phase."
+    run.finish(
+        status,
+        counters=counters,
+        phases={
+            name[len(prefix):]: value
+            for name, value in counters.items()
+            if name.startswith(prefix)
+        },
+        **fields,
+    )
+
+
 def _run_pipeline(args: argparse.Namespace, tracer, metrics, run_artifacts=None):
     """Shared refute/trace/stats driver.
 
@@ -262,10 +281,10 @@ def _run_pipeline(args: argparse.Namespace, tracer, metrics, run_artifacts=None)
             resume_command = getattr(error, "resume_command", None)
             if resume_command is not None:
                 run.add_artifact("resume", resume_command)
-            run.finish(
+            _finish_run(
+                run,
                 "exhausted",
-                counters=_ledger_counters(metrics),
-                phases={} if report is None else report.phase_seconds,
+                _ledger_counters(metrics),
                 peak_rss_kb=0 if report is None else report.peak_rss_kb,
                 error=str(error),
             )
@@ -318,11 +337,11 @@ def _run_pipeline(args: argparse.Namespace, tracer, metrics, run_artifacts=None)
             return exhausted(error, timer.elapsed)
     report = engine.last_report
     if run is not None:
-        run.finish(
+        _finish_run(
+            run,
             "completed",
+            _ledger_counters(metrics),
             verdict=verdict.to_json(),
-            counters=_ledger_counters(metrics),
-            phases={} if report is None else report.phase_seconds,
             peak_rss_kb=0 if report is None else report.peak_rss_kb,
         )
     if document is not None:
@@ -727,9 +746,10 @@ def cmd_sim(args: argparse.Namespace) -> int:
         if run is not None:
             run.add_artifact("script", args.output)
     if run is not None:
-        run.finish(
+        _finish_run(
+            run,
             "violation" if result.violations else "completed",
-            counters={
+            {
                 "sim.steps": result.steps,
                 "sim.faults": result.fault_count,
                 "sim.violations": len(result.violations),
@@ -805,9 +825,10 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         if run is not None:
             run.add_artifact("script", saved)
     if run is not None:
-        run.finish(
+        _finish_run(
+            run,
             "violation" if report.found else "completed",
-            counters=_ledger_counters(metrics),
+            _ledger_counters(metrics),
         )
     if args.json:
         document = report.to_json()
@@ -896,6 +917,7 @@ def cmd_runs_show(args: argparse.Namespace) -> int:
     import time
 
     from .obs.ledger import INTERRUPTED, RUNNING
+    from .obs.progress import format_line
 
     ledger = _runs_ledger(args)
     record = _find_run(ledger, args.run_id)
@@ -945,7 +967,7 @@ def cmd_runs_show(args: argparse.Namespace) -> int:
             for name in sorted(table):
                 print(f"  {name:28} {table[name]}")
     if status == RUNNING and heartbeat is not None:
-        print("Live:     " + _render_heartbeat_line(heartbeat))
+        print("Live:     " + format_line(heartbeat))
     if status == INTERRUPTED:
         resume = record.artifacts.get("resume")
         if resume:
@@ -955,35 +977,12 @@ def cmd_runs_show(args: argparse.Namespace) -> int:
     return 0
 
 
-def _render_heartbeat_line(heartbeat: dict) -> str:
-    """One human line from a heartbeat document (tail/show share it)."""
-    parts = []
-    for key, label, fmt in (
-        ("states", "states", "{:.0f}"),
-        ("states_per_sec", "states/s", "{:g}"),
-        ("frontier", "frontier", "{:.0f}"),
-        ("flush_ms", "flush", "{:.1f}ms"),
-        ("spilled", "spilled", "{:.0f}"),
-        ("campaigns", "campaigns", "{:.0f}"),
-        ("schedules", "schedules", "{:.0f}"),
-        ("violations", "violations", "{:.0f}"),
-        ("elapsed", "elapsed", "{:.1f}s"),
-    ):
-        value = heartbeat.get(key)
-        if value is None:
-            continue
-        try:
-            parts.append(f"{label} " + fmt.format(value))
-        except (TypeError, ValueError):
-            parts.append(f"{label} {value}")
-    return "  ".join(parts) if parts else "(no counters yet)"
-
-
 def cmd_runs_tail(args: argparse.Namespace) -> int:
     import json
     import time
 
     from .obs.ledger import RUNNING
+    from .obs.progress import format_line
 
     ledger = _runs_ledger(args)
     record = _find_run(ledger, args.run_id)
@@ -1005,9 +1004,7 @@ def cmd_runs_tail(args: argparse.Namespace) -> int:
                 print(json.dumps(heartbeat, sort_keys=True), flush=True)
             else:
                 print(
-                    f"{run_id}  {status:12} "
-                    + _render_heartbeat_line(heartbeat),
-                    flush=True,
+                    f"{run_id}  {status:12} " + format_line(heartbeat), flush=True
                 )
         if status != RUNNING:
             if args.json:

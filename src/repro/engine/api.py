@@ -216,11 +216,18 @@ class _StorePackedMap:
 
 @dataclass(frozen=True)
 class EngineReport:
-    """Progress and fault-tolerance summary of one completed exploration.
+    """Progress and fault-tolerance snapshot of one exploration.
 
-    Exposed as :attr:`ExplorationEngine.last_report` after every
+    The engine builds one of these on its progress cadence (whenever a
+    progress reporter or a run-ledger handle is attached) and once when
+    the exploration ends; :meth:`live` projects the fields the progress
+    line, the ledger heartbeat, serve's progress events and the
+    ``engine.run`` span share, so those can never disagree.  The final
+    snapshot is :attr:`ExplorationEngine.last_report` after every
     ``explore()`` call (including ones that raised
-    :class:`~repro.engine.budget.BudgetExhausted`).  ``degraded`` is
+    :class:`~repro.engine.budget.BudgetExhausted`).  It covers that one
+    exploration: a refutation runs several, and its run-ledger record
+    sums them from the metrics registry instead.  ``degraded`` is
     true when the run finished on in-process expanders despite multiple
     workers being requested — either fork was unavailable or the pool
     collapsed; ``quarantined`` lists the digests of states skipped
@@ -277,6 +284,32 @@ class EngineReport:
     #: counted in this process: forked workers' copies are not included.
     memo_misses: int = 0
     memo_entries: int = 0
+    #: States discovered but not yet expanded.
+    frontier: int = 0
+    #: Latency of the last store flush in milliseconds (``None`` before
+    #: the first one, and for runs without a store).
+    flush_ms: float | None = None
+
+    def live(self) -> dict:
+        """The live fields: what progress lines and heartbeats render.
+
+        ``spilled`` appears only for a durable store backend, and
+        ``flush_ms`` only once a store flush has happened.
+        """
+        fields = {
+            "states": self.states,
+            "transitions": self.transitions,
+            "frontier": self.frontier,
+            "workers": self.workers,
+            "rounds": self.rounds,
+            "elapsed": round(self.elapsed_seconds, 3),
+            "phases": dict(self.phase_seconds),
+        }
+        if self.store_backend != "memory":
+            fields["spilled"] = self.spilled_states
+        if self.flush_ms is not None:
+            fields["flush_ms"] = self.flush_ms
+        return fields
 
     def summary(self) -> str:
         """One-line human summary (the shared report protocol)."""
@@ -334,6 +367,8 @@ class EngineReport:
             "phase_seconds": dict(self.phase_seconds),
             "memo_misses": self.memo_misses,
             "memo_entries": self.memo_entries,
+            "frontier": self.frontier,
+            "flush_ms": self.flush_ms,
         }
 
 
@@ -421,10 +456,11 @@ class ExplorationEngine:
         ``None`` reads the ``REPRO_CHAOS`` environment variable.
     progress:
         A :class:`~repro.obs.progress.ProgressReporter` for live
-        ``states/s`` lines on stderr (driven per round in parallel runs,
-        every few hundred expansions sequentially).  ``None`` (the
-        default) consults the ``REPRO_PROGRESS`` environment variable;
-        pass ``False`` to force it off regardless of the environment.
+        ``states/s`` lines on stderr, handed :meth:`EngineReport.live`
+        per round in parallel runs and every 256 expansions
+        sequentially.  ``None`` (the default) consults the
+        ``REPRO_PROGRESS`` environment variable; pass ``False`` to force
+        it off regardless of the environment.
     cancel:
         A cooperative stop signal: a zero-argument callable (or a
         :class:`threading.Event`, whose ``is_set`` is used) polled at
@@ -438,9 +474,8 @@ class ExplorationEngine:
     run:
         The run-ledger identity of this exploration: either a
         :class:`~repro.obs.ledger.RunHandle` (the engine then refreshes
-        its heartbeat file on the progress cadence — every few hundred
-        expansions sequentially, per round in parallel — with live
-        states/sec, frontier, phase breakdown, and store-flush latency)
+        its heartbeat file on the progress cadence with the same
+        :meth:`EngineReport.live` fields the progress line renders)
         or a bare run-id string (identity only, no heartbeats).  The id
         is stamped into checkpoint and delta-segment metadata so ``repro
         runs show`` can tie artifacts back to the run.  ``None`` (the
@@ -651,31 +686,12 @@ class ExplorationEngine:
                     ),
                 ) from None
         finally:
-            end_span(
-                run.tracer,
-                run_span,
-                status=status,
-                states=run.states_count(),
-                transitions=run.transitions,
-                rounds=run.rounds,
-            )
+            report = self._tick(run, force=True)
             if self.progress is not None:
-                self.progress.update(
-                    states=run.states_count(),
-                    frontier=run.frontier_count(),
-                    workers=self.workers,
-                    elapsed=run.elapsed(),
-                    budget=self.budget,
-                    force=True,
-                    spilled=(
-                        run.store.stats().spilled_states if run.store_mode else None
-                    ),
-                    flush_ms=run.last_flush_ms,
-                )
                 self.progress.finish()
-            self._heartbeat(run, force=True)
+            end_span(run.tracer, run_span, status=status, **report.live())
             self._publish(run)
-            self.last_report = self._build_report(run)
+            self.last_report = report
 
     # -- run setup ------------------------------------------------------------
 
@@ -919,24 +935,15 @@ class ExplorationEngine:
         deadline_enabled = run.deadline.enabled
         polling = deadline_enabled or cancel is not None
         timing = run.metrics.enabled
-        progress = self.progress
-        handle = self.run_handle
+        ticking = self._ticking()
         while run.frontier:
             if polling and run.expanded % _DEADLINE_STRIDE == 0:
                 if cancel is not None and cancel():
                     raise _Exhausted("cancelled", 0.0)
                 if deadline_enabled and run.deadline.expired():
                     raise _Exhausted("deadline", budget.deadline_seconds)
-            if progress is not None and run.expanded % 256 == 0:
-                progress.update(
-                    states=len(run.order),
-                    frontier=len(run.frontier),
-                    workers=1,
-                    elapsed=run.elapsed(),
-                    budget=budget,
-                )
-            if handle is not None and run.expanded % 256 == 0:
-                self._heartbeat(run)
+            if ticking and run.expanded % 256 == 0:
+                self._tick(run)
             state = run.frontier.popleft()
             if run.prune is not None and run.prune(state):
                 self._commit_pruned(run, state)
@@ -972,26 +979,15 @@ class ExplorationEngine:
         deadline_enabled = run.deadline.enabled
         polling = deadline_enabled or cancel is not None
         timing = run.metrics.enabled
-        progress = self.progress
-        handle = self.run_handle
+        ticking = self._ticking()
         while store.frontier_len():
             if polling and run.expanded % _DEADLINE_STRIDE == 0:
                 if cancel is not None and cancel():
                     raise _Exhausted("cancelled", 0.0)
                 if deadline_enabled and run.deadline.expired():
                     raise _Exhausted("deadline", budget.deadline_seconds)
-            if progress is not None and run.expanded % 256 == 0:
-                progress.update(
-                    states=len(store),
-                    frontier=store.frontier_len(),
-                    workers=1,
-                    elapsed=run.elapsed(),
-                    budget=budget,
-                    spilled=store.stats().spilled_states,
-                    flush_ms=run.last_flush_ms,
-                )
-            if handle is not None and run.expanded % 256 == 0:
-                self._heartbeat(run)
+            if ticking and run.expanded % 256 == 0:
+                self._tick(run)
             digest = store.pop()
             state = codec.decode(store.get(digest))
             if prune is not None and prune(state):
@@ -1104,17 +1100,7 @@ class ExplorationEngine:
                         frontier=store.frontier_len(),
                     )
                 end_span(run.tracer, round_span, frontier=store.frontier_len())
-                if self.progress is not None:
-                    self.progress.update(
-                        states=len(store),
-                        frontier=store.frontier_len(),
-                        workers=self.workers,
-                        elapsed=run.elapsed(),
-                        budget=budget,
-                        spilled=store.stats().spilled_states,
-                        flush_ms=run.last_flush_ms,
-                    )
-                self._heartbeat(run)
+                self._tick(run)
                 self._maybe_checkpoint(run)
         finally:
             pool.stop()
@@ -1263,43 +1249,29 @@ class ExplorationEngine:
                 STATE_EXPLORED, edges=len(out), frontier=len(run.frontier)
             )
 
-    # -- run ledger heartbeats ------------------------------------------------
+    # -- live snapshots -------------------------------------------------------
 
-    def _heartbeat(self, run: _Run, force: bool = False) -> None:
-        """Refresh the run-ledger heartbeat file (throttled by the handle).
+    def _ticking(self) -> bool:
+        """Whether anything renders the live snapshot (see :meth:`_tick`)."""
+        return self.progress is not None or self.run_handle is not None
 
-        Called on the progress cadence, never per expansion; with no
-        ledger handle attached this is one attribute test.
+    def _tick(self, run: _Run, force: bool = False) -> EngineReport | None:
+        """Hand one snapshot to the progress reporter and the ledger handle.
+
+        Called on the progress cadence, never per expansion; both
+        renderers throttle themselves unless ``force``.  Builds nothing
+        (and returns ``None``) when neither is attached, except when
+        forced: the forced end-of-run snapshot is the run's report.
         """
-        handle = self.run_handle
-        if handle is None:
-            return
-        flush_ms = run.last_flush_ms
-        spilled = None
-        if run.store_mode:
-            stats = run.store.stats()
-            spilled = stats.spilled_states
-            if flush_ms is None and stats.flushes:
-                # The engine has not driven a flush yet, but the backend
-                # has flushed on its own buffer cadence: report its last
-                # flush so the latency shows up within one heartbeat
-                # interval of any flush happening at all.
-                flush_ms = (
-                    stats.last_flush_seconds
-                    or stats.flush_seconds / stats.flushes
-                ) * 1000.0
-        handle.heartbeat(
-            force=force,
-            states=run.states_count(),
-            frontier=run.frontier_count(),
-            workers=self.workers,
-            elapsed=run.elapsed(),
-            transitions=run.transitions,
-            rounds=run.rounds,
-            flush_ms=None if flush_ms is None else round(flush_ms, 3),
-            spilled=spilled,
-            phases={name: round(value, 3) for name, value in run.phase.items()},
-        )
+        if not (force or self._ticking()):
+            return None
+        report = self._build_report(run)
+        live = report.live()
+        if self.progress is not None:
+            self.progress.update(live, budget=self.budget, force=force)
+        if self.run_handle is not None:
+            self.run_handle.heartbeat(force=force, **live)
+        return report
 
     # -- store flush instrumentation ------------------------------------------
 
@@ -1463,8 +1435,17 @@ class ExplorationEngine:
     # -- reporting ------------------------------------------------------------
 
     def _build_report(self, run: _Run) -> EngineReport:
+        """The one snapshot of a run, live or final (see :meth:`_tick`)."""
         pool = run.pool
         stats = run.store.stats() if run.store_mode else None
+        flush_ms = run.last_flush_ms
+        if flush_ms is None and stats is not None and stats.flushes:
+            # The engine has not driven a flush yet, but the backend has
+            # flushed on its own buffer cadence: report its last flush so
+            # the latency shows up as soon as any flush happened at all.
+            flush_ms = (
+                stats.last_flush_seconds or stats.flush_seconds / stats.flushes
+            ) * 1000.0
         peak_rss_kb = 0
         if _resource is not None:
             peak_rss_kb = _resource.getrusage(_resource.RUSAGE_SELF).ru_maxrss
@@ -1506,6 +1487,8 @@ class ExplorationEngine:
             },
             memo_misses=run.view.system.memo_misses - run.memo_start,
             memo_entries=run.view.system.memo_entries(),
+            frontier=run.frontier_count(),
+            flush_ms=None if flush_ms is None else round(flush_ms, 3),
         )
 
     # -- metrics --------------------------------------------------------------

@@ -7,11 +7,17 @@ TTY the line is redrawn in place (carriage return, no scrollback spam);
 on a pipe it degrades to one plain line per report interval, so CI logs
 stay readable.
 
+What it renders is the engine's live snapshot,
+:meth:`~repro.engine.EngineReport.live` — the same fields the run-ledger
+heartbeat file carries and ``repro serve`` publishes as progress events.
+:func:`format_line` is the one formatter: it renders the stderr line
+here and the live line of ``repro runs tail``/``runs show`` from a
+heartbeat document.
+
 The reporter throttles itself (``interval_seconds`` between renders)
 and is driven by the engine's drivers: per round in parallel runs, every
-few hundred expansions sequentially.  It is pure presentation — nothing
-reads it back — so it deliberately lives in ``repro.obs`` next to the
-other observers rather than in the engine.
+256 expansions sequentially.  Subclasses present a snapshot somewhere
+else by overriding :meth:`ProgressReporter.render`.
 
 Enable it per run (``ExplorationEngine(progress=ProgressReporter())``),
 via the CLI ``--progress`` flag, or process-wide with the
@@ -46,44 +52,31 @@ class ProgressReporter:
         self._dirty = False
         self.renders = 0
 
-    # -- driving --------------------------------------------------------------
+    def update(self, snapshot: dict, *, budget=None, force: bool = False) -> bool:
+        """Render ``snapshot`` if the throttle interval has passed.
 
-    def update(
-        self,
-        *,
-        states: int,
-        frontier: int,
-        workers: int,
-        elapsed: float,
-        budget=None,
-        force: bool = False,
-        spilled: int | None = None,
-        flush_ms: float | None = None,
-    ) -> bool:
-        """Render a progress line if the throttle interval has passed.
-
-        ``spilled``/``flush_ms`` are the store columns — digests spilled
-        to disk and the last store-flush latency — supplied only by
-        store-backed runs.  Returns True when a line was actually
-        written (tests hook this).
+        ``snapshot`` holds the live fields
+        (:meth:`~repro.engine.EngineReport.live`); ``budget`` feeds the
+        ETA.  Returns True when the snapshot was rendered (tests hook
+        this).
         """
         now = self._clock()
         if not force and now - self._last_render < self.interval_seconds:
             return False
         self._last_render = now
-        self._write(
-            self.format_line(
-                states,
-                frontier,
-                workers,
-                elapsed,
-                budget,
-                spilled=spilled,
-                flush_ms=flush_ms,
-            )
-        )
+        self.render(snapshot, budget)
         self.renders += 1
         return True
+
+    def render(self, snapshot: dict, budget=None) -> None:
+        """Present one snapshot: a ``[repro]`` line on the stream."""
+        line = "[repro] " + format_line(snapshot, budget)
+        if self._tty:
+            self.stream.write("\r\x1b[2K" + line)
+        else:
+            self.stream.write(line + "\n")
+        self.stream.flush()
+        self._dirty = True
 
     def finish(self) -> None:
         """Terminate the in-place line (no-op if nothing was rendered)."""
@@ -92,63 +85,59 @@ class ProgressReporter:
             self.stream.flush()
         self._dirty = False
 
-    # -- formatting -----------------------------------------------------------
 
-    def format_line(
-        self,
-        states: int,
-        frontier: int,
-        workers: int,
-        elapsed: float,
-        budget,
-        *,
-        spilled: int | None = None,
-        flush_ms: float | None = None,
-    ) -> str:
+def format_line(snapshot: dict, budget=None) -> str:
+    """One human line from a live snapshot or a heartbeat document.
+
+    States and their rate, frontier, workers, and the store columns
+    (``spilled``, ``flush_ms``) when present; the counters a fuzz
+    heartbeat carries instead; then the ETA against ``budget``.
+    """
+    parts = []
+    states = snapshot.get("states")
+    elapsed = snapshot.get("elapsed") or 0.0
+    rate = 0.0
+    if states is not None:
         rate = states / elapsed if elapsed > 0 else 0.0
-        parts = [
-            f"{states} states",
-            f"{rate:,.0f} st/s",
-            f"frontier {frontier}",
-            f"workers {workers}",
-        ]
-        if spilled is not None:
-            parts.append(f"spilled {spilled}")
-        if flush_ms is not None:
-            parts.append(f"flush {flush_ms:.1f}ms")
-        eta = self._eta(states, rate, elapsed, budget)
+        parts += [f"{states} states", f"{rate:,.0f} st/s"]
+    for key, template in (
+        ("frontier", "frontier {}"),
+        ("workers", "workers {}"),
+        ("spilled", "spilled {}"),
+        ("flush_ms", "flush {:.1f}ms"),
+        ("campaigns", "campaigns {}"),
+        ("schedules", "schedules {}"),
+        ("violations", "violations {}"),
+    ):
+        value = snapshot.get(key)
+        if value is not None:
+            parts.append(template.format(value))
+    if states is not None:
+        eta = _eta(states, rate, elapsed, budget)
         if eta:
             parts.append(eta)
-        return "[repro] " + " | ".join(parts)
+    return " | ".join(parts) if parts else "(no counters yet)"
 
-    @staticmethod
-    def _eta(states: int, rate: float, elapsed: float, budget) -> str:
-        """ETA-vs-Budget: time to the binding limit, whichever is nearer."""
-        if budget is None:
-            return ""
-        clauses = []
-        max_states = getattr(budget, "max_states", None)
-        if max_states:
-            if rate > 0:
-                remaining = max(0, max_states - states) / rate
-                clauses.append(
-                    f"{100 * states / max_states:.0f}% of {max_states} states,"
-                    f" ~{remaining:.0f}s to cap"
-                )
-            else:
-                clauses.append(f"{states}/{max_states} states")
-        deadline = getattr(budget, "deadline_seconds", None)
-        if deadline:
-            clauses.append(f"deadline {max(0.0, deadline - elapsed):.0f}s left")
-        return "; ".join(clauses)
 
-    def _write(self, line: str) -> None:
-        if self._tty:
-            self.stream.write("\r\x1b[2K" + line)
+def _eta(states: int, rate: float, elapsed: float, budget) -> str:
+    """ETA-vs-Budget: time to the binding limit, whichever is nearer."""
+    if budget is None:
+        return ""
+    clauses = []
+    max_states = getattr(budget, "max_states", None)
+    if max_states:
+        if rate > 0:
+            remaining = max(0, max_states - states) / rate
+            clauses.append(
+                f"{100 * states / max_states:.0f}% of {max_states} states,"
+                f" ~{remaining:.0f}s to cap"
+            )
         else:
-            self.stream.write(line + "\n")
-        self.stream.flush()
-        self._dirty = True
+            clauses.append(f"{states}/{max_states} states")
+    deadline = getattr(budget, "deadline_seconds", None)
+    if deadline:
+        clauses.append(f"deadline {max(0.0, deadline - elapsed):.0f}s left")
+    return "; ".join(clauses)
 
 
 def progress_from_env(environ=None) -> ProgressReporter | None:

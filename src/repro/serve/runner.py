@@ -48,58 +48,20 @@ from .wire import error_document
 class JobProgressReporter(ProgressReporter):
     """Progress reporting into a job's event stream instead of stderr.
 
-    The engine drives this exactly like the TTY reporter (per round in
-    parallel runs, every few hundred expansions sequentially); instead
-    of rendering a line it publishes a structured snapshot through the
-    supplied callback, which the fleet routes onto the job's event
-    buffer for ``GET /jobs/{id}/events`` streaming.
+    The engine drives this exactly like the TTY reporter, with the same
+    throttle; instead of rendering a line it publishes the engine's live
+    snapshot (:meth:`~repro.engine.EngineReport.live`: the heartbeat's
+    fields) as a ``"progress"`` event through the supplied callback,
+    which the fleet routes onto the job's event buffer for
+    ``GET /jobs/{id}/events`` streaming.
     """
 
     def __init__(self, publish: Callable[[dict], None], interval_seconds: float = 0.2) -> None:
-        super().__init__(stream=_NullStream(), interval_seconds=interval_seconds)
+        super().__init__(interval_seconds=interval_seconds)
         self._publish = publish
 
-    def update(
-        self,
-        *,
-        states,
-        frontier,
-        workers,
-        elapsed,
-        budget=None,
-        force=False,
-        spilled=None,
-        flush_ms=None,
-    ):
-        now = self._clock()
-        if not force and now - self._last_render < self.interval_seconds:
-            return False
-        self._last_render = now
-        self.renders += 1
-        snapshot = {
-            "kind": "progress",
-            "states": states,
-            "frontier": frontier,
-            "workers": workers,
-            "elapsed": round(elapsed, 3),
-        }
-        if spilled is not None:
-            snapshot["spilled"] = spilled
-        if flush_ms is not None:
-            snapshot["flush_ms"] = round(flush_ms, 3)
-        self._publish(snapshot)
-        return True
-
-    def finish(self) -> None:
-        pass
-
-
-class _NullStream:
-    def write(self, text: str) -> None:  # pragma: no cover - never driven
-        pass
-
-    def flush(self) -> None:  # pragma: no cover - never driven
-        pass
+    def render(self, snapshot: dict, budget=None) -> None:
+        self._publish({"kind": "progress", **snapshot})
 
 
 @dataclass

@@ -5,6 +5,7 @@ event loop) — the fleet calls it exactly this way from a worker thread.
 """
 
 from repro.obs import MetricsRegistry
+from repro.obs.ledger import RunLedger
 from repro.serve import (
     CANCELLED,
     COMPLETED,
@@ -24,7 +25,7 @@ def make_job(document, job_id="job-test", resume=False):
     return Job(job_id, spec, job_key(spec), resume=resume)
 
 
-def run(job, data_dir=None, metrics=None):
+def run(job, data_dir=None, metrics=None, **options):
     events = []
     return (
         execute_job(
@@ -32,6 +33,7 @@ def run(job, data_dir=None, metrics=None):
             data_dir=data_dir,
             publish=events.append,
             metrics=metrics if metrics is not None else MetricsRegistry(),
+            **options,
         ),
         events,
     )
@@ -45,14 +47,21 @@ class TestOutcomes:
         assert outcome.verdict["refuted"] is True
         assert outcome.engine_report is not None
 
-    def test_progress_events_flow_through(self):
+    def test_progress_events_flow_through(self, tmp_path):
         job = make_job({"candidate": "delegation", "n": 2, "f": 0})
-        _, events = run(job)
+        ledger = RunLedger(tmp_path)
+        handle = ledger.open("serve", "delegation(n=2,f=0)")
+        _, events = run(job, run=handle)
         # The reporter throttles, so a short run may publish few events,
-        # but any published one carries the structured snapshot fields.
+        # but every published one carries the heartbeat's live fields.
+        heartbeat = ledger.read_heartbeat(handle.run_id)
+        live = set(heartbeat) - {"run", "t", "pid", "interval", "states_per_sec"}
+        assert live >= {"states", "frontier", "workers", "elapsed", "transitions"}
+        assert live >= {"rounds", "phases"}
+        assert events
         for event in events:
             assert event["kind"] == "progress"
-            assert set(event) >= {"states", "frontier", "workers", "elapsed"}
+            assert set(event) - {"kind"} == live
 
     def test_exhausted_budget_is_a_state_not_an_exception(self):
         job = make_job(

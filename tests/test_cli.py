@@ -562,10 +562,39 @@ class TestRuns:
         assert "1.00x" in out  # identical runs diff flat
 
     def test_tail_of_finished_run_exits_immediately(self, capsys, tmp_path):
+        from repro.obs.ledger import RunLedger
+        from repro.obs.progress import format_line
+
         runs_dir = str(tmp_path / "runs")
         run_id = self._refute(capsys, runs_dir)
         assert main(["runs", "tail", run_id, "--runs-dir", runs_dir]) == 0
-        assert f"{run_id}: completed" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert f"{run_id}: completed" in out
+        # The heartbeat renders through the progress line's formatter,
+        # over the same live numbers.
+        heartbeat = RunLedger(runs_dir).read_heartbeat(run_id)
+        live = {
+            key: heartbeat[key]
+            for key in ("states", "frontier", "workers", "elapsed")
+        }
+        assert f"{run_id}  completed    {format_line(live)}" in out
+
+    def test_record_phases_match_its_counters(self, capsys, tmp_path):
+        """A refutation runs several explorations; the terminal record's
+        phases must cover all of them, like its counters do."""
+        import json
+
+        runs_dir = str(tmp_path / "runs")
+        assert main(
+            ["refute", "delegation", "-n", "4", "--runs-dir", runs_dir]
+        ) == 0
+        capsys.readouterr()
+        assert main(["runs", "show", "refute-", "--runs-dir", runs_dir, "--json"]) == 0
+        record = json.loads(capsys.readouterr().out)["record"]
+        assert record["counters"]["engine.runs"] > 1
+        assert record["phases"]
+        for name, seconds in record["phases"].items():
+            assert seconds == record["counters"]["engine.phase." + name]
 
     def test_gc_compacts_and_reports(self, capsys, tmp_path):
         runs_dir = str(tmp_path / "runs")
