@@ -49,10 +49,11 @@ directly: ``--workers N`` parallelizes the explorations, ``--deadline
 SECONDS`` bounds each stage's wall clock, ``--max-worker-restarts N``
 tunes crash recovery, and ``--checkpoint DIR`` / ``--resume DIR``
 snapshot interrupted explorations and continue them on the next
-invocation instead of starting over.  ``--store URI`` keeps packed
-states in a disk-backed :class:`~repro.engine.StateStore`
-(``sqlite:/path``; default from ``$REPRO_ENGINE_STORE``) with
-streaming delta checkpoints, and
+invocation instead of starting over (a checkpoint the run cannot use is
+an error on stderr, exit 1).  ``--store URI`` keeps packed states in a
+disk-backed :class:`~repro.engine.StateStore` (``sqlite:/path``;
+default from ``$REPRO_ENGINE_STORE``, else no store) with streaming
+delta checkpoints, and
 ``--rss-limit-mb MB`` enforces an address-space ceiling on the run.  ``--json`` replaces the narrative
 with one machine-readable document built from the results' shared
 ``summary()``/``to_json()`` protocol.
@@ -206,12 +207,14 @@ def _run_pipeline(args: argparse.Namespace, tracer, metrics, run_artifacts=None)
 
     Unless the ledger is disabled the run registers a run id
     (``repro runs show <id>``), threads it through the tracer into every
-    trace event, and appends a terminal record — ``completed`` or
-    ``exhausted`` — when the pipeline ends; a crash leaves the record
-    non-terminal, which readers derive as ``interrupted``.
+    trace event, and appends a terminal record — ``completed``,
+    ``exhausted`` or ``failed`` (a checkpoint that cannot be resumed:
+    its message goes to stderr and the process exits 1) — when the
+    pipeline ends; a crash leaves the record non-terminal, which
+    readers derive as ``interrupted``.
     """
     from .analysis import ExplorationBudget, format_verdict, refute_candidate
-    from .engine import Budget, ExplorationEngine, ReductionConfig
+    from .engine import Budget, CheckpointError, ExplorationEngine, ReductionConfig
     from .obs import timed
 
     emit_json = bool(getattr(args, "json", False))
@@ -324,6 +327,7 @@ def _run_pipeline(args: argparse.Namespace, tracer, metrics, run_artifacts=None)
         say(probe.summary())
         if document is not None:
             document["probe"] = probe.to_json()
+    stopped = None
     with timed(metrics, "pipeline.wall_seconds") as timer:
         try:
             verdict = refute_candidate(
@@ -334,7 +338,14 @@ def _run_pipeline(args: argparse.Namespace, tracer, metrics, run_artifacts=None)
                 reduction=reduction if reduction.enabled else None,
             )
         except ExplorationBudget as error:
-            return exhausted(error, timer.elapsed)
+            stopped = error
+        except CheckpointError as error:
+            if run is not None:
+                _finish_run(run, "failed", _ledger_counters(metrics), error=str(error))
+            raise SystemExit(str(error)) from None
+    if stopped is not None:
+        # After the block: the timer sets its elapsed time on exit.
+        return exhausted(stopped, timer.elapsed)
     report = engine.last_report
     if run is not None:
         _finish_run(
@@ -1125,10 +1136,11 @@ def main(argv: list[str] | None = None) -> int:
             type=_store_uri,
             default=os.environ.get("REPRO_ENGINE_STORE") or None,
             metavar="URI",
-            help="state-store backend for explorations: 'memory' (default) "
-            "or 'sqlite:/path' to hold packed states on disk "
-            "(10^6+-state runs under a bounded RSS; default from "
-            "$REPRO_ENGINE_STORE)",
+            help="state-store backend for explorations (default from "
+            "$REPRO_ENGINE_STORE, else none: at --workers 1 the in-RAM "
+            "loop, the fastest); 'sqlite:/path' holds packed states on "
+            "disk for 10^6+-state runs under a bounded RSS; 'memory' keeps "
+            "packed states in RAM and is several times slower than no store",
         )
         subparser.add_argument(
             "--rss-limit-mb",

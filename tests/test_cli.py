@@ -1,6 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -51,6 +52,15 @@ class TestRefute:
         out = capsys.readouterr().out
         assert "Exploration budget exhausted" in out
         assert "Explored 50 states" in out
+        # The summary reports the pipeline's real wall time, not 0.000s.
+        code = main(["refute", "delegation", "-n", "5", "--max-states", "3000"])
+        assert code == 2
+        out = capsys.readouterr().out
+        match = re.search(
+            r"^Explored 3000 states / \d+ transitions in ([0-9.]+)s$", out, re.M
+        )
+        assert match is not None, out
+        assert float(match.group(1)) > 0
 
     def test_seed_flag_runs_deterministic_probe(self, capsys):
         assert main(["refute", "delegation", "--seed", "7"]) == 0
@@ -157,6 +167,29 @@ class TestEngineFlags:
             if not line.startswith(("Explored", "Run id:"))
         ]
         assert strip(resumed) == strip(uninterrupted)
+
+    def test_unusable_resume_fails_without_traceback(self, capsys, tmp_path):
+        """Delta segments need their store: resuming them without
+        --store is a one-line error, exit 1, and a failed ledger run."""
+        checkpoints = str(tmp_path / "ckpt")
+        runs_dir = str(tmp_path / "runs")
+        store = f"sqlite:{tmp_path / 'store'}"
+        assert main(
+            ["refute", "delegation", "--max-states", "50", "--store", store,
+             "--checkpoint", checkpoints, "--runs-dir", runs_dir]
+        ) == 2
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["refute", "delegation", "--resume", checkpoints,
+                  "--runs-dir", runs_dir])
+        assert "delta-segment directory" in str(excinfo.value.code)
+        assert "--store" in str(excinfo.value.code)
+        capsys.readouterr()
+        assert main(["runs", "list", "--json", "--runs-dir", runs_dir]) == 0
+        records = json.loads(capsys.readouterr().out)
+        failed = [record for record in records if record["status"] == "failed"]
+        assert len(failed) == 1
+        assert "delta-segment directory" in failed[0]["error"]
 
 
 class TestJsonOutput:
