@@ -42,18 +42,19 @@ Exit codes for ``refute``/``trace``/``stats``: 0 when the candidate was
 refuted, 1 when it was not, 2 when the exploration budget
 (``--max-states`` / ``--deadline``) was exhausted before the pipeline
 finished — in which case the checkpoint path and the exact resume
-command are printed, so the run is continuable, not just dead.
+command are printed, so the run is continuable, not just dead.  An
+engine failure (a lost pool worker, a checkpoint the run cannot use) is
+an error on stderr, with the checkpoint and resume command when the
+engine wrote one, and exit 1.
 
 The pipeline commands drive :class:`repro.engine.ExplorationEngine`
 directly: ``--workers N`` parallelizes the explorations, ``--deadline
-SECONDS`` bounds each stage's wall clock, ``--max-worker-restarts N``
-tunes crash recovery, and ``--checkpoint DIR`` / ``--resume DIR``
-snapshot interrupted explorations and continue them on the next
-invocation instead of starting over (a checkpoint the run cannot use is
-an error on stderr, exit 1).  ``--store URI`` keeps packed states in a
-disk-backed :class:`~repro.engine.StateStore` (``sqlite:/path``;
-default from ``$REPRO_ENGINE_STORE``, else no store) with streaming
-delta checkpoints, and
+SECONDS`` bounds each stage's wall clock, and ``--checkpoint DIR`` /
+``--resume DIR`` snapshot interrupted explorations and continue them on
+the next invocation instead of starting over.  ``--store URI`` keeps
+packed states in a disk-backed :class:`~repro.engine.StateStore`
+(``sqlite:/path``; default from ``$REPRO_ENGINE_STORE``, else no store)
+with streaming delta checkpoints, and
 ``--rss-limit-mb MB`` enforces an address-space ceiling on the run.  ``--json`` replaces the narrative
 with one machine-readable document built from the results' shared
 ``summary()``/``to_json()`` protocol.
@@ -208,13 +209,20 @@ def _run_pipeline(args: argparse.Namespace, tracer, metrics, run_artifacts=None)
     Unless the ledger is disabled the run registers a run id
     (``repro runs show <id>``), threads it through the tracer into every
     trace event, and appends a terminal record — ``completed``,
-    ``exhausted`` or ``failed`` (a checkpoint that cannot be resumed:
-    its message goes to stderr and the process exits 1) — when the
-    pipeline ends; a crash leaves the record non-terminal, which
-    readers derive as ``interrupted``.
+    ``exhausted`` or ``failed`` (an :class:`~repro.engine.EngineError`
+    such as a lost worker, or a checkpoint that cannot be resumed: its
+    message goes to stderr and the process exits 1) — when the pipeline
+    ends; a crash leaves the record non-terminal, which readers derive
+    as ``interrupted``.
     """
     from .analysis import ExplorationBudget, format_verdict, refute_candidate
-    from .engine import Budget, CheckpointError, ExplorationEngine, ReductionConfig
+    from .engine import (
+        Budget,
+        CheckpointError,
+        EngineError,
+        ExplorationEngine,
+        ReductionConfig,
+    )
     from .obs import timed
 
     emit_json = bool(getattr(args, "json", False))
@@ -261,7 +269,6 @@ def _run_pipeline(args: argparse.Namespace, tracer, metrics, run_artifacts=None)
         checkpoint_dir=checkpoint_dir,
         resume=args.resume is not None,
         rss_limit_mb=rss_limit_mb,
-        max_worker_restarts=getattr(args, "max_worker_restarts", None),
         progress=True if getattr(args, "progress", False) else None,
         run=run,
     )
@@ -339,10 +346,18 @@ def _run_pipeline(args: argparse.Namespace, tracer, metrics, run_artifacts=None)
             )
         except ExplorationBudget as error:
             stopped = error
-        except CheckpointError as error:
+        except (CheckpointError, EngineError) as error:
+            lines = [str(error)]
+            checkpoint = getattr(error, "checkpoint", None)
+            resume_command = getattr(error, "resume_command", None)
+            if checkpoint is not None:
+                lines.append(f"Checkpoint: {checkpoint}")
+                lines.append(f"Resume:     {resume_command}")
             if run is not None:
+                if resume_command is not None:
+                    run.add_artifact("resume", resume_command)
                 _finish_run(run, "failed", _ledger_counters(metrics), error=str(error))
-            raise SystemExit(str(error)) from None
+            raise SystemExit("\n".join(lines)) from None
     if stopped is not None:
         # After the block: the timer sets its elapsed time on exit.
         return exhausted(stopped, timer.elapsed)
@@ -361,10 +376,6 @@ def _run_pipeline(args: argparse.Namespace, tracer, metrics, run_artifacts=None)
     else:
         print(format_verdict(verdict))
         _print_exploration_summary(metrics, timer.elapsed)
-        if report is not None and (
-            report.worker_failures or report.quarantined or report.degraded
-        ):
-            print(report.summary())
     return verdict, 0 if verdict.refuted else 1, document
 
 
@@ -1150,15 +1161,6 @@ def main(argv: list[str] | None = None) -> int:
             help="enforce an address-space ceiling (RLIMIT_AS) of MB "
             "mebibytes on this process before exploring; the engine "
             "report records peak RSS against the ceiling",
-        )
-        subparser.add_argument(
-            "--max-worker-restarts",
-            type=int,
-            default=None,
-            metavar="N",
-            help="respawn a crashed worker up to N times before "
-            "redistributing its partition (default from "
-            "$REPRO_ENGINE_MAX_RESTARTS, else 3)",
         )
         subparser.add_argument(
             "--json",

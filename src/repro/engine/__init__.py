@@ -28,16 +28,13 @@ The engine is the scalable successor of
 * :mod:`repro.engine.parallel`    — the fork-based worker pool doing
   frontier-partitioned parallel BFS (states sharded by digest) for the
   engine's store-backed round loop, with an in-process fallback when
-  fork is unavailable;
+  fork is unavailable; a lost worker stops the run;
 * :mod:`repro.engine.api`         — the :class:`ExplorationEngine`
   facade the analysis layer and the CLI drive, with a documented
   guarantee that the produced graph is identical to the sequential one;
 * :mod:`repro.engine.errors`      — the structured :class:`EngineError`
-  taxonomy for worker failures (:class:`WorkerLost`,
-  :class:`PartitionRetryExhausted`, :class:`StateQuarantined`);
-* :mod:`repro.engine.chaos`       — the deterministic fault-injection
-  harness (:class:`FaultPlan`, the ``REPRO_CHAOS`` environment
-  variable) used to test the pool's crash recovery;
+  base and :class:`WorkerLost`, which a fail-stop pool raises when a
+  worker dies (the run resumes from its checkpoint);
 * :mod:`repro.engine.reduction`   — symmetry (orbit-quotient) and
   ample-set partial-order reduction, shrinking the explored graph while
   preserving the queries the analysis layer asks (see
@@ -51,7 +48,6 @@ from .budget import (
     BudgetExhausted,
     Deadline,
 )
-from .chaos import FaultPlan
 from .codec import (
     Codec,
     CodecError,
@@ -77,12 +73,7 @@ from .checkpoint import (
     save_segment,
     segment_dir,
 )
-from .errors import (
-    EngineError,
-    PartitionRetryExhausted,
-    StateQuarantined,
-    WorkerLost,
-)
+from .errors import EngineError, WorkerLost
 from .fingerprint import (
     DIGEST_SIZE,
     FingerprintCollision,
@@ -134,12 +125,10 @@ __all__ = [
     "EngineError",
     "EngineReport",
     "ExplorationEngine",
-    "FaultPlan",
     "FingerprintCollision",
     "FingerprintIndex",
     "LocalVisitedFilter",
     "MemoryStore",
-    "PartitionRetryExhausted",
     "ReducedView",
     "ReductionAuditError",
     "ReductionComparison",
@@ -148,7 +137,6 @@ __all__ = [
     "Segment",
     "SharedVisitedTable",
     "StateIndex",
-    "StateQuarantined",
     "StateStore",
     "StoreConfig",
     "StoreError",

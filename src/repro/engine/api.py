@@ -39,27 +39,14 @@ fingerprint collision would merge two distinct states.  The default
 mode (:class:`~repro.engine.fingerprint.FingerprintIndex`, one process,
 no store) upgrades the guarantee to a checked one.  Interrupted runs may differ from a
 sequential interrupt in *which* prefix they explored, but resuming any
-checkpoint converges to the same completed graph.
-
-Fault tolerance
----------------
-
-Worker crashes do not abort a run: the
-:class:`~repro.engine.parallel.WorkerPool` detects dead workers,
-re-dispatches their frontier partitions (re-expansion is idempotent, so
-the guarantee above survives), respawns crashed slots with bounded
-backoff, and degrades to in-process expansion when the whole pool dies.
-The one escape hatch is **quarantine**: a state that repeatedly kills
-whoever expands it is skipped — keeping its node, dropping its outgoing
-edges — and surfaced in :attr:`ExplorationEngine.last_report` (an
-:class:`EngineReport`), never silently.  A run with a non-empty
-``quarantined`` list is the one case where the produced graph is *not*
-the full sequential graph.
+checkpoint converges to the same completed graph.  That includes a run
+that lost a worker: the pool is fail-stop, so the loss raises
+:class:`~repro.engine.errors.WorkerLost` (with the checkpoint written on
+the way out) and never yields a partial graph.
 """
 
 from __future__ import annotations
 
-import os
 import time
 import warnings
 from collections import deque
@@ -80,7 +67,6 @@ from ..obs.progress import ProgressReporter, progress_from_env
 from ..obs.sinks import NULL_TRACER, Tracer
 from ..obs.spans import end_span, start_span
 from .budget import DEFAULT_BUDGET, Budget, BudgetExhausted, Deadline
-from .chaos import FaultPlan
 from .checkpoint import (
     Checkpoint,
     CheckpointError,
@@ -96,9 +82,9 @@ from .checkpoint import (
     segment_dir,
 )
 from .codec import Codec, digest_of_packed
-from .errors import EngineError
+from .errors import EngineError, WorkerLost
 from .fingerprint import FingerprintIndex, StateIndex
-from .parallel import PRUNED, QUARANTINED, WorkerPool
+from .parallel import PRUNED, WorkerPool
 from .store import (
     DEFAULT_FLUSH_INTERVAL,
     StateStore,
@@ -216,7 +202,7 @@ class _StorePackedMap:
 
 @dataclass(frozen=True)
 class EngineReport:
-    """Progress and fault-tolerance snapshot of one exploration.
+    """Progress snapshot of one exploration.
 
     The engine builds one of these on its progress cadence (whenever a
     progress reporter or a run-ledger handle is attached) and once when
@@ -229,11 +215,7 @@ class EngineReport:
     exploration: a refutation runs several, and its run-ledger record
     sums them from the metrics registry instead.  ``degraded`` is
     true when the run finished on in-process expanders despite multiple
-    workers being requested — either fork was unavailable or the pool
-    collapsed; ``quarantined`` lists the digests of states skipped
-    because they repeatedly killed workers (``quarantined_states`` holds
-    the states themselves), the one case where the produced graph is
-    not the full one.
+    workers being requested, because fork was unavailable.
     """
 
     states: int
@@ -242,11 +224,6 @@ class EngineReport:
     elapsed_seconds: float
     workers: int
     degraded: bool
-    worker_failures: int
-    worker_respawns: int
-    partitions_reassigned: int
-    quarantined: tuple = ()
-    quarantined_states: tuple = ()
     #: Peak RSS per worker slot in KiB, as self-reported over the reply
     #: pipe (forked pools only; empty for in-process runs).  The honest
     #: memory number for a parallel run is the coordinator's own
@@ -254,8 +231,8 @@ class EngineReport:
     #: folds in children that already exited.
     worker_rss_kb: tuple = ()
     #: Successors whose packed bytes were recomputed coordinator-side
-    #: after being lost with a crashed worker (see the engine's
-    #: missing-bytes recovery).
+    #: because a torn visited-table slot suppressed their shipment (see
+    #: the engine's missing-bytes recovery).
     recovered_states: int = 0
     #: Which :mod:`~repro.engine.store` backend held the run's states —
     #: ``"memory"`` covers both classic in-RAM runs and the explicit
@@ -319,15 +296,6 @@ class EngineReport:
             f" ({self.workers} worker{'s' if self.workers != 1 else ''}"
             f", {self.rounds} rounds)"
         )
-        if self.worker_failures:
-            line += (
-                f"; {self.worker_failures} worker failure"
-                f"{'s' if self.worker_failures != 1 else ''}"
-                f" ({self.worker_respawns} respawned,"
-                f" {self.partitions_reassigned} partitions re-dispatched)"
-            )
-        if self.quarantined:
-            line += f"; {len(self.quarantined)} state(s) QUARANTINED"
         if self.degraded:
             line += "; degraded to in-process expansion"
         if self.store_backend != "memory":
@@ -352,10 +320,6 @@ class EngineReport:
             "elapsed_seconds": self.elapsed_seconds,
             "workers": self.workers,
             "degraded": self.degraded,
-            "worker_failures": self.worker_failures,
-            "worker_respawns": self.worker_respawns,
-            "partitions_reassigned": self.partitions_reassigned,
-            "quarantined": list(self.quarantined),
             "worker_rss_kb": list(self.worker_rss_kb),
             "recovered_states": self.recovered_states,
             "store_backend": self.store_backend,
@@ -432,28 +396,6 @@ class ExplorationEngine:
         unequal states ever hash alike.  Implies digest dedup; runs in
         one process without a store (``ValueError`` with ``store=`` or
         ``workers > 1``).
-    max_worker_restarts:
-        How many times a crashed worker slot is respawned (with
-        exponential backoff) before its partitions are redistributed to
-        survivors.  ``None`` (the default) reads
-        ``REPRO_ENGINE_MAX_RESTARTS`` from the environment, falling back
-        to 3.
-    max_partition_retries:
-        Hard ceiling on how often one frontier partition may be
-        re-dispatched after worker losses before the run raises
-        :class:`~repro.engine.errors.PartitionRetryExhausted`.
-    quarantine:
-        A state whose expansion kills its worker
-        :data:`~repro.engine.parallel.MAX_STATE_RETRIES` times is
-        quarantined (skipped and surfaced in :attr:`last_report`).
-        When false, such a state raises
-        :class:`~repro.engine.errors.StateQuarantined` instead of being
-        skipped (for runs that must not give up the identical-graph
-        guarantee).
-    fault_plan:
-        A :class:`~repro.engine.chaos.FaultPlan` scheduling
-        deterministic worker kills (testing the recovery paths).
-        ``None`` reads the ``REPRO_CHAOS`` environment variable.
     progress:
         A :class:`~repro.obs.progress.ProgressReporter` for live
         ``states/s`` lines on stderr, handed :meth:`EngineReport.live`
@@ -495,10 +437,6 @@ class ExplorationEngine:
         audit: bool = False,
         tracer: Tracer = NULL_TRACER,
         metrics: MetricsRegistry = NULL_METRICS,
-        max_worker_restarts: int | None = None,
-        max_partition_retries: int = 5,
-        quarantine: bool = True,
-        fault_plan: FaultPlan | None = None,
         progress: ProgressReporter | bool | None = None,
         cancel=None,
         run=None,
@@ -523,16 +461,6 @@ class ExplorationEngine:
                 "incompatible with store= and workers > 1; run the "
                 "collision audit at workers=1 without a store"
             )
-        if max_worker_restarts is None:
-            max_worker_restarts = int(os.environ.get("REPRO_ENGINE_MAX_RESTARTS", "3"))
-        if max_worker_restarts < 0:
-            raise ValueError(
-                f"max_worker_restarts must be >= 0, got {max_worker_restarts}"
-            )
-        if max_partition_retries < 0:
-            raise ValueError(
-                f"max_partition_retries must be >= 0, got {max_partition_retries}"
-            )
         if workers > 1 and self.store is None:
             warnings.warn(
                 f"ExplorationEngine(workers={workers}) without a store runs the "
@@ -553,10 +481,6 @@ class ExplorationEngine:
         self.audit = audit
         self.tracer = tracer
         self.metrics = metrics
-        self.max_worker_restarts = max_worker_restarts
-        self.max_partition_retries = max_partition_retries
-        self.quarantine = quarantine
-        self.fault_plan = FaultPlan.from_env() if fault_plan is None else fault_plan
         if progress is None:
             self.progress = progress_from_env()
         elif progress is False:
@@ -591,7 +515,9 @@ class ExplorationEngine:
         Raises :class:`~repro.engine.budget.BudgetExhausted` (an
         :class:`~repro.analysis.explorer.ExplorationBudget`) when a
         budget limit is hit, with progress stats and — when
-        checkpointing is on — the snapshot to resume from.
+        checkpointing is on — the snapshot to resume from; raises
+        :class:`~repro.engine.errors.WorkerLost`, with the same
+        checkpoint fields, when a pool worker dies.
 
         Store-backed runs (every run with more than one worker is one)
         materialize the returned
@@ -647,7 +573,7 @@ class ExplorationEngine:
         try:
             self._drive(run, metrics)
         except BaseException:
-            # Budget raises, pool failures, KeyboardInterrupt: flush a
+            # Budget raises, lost workers, KeyboardInterrupt: flush a
             # caller-owned store (so resume sees the durable prefix) and
             # close an engine-owned one before propagating.
             self._close_store(run)
@@ -680,6 +606,20 @@ class ExplorationEngine:
                     states=run.states_count(),
                     transitions=run.transitions,
                     elapsed_seconds=run.elapsed(),
+                    checkpoint=path,
+                    resume_command=(
+                        None if path is None else resume_hint(self.checkpoint_dir)
+                    ),
+                ) from None
+            except WorkerLost as lost:
+                # The pool is stopped and the lost round's frontier is
+                # back at its head: checkpoint that and hand the resume
+                # path to the caller.
+                status = "error"
+                path = self._write_checkpoint(run)
+                raise WorkerLost(
+                    lost.worker,
+                    lost.round_index,
                     checkpoint=path,
                     resume_command=(
                         None if path is None else resume_hint(self.checkpoint_dir)
@@ -836,9 +776,11 @@ class ExplorationEngine:
                 run.segment_seq = segment.seq + 1
                 return True
         path = find_checkpoint(self.checkpoint_dir, run.root_digest)
-        if path is None or path.is_dir():
+        if path is None or (path.is_dir() and store.durable):
             # No monolithic fallback (a bare segment directory cannot
-            # seed a store that lost its states).
+            # seed a store that lost its states).  A memory store never
+            # held the segments' states: load_checkpoint refuses the
+            # directory with the recipe, as it does for a classic run.
             return False
         self._seed_store_from_checkpoint(run, load_checkpoint(path))
         return True
@@ -1016,10 +958,6 @@ class ExplorationEngine:
             run.view,
             run.prune,
             expected_states=budget.max_states,
-            max_worker_restarts=self.max_worker_restarts,
-            max_partition_retries=self.max_partition_retries,
-            quarantine=self.quarantine,
-            fault_plan=self.fault_plan,
             tracer=run.tracer,
             metrics=run.metrics,
         ).start()
@@ -1049,21 +987,29 @@ class ExplorationEngine:
                 round_span = start_span(
                     run.tracer, "round", round=run.rounds + 1, states=len(digests)
                 )
-                results = pool.run_round(
-                    run.rounds + 1,
-                    digests,
-                    packed_of,
-                    run.phase,
-                    round_span_id=None if round_span is None else round_span.span_id,
-                )
+                try:
+                    results = pool.run_round(
+                        run.rounds + 1,
+                        digests,
+                        packed_of,
+                        run.phase,
+                        round_span_id=(
+                            None if round_span is None else round_span.span_id
+                        ),
+                    )
+                except WorkerLost:
+                    # Nothing of the round was merged: put its whole
+                    # frontier back at the head, in order.
+                    for digest in reversed(digests):
+                        store.push_front(digest)
+                    end_span(run.tracer, round_span, status="error")
+                    raise
                 merge_started = time.perf_counter()
                 position = 0
                 try:
                     for position, digest in enumerate(digests):
                         result = results[position]
-                        if result == PRUNED or result == QUARANTINED:
-                            # Node kept, no outgoing edges; the pool
-                            # records quarantined states for the report.
+                        if result == PRUNED:
                             self._commit_external_empty(run, digest)
                             continue
                         rows = []
@@ -1106,7 +1052,7 @@ class ExplorationEngine:
             pool.stop()
 
     def _commit_external_empty(self, run: _Run, digest: bytes) -> None:
-        """A pruned or quarantined expansion: node kept, no outgoing edges."""
+        """A pruned expansion: node kept, no outgoing edges."""
         run.store.append_expansion(digest, [])
         run.expanded += 1
         run.since_checkpoint += 1
@@ -1160,10 +1106,8 @@ class ExplorationEngine:
     ) -> bytes:
         """Re-derive packed bytes a worker reply referenced but never shipped.
 
-        Two rare paths get here: the first inserter of ``digest`` into
-        the shared visited table died before its reply left (and no
-        retried chunk re-shipped it), or a torn table slot answered
-        "present" to a digest nobody holds.  Either way the parent is in
+        One rare path gets here: a torn shared visited-table slot
+        answered "present" to a digest nobody shipped.  The parent is in
         the store and the view is deterministic, so re-expanding it
         in-process reproduces the exact successor — the identical-graph
         guarantee never rests on the table.
@@ -1456,17 +1400,6 @@ class ExplorationEngine:
             elapsed_seconds=run.elapsed(),
             workers=self.workers,
             degraded=bool(pool is not None and pool.local and self.workers > 1),
-            worker_failures=0 if pool is None else pool.worker_failures,
-            worker_respawns=0 if pool is None else pool.worker_respawns,
-            partitions_reassigned=0 if pool is None else pool.partitions_reassigned,
-            quarantined=(
-                ()
-                if pool is None
-                else tuple(digest.hex() for _, digest in pool.quarantined)
-            ),
-            quarantined_states=(
-                () if pool is None else tuple(state for state, _ in pool.quarantined)
-            ),
             worker_rss_kb=(
                 ()
                 if pool is None

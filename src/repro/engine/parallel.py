@@ -41,13 +41,12 @@ entry as either
   another worker, or any state after a cache reset) — the worker
   decodes the packed bytes, which the coordinator reads from the store.
 
-Outbound messages are ``(entries, ship_all, reset)`` triples;
-``ship_all`` is the crash-recovery flag described below.  The
-coordinator mirrors each worker's cache keys exactly (``seen``), so it
-alone decides resets: once a mirror passes :data:`WORKER_CACHE_LIMIT`
-and the worker is idle (no reply in flight could re-add dropped
-digests), it clears the mirror and sends the next chunk — all bootstrap
-pairs — with ``reset``, which empties the worker's cache first.
+Outbound messages are ``(entries, reset)`` pairs.  The coordinator
+mirrors each worker's cache keys exactly (``seen``), so it alone decides
+resets: once a mirror passes :data:`WORKER_CACHE_LIMIT` and the worker
+is idle (no reply in flight could re-add dropped digests), it clears the
+mirror and sends the next chunk — all bootstrap pairs — with ``reset``,
+which empties the worker's cache first.
 
 Replies carry ``(task_index, action_index, successor_digest)`` triples
 — indices into the shared ``view.tasks`` tuple and a per-worker action
@@ -66,10 +65,6 @@ events and counters (see :mod:`repro.obs.spans`), ``None`` otherwise.
 Replies are **batched**: a worker drains up to :data:`BATCH_REPLIES`
 queued chunks from its pipe before replying once with the list of
 per-chunk payloads, amortizing pickle and wakeup costs across chunks.
-Because a batch defers every chunk's payload to one send, the worker
-also emits a tiny :data:`ACK` marker immediately before expanding each
-chunk — the coordinator's cursor over these acks is what tells it,
-after a crash, *which* chunk was being expanded (see below).
 
 Flow control: outbound chunks are bounded (``CHUNK_DIGESTS`` /
 ``CHUNK_STATES`` entries) and at most ``WINDOW`` digest-only chunks are
@@ -77,69 +72,30 @@ in flight per worker — small enough to fit the pipe buffer while the
 worker is busy — while a chunk carrying bootstrap pairs (larger, though
 bounded now that pairs are packed bytes) is sent only to an idle
 worker, whose blocking ``recv`` drains the pipe as the coordinator
-writes.  Shipping is re-decided at send time (a respawn or a cache
-reset empties the target's cache), so a digest-only chunk sized to
-``CHUNK_DIGESTS`` at build time that turns stateful by send time is
-re-split there to keep every message under the ``CHUNK_STATES`` bound.
-Together these rule out the send-while-both-full deadlock.
+writes.  Shipping is re-decided at send time (a cache reset empties the
+target's cache), so a digest-only chunk sized to ``CHUNK_DIGESTS`` at
+build time that turns stateful by send time is re-split there to keep
+every message under the ``CHUNK_STATES`` bound.  Together these rule out
+the send-while-both-full deadlock.
 
-Fault tolerance
----------------
+Failure model: fail-stop
+------------------------
 
-:class:`WorkerPool` assumes workers can die at any moment — OOM kills,
-segfaults in native extensions, or the scheduled kills of a
-:class:`~repro.engine.chaos.FaultPlan` — and recovers without
-sacrificing the identical-graph guarantee:
+A dead worker surfaces as ``EOFError``/``OSError`` on its pipe, or —
+for a worker that dies without the pipe reporting it yet — through a
+heartbeat: whenever no reply arrives for :data:`HEARTBEAT_SECONDS`,
+every waited-on worker's process is liveness-checked.  Either way the
+pool raises :class:`~repro.engine.errors.WorkerLost` from
+:meth:`WorkerPool.run_round`.  Nothing of the lost round is merged: the
+engine puts the round's frontier back at its head, stops the surviving
+workers, writes a checkpoint when checkpointing is on and re-raises.
+The run continues by ``resume`` from that checkpoint, the one recovery
+path the engine has for any stopped run, and yields the identical graph.
 
-* **detection** — a dead worker surfaces as ``EOFError``/``OSError`` on
-  its pipe; workers that die without closing the pipe (SIGKILL can race
-  the kernel's cleanup) are caught by a heartbeat: whenever no reply
-  arrives for :data:`HEARTBEAT_SECONDS`, every waited-on worker's
-  process is liveness-checked;
-* **retry** — the coordinator first drains whatever the dead worker
-  shipped before dying (pipe data written pre-crash stays readable):
-  completed reply batches are ingested normally, and the per-chunk
-  :data:`ACK` markers advance a cursor identifying the chunk that was
-  *being expanded* at death.  Only that chunk takes the blame (retry
-  bump, split, quarantine) — with batched replies the first un-replied
-  chunk may already have been expanded cleanly into a batch that never
-  shipped, and blaming it would let a poison state that rides behind a
-  batchmate push an innocent singleton into quarantine.  All in-flight
-  chunks are re-dispatched with ``ship_all=True``: the dead worker may
-  have inserted successor digests into the shared visited table and
-  died before shipping their bytes, so the retry expander ships every
-  successor unconditionally (the coordinator dedupes) rather than
-  trusting the filter.  Re-expansion is idempotent: the view is
-  deterministic and chunk results are keyed by absolute frontier
-  position, so a retried chunk yields byte-identical rows no matter
-  which worker runs it.  Each loss bumps the blamed chunk's retry
-  count; past ``max_partition_retries`` the pool raises
-  :class:`~repro.engine.errors.PartitionRetryExhausted`;
-* **respawn** — a crashed worker slot is restarted (fresh fork, empty
-  cache — but the *shared* visited table survives, so the incarnation
-  does not re-ship the world) up to ``max_worker_restarts`` times with
-  exponential backoff from :data:`RESTART_BACKOFF_SECONDS`; past that,
-  its partitions are redistributed across the survivors;
-* **quarantine** — a multi-state chunk that kills its worker is split
-  into singletons to isolate the killer; a singleton that reaches
-  :data:`MAX_STATE_RETRIES` losses is quarantined (skipped, recorded,
-  and surfaced in the final report) rather than retried forever — or,
-  with ``quarantine=False``, raises
-  :class:`~repro.engine.errors.StateQuarantined`;
-* **collapse** — when every worker is dead and respawns are exhausted,
-  the pool degrades to in-process :class:`LocalExpander` drivers and
-  finishes the run rather than raising.
-
-The shared table is a *filter*, never the source of truth: any residual
-case where a row references a digest whose packed bytes were lost with
-a worker (or a torn table slot answered "present" falsely) is repaired
-by the coordinator, which recomputes the successor from its parent
+The shared table is a *filter*, never the source of truth: a torn table
+slot that answers "present" for a digest nobody shipped is repaired by
+the coordinator, which recomputes the successor from its parent
 in-process — see ``ExplorationEngine._recover_packed_external``.
-
-Quarantining is the one deliberate breach of the identical-graph
-guarantee — a quarantined state keeps its node but loses its outgoing
-edges — which is why quarantined states are always surfaced in the
-engine's report, never silently dropped.
 """
 
 from __future__ import annotations
@@ -156,21 +112,17 @@ try:  # pragma: no cover - resource is POSIX-only
 except ImportError:  # pragma: no cover - non-POSIX platforms
     _resource = None
 
-from ..obs.events import STATE_QUARANTINED, WORKER_LOST, WORKER_RESPAWNED
+from ..obs.events import WORKER_LOST
 from ..obs.metrics import NULL_METRICS, MetricsRegistry
 from ..obs.sinks import NULL_TRACER, Tracer
-from ..obs.spans import WorkerTelemetry, merge_worker_events, record_span
-from .chaos import FaultPlan
+from ..obs.spans import WorkerTelemetry, merge_worker_events
 from .codec import Codec
-from .errors import EngineError, PartitionRetryExhausted, StateQuarantined
+from .errors import EngineError, WorkerLost
 from .fingerprint import shard_of
 from .visited import LocalVisitedFilter, SharedVisitedTable, shared_memory_available
 
 #: Marker returned for a pruned state instead of its successor list.
 PRUNED = "__pruned__"
-
-#: Marker returned for a quarantined state (it repeatedly killed workers).
-QUARANTINED = "__quarantined__"
 
 #: Max entries per digest-only chunk (bounded pickle ≪ the pipe buffer).
 CHUNK_DIGESTS = 512
@@ -185,18 +137,6 @@ WINDOW = 2
 
 #: Max queued chunks a worker folds into one batched reply.
 BATCH_REPLIES = 8
-
-#: Marker a worker sends just before expanding a chunk, so the
-#: coordinator can attribute a crash to the chunk actually in progress
-#: (batched replies make "first un-replied" the wrong guess).
-ACK = "__ack__"
-
-#: Base of the exponential respawn backoff (doubles per restart of the
-#: same slot, capped at 2s per sleep).
-RESTART_BACKOFF_SECONDS = 0.05
-
-#: Worker losses a *single* state may cause before it is quarantined.
-MAX_STATE_RETRIES = 2
 
 #: Liveness-check interval: when no worker replies for this long, every
 #: waited-on worker's process is checked (catches deaths the pipe has
@@ -253,14 +193,14 @@ class _ChunkExpander:
         self.tel = None if label is None else WorkerTelemetry(label)
         self.hits_flushed = self.misses_flushed = 0
 
-    def expand(self, entries, ship_all, reset, send_seconds, rss_kb):
+    def expand(self, entries, reset, send_seconds, rss_kb):
         """Expand one chunk against the local cache; returns its payload.
 
         The payload's ``novel`` list holds ``(digest, packed)`` pairs for
         successors whose bytes the coordinator does not have yet (first
-        insertion into ``visited``, or every successor when
-        ``ship_all``).  ``send_seconds`` and ``rss_kb`` ride the stats
-        tuple as given; the codec counters are per-payload deltas.
+        insertion into ``visited``).  ``send_seconds`` and ``rss_kb``
+        ride the stats tuple as given; the codec counters are
+        per-payload deltas.
         """
         store = self.store
         if reset:
@@ -298,16 +238,8 @@ class _ChunkExpander:
                     store[digest] = post
                     # The shared table answers "has anyone produced this
                     # digest?"; only the first inserter ships the bytes.
-                    # ship_all (crash retry) bypasses the filter but
-                    # still records the insertion.
-                    if visited is None:
+                    if visited is None or not visited.test_and_set(digest):
                         novel.append((digest, packed))
-                    else:
-                        present = visited.test_and_set(digest)
-                        if ship_all or not present:
-                            novel.append((digest, packed))
-                elif ship_all:
-                    novel.append((digest, packed))
                 action_index = action_ids.get(action)
                 if action_index is None:
                     action_index = action_ids[action] = len(action_ids)
@@ -353,7 +285,6 @@ def _worker_main(
     view,
     prune,
     visited,
-    poison: frozenset = frozenset(),
     telemetry: bool = False,
 ) -> None:
     """Worker loop: expand chunk batches until the ``None`` sentinel (or EOF).
@@ -363,15 +294,10 @@ def _worker_main(
     dead coordinator reads as EOF here rather than leaving the worker
     blocked forever.
 
-    ``poison`` is the fault-injection digest set of
-    :class:`~repro.engine.chaos.FaultPlan`: asked to expand a poisoned
-    state, the worker hard-exits before expanding — the deterministic
-    stand-in for "this state segfaults whoever touches it".
-
     With ``telemetry`` on (the parent's tracer is enabled), the worker
     buffers spans/counters into a :class:`~repro.obs.spans.WorkerTelemetry`
-    flushed with every payload — each batch is self-contained, so a crash
-    loses at most the in-flight chunks' telemetry, never a half-open span.
+    flushed with every payload — each batch is self-contained, so a
+    merged trace never holds a worker's half-open span.
     """
     for other in inherited:
         other.close()
@@ -403,25 +329,11 @@ def _worker_main(
             messages.append(queued)
         payloads = []
         _trim_worker_caches(view, expander.codec)
-        for entries, ship_all, reset in messages:
-            # The ack marks this chunk as the one being expanded: if the
-            # process dies before the batched reply ships, coordinator
-            # blame lands here rather than on an innocent batchmate.
-            # Sent before the poison check so a poisoned chunk takes its
-            # own blame.
-            try:
-                conn.send(ACK)
-            except OSError:
-                return
-            if poison:
-                for entry in entries:
-                    digest = entry if type(entry) is bytes else entry[0]
-                    if digest in poison:
-                        os._exit(137)
+        for entries, reset in messages:
             # send_seconds is the cost of shipping the *previous* batch,
             # reported one beat late (and dropped for the last one).
             payloads.append(
-                expander.expand(entries, ship_all, reset, send_seconds, _self_rss_kb())
+                expander.expand(entries, reset, send_seconds, _self_rss_kb())
             )
             send_seconds = 0.0
         before = time.perf_counter()
@@ -455,8 +367,7 @@ class LocalExpander:
     Speaks the exact message/batch protocol of :func:`_worker_main` —
     ``send`` expands immediately and queues a batch-of-one reply for
     ``recv`` — so the driver runs one code path regardless of platform.
-    Local expanders cannot crash, so fault plans do not apply to them;
-    their peak RSS is the coordinator's own, so they report 0 to keep
+    Their peak RSS is the coordinator's own, so they report 0 to keep
     the per-child accounting honest.  The view is the coordinator's own
     object, whose memo the engine trims, so only the decoded-state cache
     follows the coordinator's resets.
@@ -482,10 +393,8 @@ class LocalExpander:
 
     def send(self, message) -> None:
         if message is not None:
-            entries, ship_all, reset = message
-            self._replies.append(
-                [self._expander.expand(entries, ship_all, reset, 0.0, 0)]
-            )
+            entries, reset = message
+            self._replies.append([self._expander.expand(entries, reset, 0.0, 0)])
 
     def recv(self):
         return self._replies.popleft()
@@ -495,45 +404,31 @@ class _Chunk:
     """One dispatchable slice of the round's frontier.
 
     ``positions`` are absolute indices into the round's digest list (the
-    coordinator's results array is keyed by them, which is what makes
-    re-dispatching to *any* worker sound); ``digests`` are the matching
-    frontier digests; ``retries`` counts how many worker
-    losses this chunk has survived; ``ship_all`` marks a chunk requeued
-    after a loss — its expander must ship every successor's bytes, since
-    the dead worker may have claimed table slots and taken the bytes
-    with it.
+    coordinator's results array is keyed by them); ``digests`` are the
+    matching frontier digests.
     """
 
-    __slots__ = ("positions", "digests", "retries", "ship_all")
+    __slots__ = ("positions", "digests")
 
-    def __init__(
-        self,
-        positions: list,
-        digests: list,
-        retries: int = 0,
-        ship_all: bool = False,
-    ) -> None:
+    def __init__(self, positions: list, digests: list) -> None:
         self.positions = positions
         self.digests = digests
-        self.retries = retries
-        self.ship_all = ship_all
 
 
 class WorkerPool:
-    """A crash-tolerant pool of expansion workers.
+    """A fail-stop pool of expansion workers.
 
     Owns the full worker lifecycle — forking, the shared visited table,
-    chunking and dispatch, reply ingestion, crash detection,
-    retry/respawn/quarantine, and the in-process collapse fallback (see
-    the module docstring for the recovery model).  One pool serves one
+    chunking and dispatch, reply ingestion and loss detection (see the
+    module docstring for the failure model).  One pool serves one
     exploration run.
 
     :meth:`run_round` is the only work entry point: it ships one
     round's frontier and returns a results list aligned to it, where
-    each slot is a successor row list, :data:`PRUNED`, or
-    :data:`QUARANTINED`.  Rows carry *decoded* actions (the per-worker
-    action-index indirection is resolved at ingest), so results are
-    independent of which worker produced them.
+    each slot is a successor row list or :data:`PRUNED`.  Rows carry
+    *decoded* actions (the per-worker action-index indirection is
+    resolved at ingest), so results are independent of which worker
+    produced them.
     """
 
     def __init__(
@@ -543,10 +438,6 @@ class WorkerPool:
         prune: Callable[[Hashable], bool] | None,
         *,
         expected_states: int | None = None,
-        max_worker_restarts: int = 3,
-        max_partition_retries: int = 5,
-        quarantine: bool = True,
-        fault_plan: FaultPlan | None = None,
         tracer: Tracer = NULL_TRACER,
         metrics: MetricsRegistry = NULL_METRICS,
     ) -> None:
@@ -554,19 +445,9 @@ class WorkerPool:
         self._view = view
         self._prune = prune
         self._expected_states = expected_states
-        self._codec = Codec()  # decodes quarantined states
-        self.max_worker_restarts = max_worker_restarts
-        self.max_partition_retries = max_partition_retries
-        self.quarantine = quarantine
-        self.fault_plan = fault_plan
         self.tracer = tracer
         self.metrics = metrics
-        # Recovery bookkeeping, read by the engine's final report.
         self.local = False
-        self.worker_failures = 0
-        self.worker_respawns = 0
-        self.partitions_reassigned = 0
-        self.quarantined: list = []  # (state, digest) in quarantine order
         self.orbit_hits = 0
         self.pruned_tasks = 0
         self.cache_hits = 0
@@ -576,11 +457,6 @@ class WorkerPool:
         self.visited_overflows = 0
         self.worker_rss_kb: dict[int, int] = {}  # slot -> peak RSS (KiB)
         self._handles: list = []
-        self._alive: list[bool] = []
-        self._restarts: list[int] = []
-        # Per worker: chunks acked as started but not yet replied — the
-        # crash-blame cursor (see _worker_lost).
-        self._started: list[int] = []
         # Per worker: the digests its decoded-state cache holds — an
         # exact mirror, which is what lets the coordinator own resets.
         self.seen: list[set] = []
@@ -612,9 +488,6 @@ class WorkerPool:
             self._handles = []
             for _ in range(self.workers):
                 self._handles.append(self._spawn())
-        self._alive = [True] * self.workers
-        self._restarts = [0] * self.workers
-        self._started = [0] * self.workers
         self.seen = [set() for _ in range(self.workers)]
         self.actions = [[] for _ in range(self.workers)]
         return self
@@ -633,9 +506,7 @@ class WorkerPool:
     def stop(self) -> None:
         """Shut the pool down and release the shared visited table."""
         if not self.local:
-            stop_workers(
-                [self._handles[w] for w in range(self.workers) if self._alive[w]]
-            )
+            stop_workers(self._handles)
         if self.visited is not None:
             self.visited_overflows = self.visited.overflows
             self.visited.close(unlink=True)
@@ -643,9 +514,8 @@ class WorkerPool:
 
     def _spawn(self) -> _WorkerHandle:
         parent_conn, child_conn = self._context.Pipe(duplex=True)
-        poison = self.fault_plan.poison if self.fault_plan is not None else frozenset()
         # Coordinator ends the fork copies; the child closes them (see
-        # _worker_main).  A dead slot's end is already closed — a no-op.
+        # _worker_main).
         inherited = [parent_conn, *(handle.conn for handle in self._handles)]
         process = self._context.Process(
             target=_worker_main,
@@ -655,7 +525,6 @@ class WorkerPool:
                 self._view,
                 self._prune,
                 self.visited,
-                poison,
                 self.tracer.enabled or self.metrics.enabled,
             ),
             daemon=True,
@@ -681,11 +550,13 @@ class WorkerPool:
         successors are folded into it; bootstrap pairs are drawn from
         it); ``phase`` accumulates per-phase timings.  Each result slot
         is a row list of ``(task_index, action, digest)`` tuples
-        (actions decoded), :data:`PRUNED`, or :data:`QUARANTINED`.
+        (actions decoded) or :data:`PRUNED`.
 
         ``round_span_id`` is the coordinator's open ``round`` span:
-        merged worker spans (and the synthesized ``lost`` partition of a
-        dead worker) are re-parented under it.
+        merged worker spans are re-parented under it.
+
+        Raises :class:`~repro.engine.errors.WorkerLost` when a worker
+        dies; the round's results are then discarded whole.
         """
         self._round = round_index
         self._round_span = round_span_id
@@ -697,10 +568,9 @@ class WorkerPool:
         self._outstanding = [0] * self.workers
         self._producers: set[int] = set()
         self._build_chunks(digests)
-        self._pump_all()
-        self._apply_scheduled_faults(round_index)
         while True:
-            self._pump_all()
+            for worker in range(self.workers):
+                self._pump(worker)
             if not any(self._outstanding):
                 break
             for worker in self._collect_ready():
@@ -708,39 +578,20 @@ class WorkerPool:
                     message = self._handles[worker].recv()
                 except (EOFError, OSError):
                     self._worker_lost(worker)
-                    continue
-                self._receive(worker, message)
+                # Each payload of a reply batch retires the oldest
+                # in-flight chunk: workers expand and reply strictly FIFO.
+                for payload in message:
+                    self._outstanding[worker] -= 1
+                    self._ingest(worker, self._inflight[worker].popleft(), payload)
         self.last_round_producers = len(self._producers)
         return self._results
 
-    def _receive(self, worker: int, message) -> None:
-        """Process one worker message: an ack or a batched reply.
-
-        Acks advance the started-chunk cursor; each payload of a reply
-        batch retires the oldest in-flight chunk (the worker expands and
-        replies strictly FIFO) and its ack.
-        """
-        if message == ACK:
-            self._started[worker] += 1
-            return
-        for payload in message:
-            self._outstanding[worker] -= 1
-            if self._started[worker]:  # local expanders do not ack
-                self._started[worker] -= 1
-            self._ingest(worker, self._inflight[worker].popleft(), payload)
-
     def _build_chunks(self, digests) -> None:
-        # Shard by digest as always; a dead shard's bucket is routed to a
-        # survivor up front (states re-ship via the encode-at-send path).
         workers = self.workers
         buckets: list[list] = [[] for _ in range(workers)]
         for position, digest in enumerate(digests):
             buckets[shard_of(digest, workers)].append((position, digest))
-        survivors = [w for w in range(workers) if self._alive[w]]
-        for shard, bucket in enumerate(buckets):
-            if not bucket:
-                continue
-            worker = shard if self._alive[shard] else survivors[shard % len(survivors)]
+        for worker, bucket in enumerate(buckets):
             seen = self.seen[worker]
             positions: list = []
             chunk_digests: list = []
@@ -757,37 +608,10 @@ class WorkerPool:
             if chunk_digests:
                 self._pending[worker].append(_Chunk(positions, chunk_digests))
 
-    def _apply_scheduled_faults(self, round_index: int) -> None:
-        if self.local or self.fault_plan is None:
-            return
-        for worker in self.fault_plan.victims_at(round_index):
-            if worker < self.workers and self._alive[worker]:
-                # SIGKILL after the first pump, so the loss is in-flight:
-                # detection, retry, and respawn all run for real.
-                self._handles[worker].process.kill()
-
     # -- dispatch -----------------------------------------------------------
 
-    def _pump_all(self) -> None:
-        # A lost worker mid-pump moves chunks onto queues already visited
-        # this pass, so pump to fixpoint.  Terminates: every pass either
-        # sends a chunk (finite pending) or buries a worker (finite pool).
-        progressed = True
-        while progressed:
-            progressed = False
-            for worker in range(self.workers):
-                progressed |= self._pump(worker)
-
-    def _pump(self, worker: int) -> bool:
+    def _pump(self, worker: int) -> None:
         queue = self._pending[worker]
-        if not queue:
-            return False
-        if not self._alive[worker]:
-            chunks = list(queue)
-            queue.clear()
-            self._reassign(worker, chunks)
-            return True
-        progressed = False
         reset = False
         while queue:
             chunk = queue[0]
@@ -803,19 +627,16 @@ class WorkerPool:
             stateful = bool(fresh)
             if stateful and len(chunk.digests) > CHUNK_STATES:
                 # Build-time sizing assumed the target still held these
-                # digests (cap CHUNK_DIGESTS); a respawn, reassignment or
-                # cache reset since then makes every entry a bootstrap pair, so
-                # re-split at send time to keep each message under the
-                # CHUNK_STATES bound the pipe-sizing argument relies on.
-                # A transport split, not a blame split: retries carry over.
+                # digests (cap CHUNK_DIGESTS); a cache reset since then
+                # makes every entry a bootstrap pair, so re-split at send
+                # time to keep each message under the CHUNK_STATES bound
+                # the pipe-sizing argument relies on.
                 queue.popleft()
                 for start in reversed(range(0, len(chunk.digests), CHUNK_STATES)):
                     queue.appendleft(
                         _Chunk(
                             chunk.positions[start : start + CHUNK_STATES],
                             chunk.digests[start : start + CHUNK_STATES],
-                            retries=chunk.retries,
-                            ship_all=chunk.ship_all,
                         )
                     )
                 continue
@@ -830,27 +651,22 @@ class WorkerPool:
             queue.popleft()
             before = time.perf_counter()
             try:
-                self._handles[worker].send((entries, chunk.ship_all, reset))
+                self._handles[worker].send((entries, reset))
             except (BrokenPipeError, OSError):
-                queue.appendleft(chunk)
                 self._worker_lost(worker)
-                return True
             self._phase["serialize_seconds"] = self._phase.get(
                 "serialize_seconds", 0.0
             ) + (time.perf_counter() - before)
             self.seen[worker].update(fresh)
             self._inflight[worker].append(chunk)
             self._outstanding[worker] += 1
-            progressed = True
             reset = False
-        return progressed
 
     def _encode(self, worker: int, chunk: _Chunk):
-        # Encoded at send time, against the *current* target's cache:
-        # after a reassignment, respawn or cache reset the same chunk may
-        # need its states re-shipped, which deciding at build time would
-        # miss.  Bootstrap pairs carry packed bytes from the store, which
-        # holds every frontier digest.
+        # Encoded at send time, against the target's *current* cache:
+        # after a cache reset the same chunk needs its states re-shipped,
+        # which deciding at build time would miss.  Bootstrap pairs carry
+        # packed bytes from the store, which holds every frontier digest.
         seen = self.seen[worker]
         packed_of = self._packed_of
         entries: list = []
@@ -875,7 +691,7 @@ class WorkerPool:
         waitable = {
             self._handles[w].conn: w
             for w in range(self.workers)
-            if self._alive[w] and self._outstanding[w]
+            if self._outstanding[w]
         }
         ready = multiprocessing.connection.wait(
             list(waitable), timeout=HEARTBEAT_SECONDS
@@ -883,7 +699,7 @@ class WorkerPool:
         if not ready:
             # Heartbeat expired with no replies: a worker may have died
             # without the pipe reporting EOF yet.  Liveness-check them.
-            for worker in list(waitable.values()):
+            for worker in waitable.values():
                 if not self._handles[worker].process.is_alive():
                     self._worker_lost(worker)
             return []
@@ -914,8 +730,7 @@ class WorkerPool:
         transitions = 0
         decoded: list = []
         # Decode action indices against the producing worker's table now,
-        # so result rows are self-contained (a retried chunk may be
-        # expanded by a different worker than the merge loop expects).
+        # so result rows are self-contained.
         for row in results:
             if row == PRUNED:
                 decoded.append(PRUNED)
@@ -980,191 +795,17 @@ class WorkerPool:
             for name, value in counters.items():
                 self.metrics.counter(f"engine.worker{worker}.{name}").inc(value)
 
-    # -- recovery -----------------------------------------------------------
+    # -- loss -----------------------------------------------------------------
 
     def _worker_lost(self, worker: int) -> None:
-        if self.local or not self._alive[worker]:
-            return
-        handle = self._handles[worker]
-        # Salvage what the dead worker shipped before dying (pipe data
-        # written pre-crash stays readable): completed reply batches are
-        # ingested normally — their chunks need no retry — and acks
-        # advance the started-chunk cursor that decides blame below.
+        """Close the dead worker's pipe, emit ``worker_lost`` and raise."""
         try:
-            while handle.conn.poll():
-                self._receive(worker, handle.conn.recv())
-        except (EOFError, OSError):
-            pass
-        self._alive[worker] = False
-        self.worker_failures += 1
-        try:
-            handle.conn.close()
+            self._handles[worker].conn.close()
         except OSError:
             pass
-        handle.process.join(timeout=0.2)
-        inflight = list(self._inflight[worker])
-        pending = list(self._pending[worker])
-        started = self._started[worker]
-        self._inflight[worker].clear()
-        self._pending[worker].clear()
-        self._outstanding[worker] = 0
-        self._started[worker] = 0
-        # Workers expand chunks strictly FIFO but reply in batches, so
-        # the chunk being expanded at death is the *last acked*
-        # un-replied one — in-flight chunks before it were already
-        # expanded into a batch that never shipped, those after it sat
-        # unread in the pipe.  Only that chunk takes the blame (retry
-        # bump, split, quarantine); the rest re-dispatch unbumped so a
-        # poison state riding behind a batchmate cannot push innocent
-        # states into quarantine.  With no ack at all the worker died
-        # before expanding anything, and nothing is blamed.
-        blamed = started - 1 if 0 < started <= len(inflight) else None
-        if self.metrics.enabled:
-            self.metrics.counter("engine.worker_failures").inc()
         if self.tracer.enabled:
-            self.tracer.emit(
-                WORKER_LOST,
-                worker=worker,
-                round=self._round,
-                inflight=len(inflight),
-                pending=len(pending),
-                restarts=self._restarts[worker],
-            )
-            if blamed is not None:
-                # The blamed chunk died with the worker; its telemetry is
-                # gone, so the coordinator synthesizes the closed span the
-                # worker never got to flush.
-                record_span(
-                    self.tracer,
-                    "partition",
-                    0.0,
-                    parent_id=self._round_span,
-                    status="lost",
-                    worker=worker,
-                    round=self._round,
-                    states=len(inflight[blamed].digests),
-                )
-        requeue: list = []
-        # Every requeued in-flight chunk is marked ship_all — the dead
-        # worker may have claimed visited-table slots for their
-        # successors without the bytes ever reaching the coordinator.
-        for index, chunk in enumerate(inflight):
-            chunk.ship_all = True
-            if index != blamed:
-                requeue.append(chunk)
-                continue
-            chunk.retries += 1
-            if chunk.retries > self.max_partition_retries:
-                raise PartitionRetryExhausted(
-                    len(chunk.digests), chunk.retries, self.max_partition_retries
-                )
-            if len(chunk.digests) > 1:
-                # Split to isolate a potential killer state; each
-                # singleton restarts its own retry count.
-                for position, digest in zip(chunk.positions, chunk.digests):
-                    requeue.append(_Chunk([position], [digest], ship_all=True))
-            elif chunk.retries >= MAX_STATE_RETRIES:
-                self._quarantine(chunk)
-            else:
-                requeue.append(chunk)
-        requeue.extend(pending)
-        self._revive_or_reassign(worker, requeue)
-
-    def _quarantine(self, chunk: _Chunk) -> None:
-        digest = chunk.digests[0]
-        state = self._codec.decode(self._packed_of.get(digest))
-        if not self.quarantine:
-            raise StateQuarantined(state, digest, chunk.retries)
-        self.quarantined.append((state, digest))
-        self._results[chunk.positions[0]] = QUARANTINED
-        if self.metrics.enabled:
-            self.metrics.counter("engine.quarantined_states").inc()
-        if self.tracer.enabled:
-            self.tracer.emit(
-                STATE_QUARANTINED,
-                digest=digest.hex(),
-                retries=chunk.retries,
-                round=self._round,
-            )
-
-    def _revive_or_reassign(self, worker: int, chunks: list) -> None:
-        if self._restarts[worker] < self.max_worker_restarts:
-            delay = RESTART_BACKOFF_SECONDS * (2 ** self._restarts[worker])
-            if delay > 0:
-                time.sleep(min(delay, 2.0))
-            self._restarts[worker] += 1
-            self.worker_respawns += 1
-            self._handles[worker] = self._spawn()
-            self._alive[worker] = True
-            # The new incarnation starts with an empty store; resetting
-            # the coordinator's view of it makes encode re-ship states.
-            # (The shared visited table is inherited as-is — membership
-            # is global state, not worker state.)
-            self.seen[worker] = set()
-            self.actions[worker] = []
-            if self.metrics.enabled:
-                self.metrics.counter("engine.worker_respawns").inc()
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    WORKER_RESPAWNED,
-                    worker=worker,
-                    round=self._round,
-                    restarts=self._restarts[worker],
-                )
-            self._requeue(chunks, [worker])
-        else:
-            survivors = [w for w in range(self.workers) if self._alive[w]]
-            if not survivors:
-                self._collapse(chunks)
-            else:
-                self._requeue(chunks, survivors)
-
-    def _reassign(self, worker: int, chunks: list) -> None:
-        # Chunks found queued on an already-dead worker (a send raced the
-        # death): move them to survivors without touching retry counts.
-        survivors = [w for w in range(self.workers) if self._alive[w]]
-        if not survivors:
-            self._collapse(chunks)
-        else:
-            self._requeue(chunks, survivors)
-
-    def _requeue(self, chunks: list, targets: list[int]) -> None:
-        if not chunks:
-            return
-        self.partitions_reassigned += len(chunks)
-        if self.metrics.enabled:
-            self.metrics.counter("engine.partitions_reassigned").inc(len(chunks))
-        for index, chunk in enumerate(chunks):
-            self._pending[targets[index % len(targets)]].append(chunk)
-
-    def _collapse(self, chunks: list) -> None:
-        """Degrade to in-process expansion: the pool is gone, the run is not."""
-        self.local = True
-        # The shared table (if any) keeps serving the in-process
-        # expanders; digests claimed by dead workers stay "present",
-        # which is safe — ship_all requeues and the coordinator's
-        # recovery path cover the missing bytes.
-        if self.visited is None:
-            self.visited = LocalVisitedFilter()
-        self._handles = [
-            LocalExpander(
-                self._view,
-                self._prune,
-                visited=self.visited,
-                telemetry=self.tracer.enabled or self.metrics.enabled,
-            )
-            for _ in range(self.workers)
-        ]
-        self._alive = [True] * self.workers
-        self.seen = [set() for _ in range(self.workers)]
-        self.actions = [[] for _ in range(self.workers)]
-        self._inflight = [deque() for _ in range(self.workers)]
-        self._outstanding = [0] * self.workers
-        self._started = [0] * self.workers
-        if self.metrics.enabled:
-            self.metrics.counter("engine.pool_collapses").inc()
-        for index, chunk in enumerate(chunks):
-            self._pending[index % self.workers].append(chunk)
+            self.tracer.emit(WORKER_LOST, worker=worker, round=self._round)
+        raise WorkerLost(worker, self._round)
 
 
 def stop_workers(handles: Sequence[_WorkerHandle]) -> None:

@@ -333,8 +333,8 @@ class StateStore(ABC):
     The expansion log mirrors the classic engine's ``edges`` dict:
     :meth:`append_expansion` is called once per expanded state, in
     expansion order, with that state's outgoing rows (possibly empty —
-    pruned and quarantined states record an empty expansion, exactly as
-    the classic engine records ``edges[state] = []``).
+    pruned states record an empty expansion, exactly as the classic
+    engine records ``edges[state] = []``).
     """
 
     #: True when the backend survives process death (enables delta

@@ -16,18 +16,17 @@ Design constraints, in order:
   table as a *filter* for reply traffic, not as the visited set (the
   coordinator's index remains the single source of truth for what is in
   the graph).  A false "present" answer — possible from a torn 16-byte
-  write observed half-written, or from a worker that inserted a digest
-  and then died before shipping the bytes — at worst suppresses a
-  shipment, and the coordinator recovers by recomputing the successor
-  from its already-known parent (the view is deterministic).  A false
-  "absent" answer merely ships a duplicate, which the coordinator
-  dedupes as it always has.  This is what buys the next property:
-* **no locks.**  The pool's chaos model allows SIGKILL at any
-  instruction (see :mod:`repro.engine.chaos`); a worker killed while
-  holding a cross-process lock would deadlock the pool.  Slot writes
-  are plain 16-byte stores — atomic in practice on CPython (one
-  ``memcpy`` under the GIL-released buffer copy), but *assumed tearable*
-  by the recovery story above, so nothing breaks if they are not;
+  write observed half-written — at worst suppresses a shipment, and the
+  coordinator recovers by recomputing the successor from its
+  already-known parent (the view is deterministic).  A false "absent"
+  answer merely ships a duplicate, which the coordinator dedupes as it
+  always has.  This is what buys the next property:
+* **no locks.**  A worker can be SIGKILLed at any instruction; one
+  killed while holding a cross-process lock would deadlock the pool's
+  shutdown.  Slot writes are plain 16-byte stores — atomic in practice
+  on CPython (one ``memcpy`` under the GIL-released buffer copy), but
+  *assumed tearable* by the recovery story above, so nothing breaks if
+  they are not;
 * **bounded memory.**  The table is sized once from the run's state
   budget (two slots per expected state, clamped to sane powers of two)
   and never grows.  When a probe sequence exhausts :data:`PROBE_LIMIT`

@@ -47,9 +47,7 @@ HOOK_VERDICT = "hook_verdict"
 PHASE = "phase"
 WORKER_ROUND = "worker_round"  # one frontier-exchange round of the parallel engine
 CHECKPOINT_SAVED = "checkpoint_saved"  # the engine snapshotted its progress to disk
-WORKER_LOST = "worker_lost"  # a pool worker died (crash or injected fault)
-WORKER_RESPAWNED = "worker_respawned"  # a lost worker slot was restarted
-STATE_QUARANTINED = "state_quarantined"  # a state repeatedly killed workers; skipped
+WORKER_LOST = "worker_lost"  # a pool worker died; the run ends with WorkerLost
 SPAN_START = "span_start"  # a hierarchical span opened (see repro.obs.spans)
 SPAN_END = "span_end"  # a span closed, carrying wall/CPU time and status
 SIM_RUN = "sim_run"  # one seeded simulation finished (see repro.sim.harness)
@@ -73,8 +71,6 @@ KINDS = frozenset(
         WORKER_ROUND,
         CHECKPOINT_SAVED,
         WORKER_LOST,
-        WORKER_RESPAWNED,
-        STATE_QUARANTINED,
         SPAN_START,
         SPAN_END,
         SIM_RUN,

@@ -30,18 +30,19 @@ single-threaded ingest loop.  The merge guarantee (documented in
 worker's buffer order is preserved, and per-process Lamport tags are
 re-stamped by the parent tracer, so the merged trace is seq/lamport
 consistent even though workers raced in real time.  Worker span ids are
-namespaced by pid (``w<pid>:<n>``) so respawned incarnations can never
-collide with the parent's ``s<n>`` ids or each other.
+namespaced by pid (``w<pid>:<n>``) so worker spans can never collide
+with the parent's ``s<n>`` ids or each other.
 
 Assembly
 --------
 
 :func:`assemble_spans` folds any event iterable back into
 :class:`SpanRecord` values (a started-but-never-ended span becomes
-``status="open"`` — the chaos tests assert a merged trace contains
-none).  On top of records sit :func:`summarize_spans` (per-name latency
-profile with p50/p95/p99), :func:`folded_stacks` (flamegraph.pl input,
-self-time weighted), and :func:`diff_span_profiles` (A/B comparison).
+``status="open"`` — the trace completeness tests assert a merged trace
+contains none, also for a run that lost a worker).  On top of records
+sit :func:`summarize_spans` (per-name latency profile with
+p50/p95/p99), :func:`folded_stacks` (flamegraph.pl input, self-time
+weighted), and :func:`diff_span_profiles` (A/B comparison).
 """
 
 from __future__ import annotations
@@ -198,8 +199,8 @@ class WorkerTelemetry:
     Mirrors the tracer's span API but appends ``(kind, process, data)``
     triples to an in-memory batch instead of a sink; :meth:`flush`
     hands the batch to the reply pipe and resets.  Span ids are
-    ``<label>:<n>`` with ``label`` unique per incarnation (pid-based by
-    default), so merged ids never collide across workers or respawns.
+    ``<label>:<n>`` with ``label`` unique per worker (pid-based by
+    default), so merged ids never collide across workers.
     """
 
     __slots__ = ("label", "events", "counters", "_stack", "_ids")

@@ -26,12 +26,12 @@ independent requests, and closing per request keeps the server free of
 keep-alive state machines.  The event stream writes SSE frames until
 the job reaches a terminal state.
 
-Fault tolerance composes with the layers below: worker-pool crashes
-inside a job are absorbed by the PR-4 recovery machinery (the job just
-reports its ``engine`` summary), a fleet thread can never die of a job
-exception (:func:`~repro.serve.runner.execute_job` folds everything
-into the outcome), and a killed *server* resumes in-flight jobs on
-restart from the journal plus the engine's root-digest checkpoints.
+Fault tolerance composes with the layers below: a worker-pool crash
+inside a job fails that job and leaves its checkpoint, so running the
+job again resumes it; a fleet thread can never die of a job exception
+(:func:`~repro.serve.runner.execute_job` folds everything into the
+outcome), and a killed *server* resumes in-flight jobs on restart from
+the journal plus the engine's root-digest checkpoints.
 """
 
 from __future__ import annotations

@@ -3,9 +3,8 @@
 :func:`execute_job` runs synchronously inside a fleet worker thread and
 reuses the repo's machinery end to end rather than duplicating any of
 it: the candidate is built from the registry, the exploration runs
-through :class:`~repro.engine.ExplorationEngine` (gaining the PR-4
-crash-recovery worker pool, chaos plans from ``REPRO_CHAOS``, and
-checkpoint/resume), progress flows through the PR-5
+through :class:`~repro.engine.ExplorationEngine` (worker pool and
+checkpoint/resume included), progress flows through the
 :class:`~repro.obs.progress.ProgressReporter` plumbing via
 :class:`JobProgressReporter`, and the verdict comes from
 :func:`repro.analysis.refute_candidate` — byte-for-byte the JSON the
@@ -13,9 +12,12 @@ CLI's ``refute --json`` path emits.
 
 Checkpoints land in a per-cache-key directory under the server's data
 dir.  The engine names checkpoint files by each exploration's root
-digest, so a restarted server re-running the job with ``resume=True``
-continues the interrupted stage instead of starting over; the directory
-is removed once the job reaches a terminal verdict.
+digest, so re-running the job with ``resume=True`` (a restarted server,
+or a resubmission) continues the interrupted stage instead of starting
+over; the directory is removed once the job reaches a terminal verdict.
+A job whose engine loses a pool worker ends ``failed`` (the engine is
+fail-stop and raises :class:`~repro.engine.WorkerLost`), and keeps its
+checkpoint, so resubmitting it resumes where the loss stopped it.
 
 Jobs requesting a disk-backed state store (``"store": "sqlite"`` in
 the spec — a backend name only, never a client path) get a

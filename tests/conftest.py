@@ -5,7 +5,12 @@ seed registers it (plus the one-line reproduction command) through the
 ``replay_hint`` fixture, and any failure then carries a ``replay``
 report section showing exactly how to re-run that schedule offline —
 seeds never die in CI logs unprinted.
+
+And the ``poison`` fixture, which kills pool workers from the test side
+so the fail-stop path runs against real process deaths.
 """
+
+import os
 
 import pytest
 
@@ -25,6 +30,55 @@ def _isolated_run_ledger(tmp_path, monkeypatch):
     about the ledger pass ``--runs-dir`` explicitly and are unaffected.
     """
     monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path / "runs-ledger"))
+
+
+class Poison:
+    """Digests whose expansion kills the forked pool worker asked for them.
+
+    The worker exits with ``os._exit(137)``, as if SIGKILLed, before it
+    expands the chunk, so the loss is in flight.  Clear ``digests`` to
+    disarm: pools forked afterwards inherit the empty set.
+    """
+
+    def __init__(self) -> None:
+        self.digests: set[bytes] = set()
+
+    def round_two(self, view, root, worker: int = 0, workers: int = 2) -> bytes:
+        """Poison a successor of ``root`` that round 2 ships to ``worker``."""
+        from repro.engine import fingerprint, shard_of
+
+        digest = next(
+            digest
+            for digest in (fingerprint(post) for _, _, post in view.successors(root))
+            if shard_of(digest, workers) == worker and digest != fingerprint(root)
+        )
+        self.digests.add(digest)
+        return digest
+
+
+@pytest.fixture
+def poison(monkeypatch):
+    """Kill pool workers from the test, with no hook in the engine.
+
+    Wraps ``_ChunkExpander.expand`` before any pool forks; only forked
+    children (``os.getpid() != parent``) check the poisoned digests, so
+    in-process expansion is unaffected.
+    """
+    from repro.engine import parallel
+
+    plan = Poison()
+    parent = os.getpid()
+    expand = parallel._ChunkExpander.expand
+
+    def poisoned(self, entries, *args):
+        if os.getpid() != parent:
+            for entry in entries:
+                if (entry if type(entry) is bytes else entry[0]) in plan.digests:
+                    os._exit(137)
+        return expand(self, entries, *args)
+
+    monkeypatch.setattr(parallel._ChunkExpander, "expand", poisoned)
+    return plan
 
 
 @pytest.fixture

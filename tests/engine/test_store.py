@@ -571,6 +571,23 @@ class TestSegmentCheckpoints:
         with pytest.raises(CheckpointError, match="store="):
             load_checkpoint(segments)
 
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_memory_store_refuses_segments(
+        self, workers, small_instance, tmp_path
+    ):
+        """A memory store never held the segments' states: resuming them
+        is the classic run's CheckpointError, not a silent fresh start."""
+        view, root = small_instance
+        checkpoint_dir, _, _ = self.exhaust(view, root, tmp_path)
+        engine = ExplorationEngine(
+            workers=workers,
+            store="memory",
+            checkpoint_dir=checkpoint_dir,
+            resume=True,
+        )
+        with pytest.raises(CheckpointError, match="store="):
+            engine.explore(view, root)
+
     def test_discard_checkpoint_removes_segments(
         self, small_instance, tmp_path
     ):

@@ -83,15 +83,15 @@ class TestTraceEvent:
         assert "worker_round" in KINDS
         assert "checkpoint_saved" in KINDS
         assert "worker_lost" in KINDS
-        assert "worker_respawned" in KINDS
-        assert "state_quarantined" in KINDS
+        assert "worker_respawned" not in KINDS
+        assert "state_quarantined" not in KINDS
         assert "span_start" in KINDS
         assert "span_end" in KINDS
         assert "sim_run" in KINDS
         assert "fault_fired" in KINDS
         assert "fuzz_candidate" in KINDS
         assert "shrink_step" in KINDS
-        assert len(KINDS) == 22
+        assert len(KINDS) == 20
 
 
 class TestTracerStamping:

@@ -1,23 +1,22 @@
-"""Trace completeness under parallelism and chaos.
+"""Trace completeness under parallelism and a lost worker.
 
 The merge guarantee, asserted on real traces: a traced ``--workers N``
-exploration — including one whose workers are SIGKILLed mid-round by a
-:class:`~repro.engine.FaultPlan` — yields ONE merged JSONL trace in
-which every started span is closed (``ok`` or ``lost``), worker spans
-are attributed and re-parented under their round, sequence numbers are
-monotonic, and the surviving segments still replay.
+exploration yields ONE merged JSONL trace in which every started span
+is closed, worker spans are attributed and re-parented under their
+round, and sequence numbers are monotonic.  A run whose worker dies
+(killed from the test by the ``poison`` fixture) raises ``WorkerLost``
+and still leaves a complete trace whose segments replay.
 """
 
 import pytest
 
 from repro.analysis import DeterministicSystemView
-from repro.engine import Budget, ExplorationEngine, FaultPlan, fork_available
+from repro.engine import Budget, ExplorationEngine, WorkerLost, fork_available
 from repro.obs import (
     JsonlSink,
     RingBufferSink,
     Tracer,
     assemble_spans,
-    summarize_spans,
 )
 from repro.obs.replay import load_events, split_runs, task_sequence
 from repro.protocols import delegation_consensus_system
@@ -35,7 +34,7 @@ def instance():
     return view, root
 
 
-def traced_exploration(instance, tmp_path, fault_plan=None, workers=2):
+def traced_exploration(instance, tmp_path, workers=2):
     view, root = instance
     path = tmp_path / "trace.jsonl"
     with JsonlSink(path) as sink:
@@ -43,7 +42,6 @@ def traced_exploration(instance, tmp_path, fault_plan=None, workers=2):
         engine = ExplorationEngine(
             workers=workers,
             budget=Budget(max_states=50_000),
-            fault_plan=fault_plan,
             tracer=tracer,
         )
         graph = engine.explore(view, root)
@@ -89,77 +87,53 @@ class TestParallelTraceMerge:
 
 @needs_fork
 class TestChaosTraceCompleteness:
-    def test_killed_worker_leaves_no_open_spans(self, instance, tmp_path):
-        """A SIGKILLed worker's merged trace still closes every span:
-        flushed batches survive as-is, anything unflushed simply never
-        started (batches are self-contained)."""
-        _, engine, events = traced_exploration(
-            instance, tmp_path, fault_plan=FaultPlan(kills=frozenset({(2, 0)}))
-        )
-        assert engine.last_report.worker_failures == 1
-        records = assemble_spans(events)
+    def test_killed_worker_leaves_no_open_spans(self, instance, tmp_path, poison):
+        """A run that raises WorkerLost still closes every span: the lost
+        ``round`` and ``engine.run`` end with status ``error``, and worker
+        batches are self-contained, so nothing of theirs is half open."""
+        view, root = instance
+        poison.round_two(view, root)
+        with pytest.raises(WorkerLost):
+            traced_exploration(instance, tmp_path)
+        records = assemble_spans(load_events(tmp_path / "trace.jsonl"))
         assert records
         assert all(record.status != "open" for record in records)
+        errors = {
+            (record.name, record.attrs.get("round"))
+            for record in records
+            if record.status == "error"
+        }
+        assert errors == {("round", 2), ("engine.run", None)}
 
-    def test_dying_chunk_gets_synthesized_lost_span(self, instance, tmp_path):
-        """A chunk that dies with its worker (poison guarantees it was
-        in flight) is closed parent-side as a ``status="lost"``
-        partition span attributed to the worker that took it down."""
-        from repro.engine import fingerprint
-        from repro.analysis import explore
-
-        view, root = instance
-        graph = explore(view, root, budget=Budget(max_states=50_000))
-        victim = list(graph.states)[10]
-        plan = FaultPlan(poison=frozenset({fingerprint(victim)}))
-        _, engine, events = traced_exploration(instance, tmp_path, fault_plan=plan)
-        assert engine.last_report.worker_failures >= 1
-        records = assemble_spans(events)
-        assert all(record.status != "open" for record in records)
-        lost = [r for r in records if r.status == "lost"]
-        assert lost, "no lost span synthesized for the dying chunk"
-        for record in lost:
-            assert record.name == "partition"
-            assert "worker" in record.attrs
-        profile = summarize_spans(records)
-        assert profile["partition"]["statuses"].get("lost", 0) >= 1
-
-    def test_double_kill_trace_still_complete(self, instance, tmp_path):
-        _, engine, events = traced_exploration(
-            instance,
-            tmp_path,
-            fault_plan=FaultPlan(kills=frozenset({(2, 1), (3, 0)})),
-            workers=3,
-        )
-        assert engine.last_report.worker_failures == 2
-        records = assemble_spans(events)
-        assert all(record.status != "open" for record in records)
-        assert [e.seq for e in events] == sorted(e.seq for e in events)
-
-    def test_surviving_segments_still_replay(self, instance, tmp_path):
-        """Span events ride the same stream without breaking replay
-        segmentation: a traced chaos run's trace still splits into runs
-        and yields task sequences."""
+    def test_surviving_segments_still_replay(self, tmp_path, poison):
+        """A pipeline stopped by a lost worker, traced after a clean one
+        into the same file, leaves a trace whose run segments still
+        split and yield task sequences."""
         from repro.analysis import refute_candidate
 
         system = delegation_consensus_system(3, resilience=1)
         path = tmp_path / "pipeline.jsonl"
         with JsonlSink(path) as sink:
             tracer = Tracer(sink)
-            engine = ExplorationEngine(
-                workers=2,
-                budget=Budget(max_states=50_000),
-                fault_plan=FaultPlan(kills=frozenset({(2, 0)})),
-            )
-            verdict = refute_candidate(system, tracer=tracer, engine=engine)
-        assert verdict.refuted
+
+            def pipeline():
+                engine = ExplorationEngine(
+                    workers=2, budget=Budget(max_states=50_000), store="memory"
+                )
+                return refute_candidate(system, tracer=tracer, engine=engine)
+
+            assert pipeline().refuted
+            # The Lemma 4 chain explores the all-zero initialization first.
+            root = system.initialization({0: 0, 1: 0, 2: 0}).final_state
+            poison.round_two(DeterministicSystemView(system), root)
+            with pytest.raises(WorkerLost):
+                pipeline()
         events = load_events(path)
         records = assemble_spans(events)
         assert all(record.status != "open" for record in records)
-        stages = [
-            event.data["stage"] for event in events if event.kind == "phase"
-        ]
-        assert stages == ["lemma4", "hook-search", "refutation"]
+        assert "worker_lost" in {event.kind for event in events}
+        stages = [event.data["stage"] for event in events if event.kind == "phase"]
+        assert stages == ["lemma4", "hook-search", "refutation", "lemma4"]
         segments = split_runs(events)
         assert segments
         assert any(task_sequence(segment) for segment in segments)

@@ -4,6 +4,8 @@ These drive :func:`repro.serve.runner.execute_job` directly (no HTTP, no
 event loop) — the fleet calls it exactly this way from a worker thread.
 """
 
+import pytest
+
 from repro.obs import MetricsRegistry
 from repro.obs.ledger import RunLedger
 from repro.serve import (
@@ -119,6 +121,45 @@ class TestCheckpointResume:
         outcome, _ = run(job, data_dir=None)
         assert outcome.state == COMPLETED
         assert not any(tmp_path.iterdir())
+
+
+class TestWorkerLoss:
+    def test_lost_worker_fails_the_job_and_resubmitting_resumes(
+        self, tmp_path, poison
+    ):
+        """The engine is fail-stop: a lost worker ends the job FAILED,
+        its checkpoint stays, and running the job again resumes it."""
+        from repro.analysis import DeterministicSystemView
+        from repro.engine import fork_available
+
+        if not fork_available():
+            pytest.skip("killing a worker needs forked workers")
+        document = {"candidate": "delegation", "n": 3, "f": 1, "workers": 2}
+        clean, _ = run(make_job(document), max_engine_workers=2)
+        assert clean.state == COMPLETED
+
+        job = make_job(document)
+        system = job.spec.build()
+        # The Lemma 4 chain explores the all-zero initialization first.
+        root = system.initialization({0: 0, 1: 0, 2: 0}).final_state
+        poison.round_two(DeterministicSystemView(system), root)
+        outcome, _ = run(job, data_dir=tmp_path, max_engine_workers=2)
+        assert outcome.state == FAILED
+        assert outcome.error["error"] == "job_failed"
+        assert "WorkerLost: worker 0 lost in round 2" in outcome.error["detail"]
+        checkpoints = job_checkpoint_dir(tmp_path, job.key)
+        assert checkpoints.is_dir() and any(checkpoints.iterdir())
+
+        poison.digests.clear()
+        metrics = MetricsRegistry()
+        retry = make_job(document, job_id="job-retry", resume=True)
+        outcome, _ = run(
+            retry, data_dir=tmp_path, metrics=metrics, max_engine_workers=2
+        )
+        assert outcome.state == COMPLETED
+        assert outcome.verdict == clean.verdict
+        assert metrics.snapshot()["counters"].get("engine.resumes", 0) >= 1
+        assert not checkpoints.exists()
 
 
 class TestStoreJobs:

@@ -166,13 +166,22 @@ class TestHeadlineSignatures:
             "audit",
             "tracer",
             "metrics",
-            "max_worker_restarts",
-            "max_partition_retries",
-            "quarantine",
-            "fault_plan",
             "progress",
             "cancel",
             "run",
+        ]
+
+    def test_worker_loss_surface(self):
+        """A lost worker raises WorkerLost; no recovery knobs remain."""
+        assert "WorkerLost" in repro.engine.__all__
+        for removed in ("FaultPlan", "PartitionRetryExhausted", "StateQuarantined"):
+            assert removed not in repro.engine.__all__
+        parameters = inspect.signature(repro.engine.WorkerLost).parameters
+        assert list(parameters) == [
+            "worker",
+            "round_index",
+            "checkpoint",
+            "resume_command",
         ]
 
     def test_store_config_fields(self):

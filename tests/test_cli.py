@@ -270,33 +270,47 @@ class TestBudgetExhaustionPath:
 
 
 class TestChaosFlags:
-    def test_chaos_kill_recovers_to_same_verdict(self, capsys, monkeypatch):
-        assert main(["refute", "delegation", "--workers", "2"]) == 0
+    def test_chaos_kill_recovers_to_same_verdict(self, capsys, poison, tmp_path):
+        """A killed worker stops the refutation: exit 1 with the
+        checkpoint and resume lines and one failed ledger record; the
+        --resume run then completes with the clean verdict."""
+        from repro.analysis import DeterministicSystemView
+        from repro.engine import fork_available
+        from repro.protocols import delegation_consensus_system
+
+        if not fork_available():
+            pytest.skip("killing a worker needs forked workers")
+        checkpoints = str(tmp_path / "ckpt")
+        runs_dir = str(tmp_path / "runs")
+        refute = ["refute", "delegation", "--workers", "2", "--runs-dir", runs_dir]
+        assert main(refute) == 0
         clean = capsys.readouterr().out
-        monkeypatch.setenv("REPRO_CHAOS", "kill=2:0")
-        assert main(["refute", "delegation", "--workers", "2"]) == 0
-        chaotic = capsys.readouterr().out
+        # The Lemma 4 chain explores the all-zero initialization first.
+        system = delegation_consensus_system(3, resilience=1)
+        root = system.initialization({0: 0, 1: 0, 2: 0}).final_state
+        poison.round_two(DeterministicSystemView(system), root)
+        with pytest.raises(SystemExit) as excinfo:
+            main([*refute, "--checkpoint", checkpoints])
+        message = str(excinfo.value.code)
+        assert message.startswith("worker 0 lost in round 2")
+        assert "\nCheckpoint: " in message
+        assert f"--resume {checkpoints}" in message.splitlines()[-1]
+        capsys.readouterr()
+        assert main(["runs", "list", "--json", "--runs-dir", runs_dir]) == 0
+        records = json.loads(capsys.readouterr().out)
+        failed = [record for record in records if record["status"] == "failed"]
+        assert len(failed) == 1
+        assert "worker 0 lost in round 2" in failed[0]["error"]
+        assert f"--resume {checkpoints}" in failed[0]["artifacts"]["resume"]
+        poison.digests.clear()
+        assert main([*refute, "--resume", checkpoints]) == 0
+        resumed = capsys.readouterr().out
         strip = lambda out: [
             line
             for line in out.splitlines()
-            if not line.startswith(("Explored", "engine:", "Run id:"))
+            if not line.startswith(("Explored", "Run id:"))
         ]
-        assert strip(chaotic) == strip(clean)
-
-    def test_max_worker_restarts_flag_accepted(self, capsys):
-        assert (
-            main(
-                [
-                    "refute",
-                    "delegation",
-                    "--workers",
-                    "2",
-                    "--max-worker-restarts",
-                    "0",
-                ]
-            )
-            == 0
-        )
+        assert strip(resumed) == strip(clean)
 
 
 class TestTrace:
