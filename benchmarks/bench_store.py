@@ -1,13 +1,13 @@
-"""E-store: disk-backed StateStore backends vs the in-RAM engine.
+"""E-store: the disk-backed sqlite StateStore vs the in-RAM engine.
 
 Two evidence tables, both appended to ``BENCH_engine.json``:
 
-* **backend comparison** — one instance explored through every
-  :class:`repro.engine.StateStore` backend (``memory``/``sqlite``)
-  plus the classic in-RAM engine, workers=1.  Every run must
-  reproduce the *identical* graph (state discovery order and edge dict —
-  the store's documented guarantee); rows record states/sec, peak RSS,
-  flush count/seconds and spilled frontier digests, so the price of
+* **backend comparison** — one instance explored through the
+  :class:`repro.engine.StateStore` ``sqlite`` backend and through the
+  classic in-RAM engine, workers=1.  The store run must reproduce the
+  *identical* graph (state discovery order and edge dict — the store's
+  documented guarantee); rows record states/sec, peak RSS, flush
+  count/seconds and spilled frontier digests, so the price of
   durability is a number, not a vibe.
 
 * **acceptance scale** (``REPRO_BENCH_FULL=1``) — ``tob(5, 1)`` scanned
@@ -19,7 +19,7 @@ Two evidence tables, both appended to ``BENCH_engine.json``:
   kill-and-resume acceptance evidence.
 
 Instance selection: the comparison uses ``delegation_consensus_system
-(6, 1)`` (~29k states, seconds per backend).  The scale run is minutes
+(6, 1)`` (~29k states, seconds per run).  The scale run is minutes
 long and therefore gated behind ``REPRO_BENCH_FULL=1`` like the other
 full-size configurations.
 """
@@ -40,7 +40,6 @@ from repro.engine import Budget, ExplorationEngine
 from repro.protocols import delegation_consensus_system, tob_delegation_system
 
 FULL = os.environ.get("REPRO_BENCH_FULL", "") not in ("", "0")
-BACKENDS = ("memory", "sqlite")
 RSS_LIMIT_MB = 1536
 SCALE_TARGET_STATES = 1_000_000
 SCALE_BUDGET = 1_050_000
@@ -57,12 +56,10 @@ def _instance():
     return "delegation(n=6, f=1)", view, root
 
 
-def _store_uri(backend, tmp_path):
-    if backend == "memory":
-        return "memory"
+def _store_uri(tmp_path):
     # flush=10000 so the instance crosses several durable-flush
     # boundaries and the flush columns measure real work.
-    return f"{backend}:{tmp_path / backend}?flush=10000"
+    return f"sqlite:{tmp_path / 'sqlite'}?flush=10000"
 
 
 def test_backend_comparison(tmp_path):
@@ -95,18 +92,15 @@ def test_backend_comparison(tmp_path):
 
     rows = [row("none (classic)", classic_seconds, engine.last_report, collections)]
 
-    for backend in BACKENDS:
-        _, view, root = _instance()
-        engine = ExplorationEngine(
-            workers=1, budget=budget, store=_store_uri(backend, tmp_path)
-        )
-        with Gen2Collections() as collections:
-            start = perf_counter()
-            graph = engine.explore(view, root)
-            seconds = perf_counter() - start
-        assert list(graph.states) == list(classic.states), backend
-        assert graph.edges == classic.edges, backend
-        rows.append(row(backend, seconds, engine.last_report, collections))
+    _, view, root = _instance()
+    engine = ExplorationEngine(workers=1, budget=budget, store=_store_uri(tmp_path))
+    with Gen2Collections() as collections:
+        start = perf_counter()
+        graph = engine.explore(view, root)
+        seconds = perf_counter() - start
+    assert list(graph.states) == list(classic.states)
+    assert graph.edges == classic.edges
+    rows.append(row("sqlite", seconds, engine.last_report, collections))
 
     report(
         f"E-store: backend comparison {label} workers=1 (identical graph)",

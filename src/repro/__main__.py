@@ -48,10 +48,12 @@ an error on stderr, with the checkpoint and resume command when the
 engine wrote one, and exit 1.
 
 The pipeline commands drive :class:`repro.engine.ExplorationEngine`
-directly: ``--workers N`` parallelizes the explorations, ``--deadline
-SECONDS`` bounds each stage's wall clock, and ``--checkpoint DIR`` /
-``--resume DIR`` snapshot interrupted explorations and continue them on
-the next invocation instead of starting over.  ``--store URI`` keeps
+directly: ``--workers N`` parallelizes the explorations (on a
+``--store``: without one, ``--workers`` above 1 is a usage error),
+``--deadline SECONDS`` bounds each stage's wall clock, and
+``--checkpoint DIR`` / ``--resume DIR`` snapshot interrupted
+explorations and continue them on the next invocation instead of
+starting over.  ``--store URI`` keeps
 packed states in a disk-backed :class:`~repro.engine.StateStore`
 (``sqlite:/path``; default from ``$REPRO_ENGINE_STORE``, else no store)
 with streaming delta checkpoints, and
@@ -64,6 +66,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import shlex
 import sys
 
 from .serve.wire import CANDIDATES, WireError, build_system, package_version
@@ -234,6 +237,7 @@ def _run_pipeline(args: argparse.Namespace, tracer, metrics, run_artifacts=None)
     if audit and not reduction.enabled:
         raise SystemExit("--audit-reduction requires --reduction other than none")
     checkpoint_dir = args.resume if args.resume is not None else args.checkpoint
+    store = getattr(args, "store", None)
     rss_limit_mb = getattr(args, "rss_limit_mb", None)
     if rss_limit_mb is not None:
         _apply_rss_limit(rss_limit_mb, say)
@@ -247,12 +251,14 @@ def _run_pipeline(args: argparse.Namespace, tracer, metrics, run_artifacts=None)
             f"repro {args.command} {args.candidate} -n {args.n} "
             f"-f {args.resilience} --resume {checkpoint_dir}"
         )
+        if store is not None:
+            artifacts["resume"] += f" --store {shlex.quote(store)}"
     run = _open_run_handle(
         args,
         getattr(args, "command", "refute") or "refute",
         f"{args.candidate}(n={args.n},f={args.resilience})",
         budget=budget.to_json(),
-        store=getattr(args, "store", None),
+        store=store,
         workers=args.workers,
         artifacts=artifacts,
     )
@@ -265,7 +271,7 @@ def _run_pipeline(args: argparse.Namespace, tracer, metrics, run_artifacts=None)
     engine = ExplorationEngine(
         workers=args.workers,
         budget=budget,
-        store=getattr(args, "store", None),
+        store=store,
         checkpoint_dir=checkpoint_dir,
         resume=args.resume is not None,
         rss_limit_mb=rss_limit_mb,
@@ -1139,19 +1145,19 @@ def main(argv: list[str] | None = None) -> int:
             "--workers",
             type=int,
             default=int(os.environ.get("REPRO_ENGINE_WORKERS", "1")),
-            help="parallel exploration workers (1 = in-process; "
-            "default from $REPRO_ENGINE_WORKERS)",
+            help="parallel exploration workers (1 = in-process; more "
+            "than 1 needs --store; default from $REPRO_ENGINE_WORKERS)",
         )
         subparser.add_argument(
             "--store",
             type=_store_uri,
             default=os.environ.get("REPRO_ENGINE_STORE") or None,
             metavar="URI",
-            help="state-store backend for explorations (default from "
-            "$REPRO_ENGINE_STORE, else none: at --workers 1 the in-RAM "
-            "loop, the fastest); 'sqlite:/path' holds packed states on "
-            "disk for 10^6+-state runs under a bounded RSS; 'memory' keeps "
-            "packed states in RAM and is several times slower than no store",
+            help="state store for explorations (default from "
+            "$REPRO_ENGINE_STORE, else none: the in-RAM loop, the "
+            "fastest); 'sqlite:/path' holds packed states on disk for "
+            "10^6+-state runs under a bounded RSS ('sqlite' alone: a "
+            "scratch directory); --workers N>1 runs on it",
         )
         subparser.add_argument(
             "--rss-limit-mb",
@@ -1329,7 +1335,7 @@ def main(argv: list[str] | None = None) -> int:
         default=2,
         metavar="N",
         help="cap on exploration workers per job (a job's own `workers` "
-        "request is clamped to this)",
+        "request is clamped to this; a job without a `store` runs at 1)",
     )
     serve.add_argument(
         "--data-dir",
@@ -1571,6 +1577,11 @@ def main(argv: list[str] | None = None) -> int:
     lister.set_defaults(handler=cmd_list)
 
     args = parser.parse_args(argv)
+    if getattr(args, "workers", 1) > 1 and getattr(args, "store", None) is None:
+        parser.error(
+            f"--workers {args.workers} needs --store sqlite:DIR (the worker "
+            "pool runs on a state store); without a store use --workers 1"
+        )
     return args.handler(args)
 
 

@@ -140,8 +140,9 @@ def explore(
     (``None`` means :data:`repro.engine.DEFAULT_BUDGET`,
     ``Budget(max_states=200_000)``).
 
-    ``store`` selects a :mod:`repro.engine.store` backend for the
-    run's states — a URI string (``"sqlite:/path"`` or ``"memory"``),
+    ``store`` selects a :mod:`repro.engine.store` store for the run's
+    states — a URI string (``"sqlite:/path"``, or ``"sqlite"`` for a
+    scratch directory),
     a :class:`repro.engine.StoreConfig`, or a
     :class:`repro.engine.StateStore` instance.  ``None`` (the default)
     keeps the classic in-RAM exploration.  Note this function still

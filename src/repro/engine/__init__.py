@@ -20,14 +20,15 @@ The engine is the scalable successor of
   snapshots so interrupted or budget-exhausted runs resume instead of
   restarting (monolithic files for in-RAM runs, streaming delta
   segments for store-backed ones);
-* :mod:`repro.engine.store`       — the :class:`StateStore` backends
-  (``memory`` / ``sqlite``) behind external-memory exploration:
+* :mod:`repro.engine.store`       — the :class:`StateStore` protocol
+  and its ``sqlite`` backend behind external-memory exploration:
   digest-keyed state storage, an in-memory digest visited set, and a
   spillable FIFO frontier, so 10^6+-state runs hold packed bytes on disk
   instead of decoded states in RAM;
 * :mod:`repro.engine.parallel`    — the fork-based worker pool doing
   frontier-partitioned parallel BFS (states sharded by digest) for the
-  engine's store-backed round loop, with an in-process fallback when
+  engine's store-backed round loop (``workers > 1`` needs a store),
+  with an in-process fallback when
   fork is unavailable; a lost worker stops the run;
 * :mod:`repro.engine.api`         — the :class:`ExplorationEngine`
   facade the analysis layer and the CLI drive, with a documented
@@ -86,7 +87,6 @@ from .fingerprint import (
 )
 from .parallel import WorkerPool, fork_available
 from .store import (
-    MemoryStore,
     SQLiteStore,
     StateStore,
     StoreConfig,
@@ -128,7 +128,6 @@ __all__ = [
     "FingerprintCollision",
     "FingerprintIndex",
     "LocalVisitedFilter",
-    "MemoryStore",
     "ReducedView",
     "ReductionAuditError",
     "ReductionComparison",

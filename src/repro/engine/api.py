@@ -29,16 +29,16 @@ relation.  The engine fixes all three identically in its three loops
 * dedup is "first discovery wins", applied in merge order.
 
 Parallelism therefore changes *where* ``successors()`` runs, never
-*what* the search sees.  Every run with more than one worker goes
-through the store-backed loop — on an engine-owned in-RAM
-:class:`~repro.engine.store.MemoryStore` when no ``store=`` is given —
-so the one forking loop is also the one digest-native loop.  The only
-caveat is dedup by digest (used by every store-backed run): a
-fingerprint collision would merge two distinct states.  The default
-16-byte digests make that probability ~``n^2/2^129``; collision-audit
-mode (:class:`~repro.engine.fingerprint.FingerprintIndex`, one process,
-no store) upgrades the guarantee to a checked one.  Interrupted runs may differ from a
-sequential interrupt in *which* prefix they explored, but resuming any
+*what* the search sees.  The worker pool runs only on a ``sqlite``
+store (``workers > 1`` without ``store=`` is a ``ValueError``), so the
+one forking loop is also the one digest-native loop, and the classic
+loop stays the in-RAM path.  The only caveat is dedup by digest (used
+by every store-backed run): a fingerprint collision would merge two
+distinct states.  The default 16-byte digests make that probability
+~``n^2/2^129``; collision-audit mode
+(:class:`~repro.engine.fingerprint.FingerprintIndex`, one process, no
+store) upgrades the guarantee to a checked one.  Interrupted runs may
+differ from a sequential interrupt in *which* prefix they explored, but resuming any
 checkpoint converges to the same completed graph.  That includes a run
 that lost a worker: the pool is fail-stop, so the loss raises
 :class:`~repro.engine.errors.WorkerLost` (with the checkpoint written on
@@ -48,7 +48,6 @@ the way out) and never yields a partial graph.
 from __future__ import annotations
 
 import time
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -89,7 +88,6 @@ from .store import (
     DEFAULT_FLUSH_INTERVAL,
     StateStore,
     StoreConfig,
-    _split_digests,
     open_store,
     resolve_store,
 )
@@ -234,9 +232,8 @@ class EngineReport:
     #: because a torn visited-table slot suppressed their shipment (see
     #: the engine's missing-bytes recovery).
     recovered_states: int = 0
-    #: Which :mod:`~repro.engine.store` backend held the run's states —
-    #: ``"memory"`` covers both classic in-RAM runs and the explicit
-    #: memory backend.
+    #: Which :mod:`~repro.engine.store` backend held the run's states:
+    #: ``"sqlite"``, or ``"memory"`` for a classic in-RAM run.
     store_backend: str = "memory"
     #: Frontier digests that overflowed the in-memory window onto disk.
     spilled_states: int = 0
@@ -270,7 +267,7 @@ class EngineReport:
     def live(self) -> dict:
         """The live fields: what progress lines and heartbeats render.
 
-        ``spilled`` appears only for a durable store backend, and
+        ``spilled`` appears only for a store-backed run, and
         ``flush_ms`` only once a store flush has happened.
         """
         fields = {
@@ -343,20 +340,19 @@ class ExplorationEngine:
     ----------
     workers:
         Expansion processes.  ``1`` (the default) runs in-process.  More
-        than one always explores through a store (an engine-owned
-        ``"memory"`` store when ``store`` is ``None``; ``explore()``
-        still returns the materialized graph) with forked workers — or
-        in-process expanders when the platform lacks the ``fork`` start
-        method (the system under analysis is not picklable, so workers
-        must inherit it — see :mod:`repro.engine.parallel`).
+        than one needs a ``store`` (``ValueError`` without one) and
+        explores through it with forked workers — or in-process
+        expanders when the platform lacks the ``fork`` start method (the
+        system under analysis is not picklable, so workers must inherit
+        it — see :mod:`repro.engine.parallel`).
     budget:
         The :class:`Budget`; defaults to the explorer's historical
         ``Budget(max_states=200_000)``.
     store:
         Where discovered states live: ``None`` (the default) keeps
-        today's in-RAM exploration; otherwise a
+        the classic in-RAM exploration; otherwise a
         :mod:`~repro.engine.store` selector — a URI string
-        (``"memory"`` or ``"sqlite:/path"``), a
+        (``"sqlite"`` for a scratch directory, or ``"sqlite:/path"``), a
         :class:`~repro.engine.store.StoreConfig`, or a ready
         :class:`~repro.engine.store.StateStore` instance (bound to
         exactly one exploration).  With a store the engine runs
@@ -369,10 +365,10 @@ class ExplorationEngine:
         When set, the engine snapshots its progress into this directory
         every ``flush_interval`` expansions and on budget exhaustion;
         snapshots are named by the root state's digest and deleted when
-        their exploration completes.  Runs on a durable store write
-        streaming *delta segments* (tiny counter + frontier files — the
-        states are already in the store); classic and memory-store runs
-        write monolithic checkpoint files.
+        their exploration completes.  Store-backed runs write streaming
+        *delta segments* (tiny counter + frontier files — the states are
+        already in the store); classic runs write monolithic checkpoint
+        files.
     flush_interval:
         Expansions between durable store flushes / checkpoint
         snapshots.  ``None`` defers to the store's configured
@@ -382,8 +378,8 @@ class ExplorationEngine:
         When true (and ``checkpoint_dir`` holds a checkpoint for this
         root), continue from the snapshot instead of starting over.
         Store-backed runs resume from the newest delta segment (the
-        store is truncated to the segment's durable marks); either mode
-        can also resume the other's monolithic v1/v2 files.
+        store is truncated to the segment's durable marks), or seed the
+        store from a classic run's monolithic v1/v2 file.
     rss_limit_mb:
         The RSS ceiling the run is expected to respect, echoed in
         :class:`EngineReport` next to the measured ``peak_rss_kb``.
@@ -462,13 +458,10 @@ class ExplorationEngine:
                 "collision audit at workers=1 without a store"
             )
         if workers > 1 and self.store is None:
-            warnings.warn(
-                f"ExplorationEngine(workers={workers}) without a store runs the "
-                "store-backed worker pool, which is slower than the in-RAM loop "
-                "of workers=1; use workers=1, or pass store= for a disk-bound "
-                "run (see the 'engine scaling' rows of BENCH_engine.json)",
-                RuntimeWarning,
-                stacklevel=2,
+            raise ValueError(
+                f"workers={workers} needs a store: the worker pool runs on a "
+                "sqlite store; use workers=1 (the in-RAM loop, the fastest "
+                "without a store) or pass store='sqlite:/path'"
             )
         self.workers = workers
         self.budget = DEFAULT_BUDGET if budget is None else budget
@@ -519,10 +512,11 @@ class ExplorationEngine:
         :class:`~repro.engine.errors.WorkerLost`, with the same
         checkpoint fields, when a pool worker dies.
 
-        Store-backed runs (every run with more than one worker is one)
-        materialize the returned
+        Store-backed runs (``store=``, which every run with more than
+        one worker needs) materialize the returned
         :class:`~repro.analysis.explorer.StateGraph` from the store at
-        the end — which decodes every state back into RAM.  For runs
+        the end — which decodes every state back into RAM; a classic
+        run returns the graph it built in RAM.  For runs
         whose entire point is *not* holding the graph in memory, use
         :meth:`scan`.
         """
@@ -608,7 +602,7 @@ class ExplorationEngine:
                     elapsed_seconds=run.elapsed(),
                     checkpoint=path,
                     resume_command=(
-                        None if path is None else resume_hint(self.checkpoint_dir)
+                        None if path is None else self._resume_hint()
                     ),
                 ) from None
             except WorkerLost as lost:
@@ -622,9 +616,14 @@ class ExplorationEngine:
                     lost.round_index,
                     checkpoint=path,
                     resume_command=(
-                        None if path is None else resume_hint(self.checkpoint_dir)
+                        None if path is None else self._resume_hint()
                     ),
                 ) from None
+            except BaseException:
+                # A store or checkpoint error, a raising cancel hook,
+                # KeyboardInterrupt: the run did not finish either.
+                status = "error"
+                raise
         finally:
             report = self._tick(run, force=True)
             if self.progress is not None:
@@ -632,6 +631,11 @@ class ExplorationEngine:
             end_span(run.tracer, run_span, status=status, **report.live())
             self._publish(run)
             self.last_report = report
+
+    def _resume_hint(self) -> str:
+        """The resume recipe, naming the configured store (if any)."""
+        store = self.store.to_uri() if isinstance(self.store, StoreConfig) else None
+        return resume_hint(self.checkpoint_dir, store)
 
     # -- run setup ------------------------------------------------------------
 
@@ -670,7 +674,7 @@ class ExplorationEngine:
         run.last_flush_ms = None
         run.cache_published = (0, 0)
         run.memo_start = view.system.memo_misses
-        if self.store is not None or self.workers > 1:
+        if self.store is not None:
             self._start_run_external(run, packed_root, metrics)
             run.started = time.monotonic()
             run.deadline = Deadline(
@@ -715,8 +719,7 @@ class ExplorationEngine:
 
     def _open_store(self, root_digest: bytes) -> tuple[StateStore, bool]:
         """(store, engine-owned) for one exploration of ``root_digest``."""
-        configured = StoreConfig() if self.store is None else self.store
-        if isinstance(configured, StateStore):
+        if isinstance(self.store, StateStore):
             if self._store_bound is not None and self._store_bound != root_digest:
                 raise EngineError(
                     "a StateStore instance serves exactly one exploration; "
@@ -725,11 +728,8 @@ class ExplorationEngine:
                     "to let the engine open per-run stores"
                 )
             self._store_bound = root_digest
-            return configured, False
-        return (
-            open_store(configured, namespace=root_digest.hex()),
-            True,
-        )
+            return self.store, False
+        return open_store(self.store, namespace=root_digest.hex()), True
 
     def _start_run_external(self, run: _Run, packed_root: bytes, metrics) -> None:
         run.store_mode = True
@@ -757,30 +757,27 @@ class ExplorationEngine:
 
     def _resume_external(self, run: _Run) -> bool:
         store = run.store
-        if store.durable:
-            segment = load_segment(self.checkpoint_dir, run.root_digest)
-            if segment is not None:
-                if len(store) < segment.marks.get("states", 0):
-                    raise CheckpointError(
-                        "delta segment expects "
-                        f"{segment.marks.get('states', 0)} states but the "
-                        f"store holds {len(store)}; resume needs the store "
-                        "directory the segment was written against"
-                    )
-                store.truncate(segment.marks)
-                store.frontier_load(segment.frontier_blob)
-                run.transitions = segment.transitions
-                run.elapsed_prior = segment.elapsed_seconds
-                run.expanded = segment.meta.get("expanded", 0)
-                compact_segments(self.checkpoint_dir, run.root_digest, segment.seq)
-                run.segment_seq = segment.seq + 1
-                return True
+        segment = load_segment(self.checkpoint_dir, run.root_digest)
+        if segment is not None:
+            if len(store) < segment.marks.get("states", 0):
+                raise CheckpointError(
+                    "delta segment expects "
+                    f"{segment.marks.get('states', 0)} states but the "
+                    f"store holds {len(store)}; resume needs the store "
+                    "directory the segment was written against"
+                )
+            store.truncate(segment.marks)
+            store.frontier_load(segment.frontier_blob)
+            run.transitions = segment.transitions
+            run.elapsed_prior = segment.elapsed_seconds
+            run.expanded = segment.meta.get("expanded", 0)
+            compact_segments(self.checkpoint_dir, run.root_digest, segment.seq)
+            run.segment_seq = segment.seq + 1
+            return True
         path = find_checkpoint(self.checkpoint_dir, run.root_digest)
-        if path is None or (path.is_dir() and store.durable):
+        if path is None or path.is_dir():
             # No monolithic fallback (a bare segment directory cannot
-            # seed a store that lost its states).  A memory store never
-            # held the segments' states: load_checkpoint refuses the
-            # directory with the recipe, as it does for a classic run.
+            # seed a store that lost its states).
             return False
         self._seed_store_from_checkpoint(run, load_checkpoint(path))
         return True
@@ -1298,14 +1295,8 @@ class ExplorationEngine:
             return None
         states = run.states_count()
         checkpoint_span = start_span(run.tracer, "checkpoint", states=states)
-        if run.store_mode and run.store.durable:
+        if run.store_mode:
             path = self._write_segment(run)
-        elif run.store_mode:
-            # A memory store is not durable, so delta segments would
-            # reference states that die with the process: snapshot
-            # monolithically (decoding through the store), exactly as a
-            # classic run would.
-            path = self._write_monolithic_from_store(run)
         else:
             path = save_checkpoint(
                 self.checkpoint_dir,
@@ -1352,30 +1343,6 @@ class ExplorationEngine:
         run.segment_seq += 1
         return segment_dir(self.checkpoint_dir, run.root_digest)
 
-    def _write_monolithic_from_store(self, run: _Run) -> Path:
-        graph = self._materialize_graph(run)
-        codec = run.codec
-        store = run.store
-        frontier = [
-            codec.decode(store.get(digest))
-            for digest in _split_digests(store.frontier_snapshot())
-        ]
-        return save_checkpoint(
-            self.checkpoint_dir,
-            Checkpoint(
-                root=run.root,
-                root_digest=run.root_digest,
-                order=list(graph.states),
-                edges=graph.edges,
-                frontier=frontier,
-                transitions=run.transitions,
-                elapsed_seconds=run.elapsed(),
-                workers=self.workers,
-                meta=self._checkpoint_meta(run),
-            ),
-            codec=codec,
-        )
-
     # -- reporting ------------------------------------------------------------
 
     def _build_report(self, run: _Run) -> EngineReport:
@@ -1409,7 +1376,7 @@ class ExplorationEngine:
                 )
             ),
             recovered_states=run.recovered,
-            store_backend="memory" if stats is None else stats.backend,
+            store_backend="memory" if stats is None else "sqlite",
             spilled_states=0 if stats is None else stats.spilled_states,
             store_flushes=0 if stats is None else stats.flushes,
             store_flush_seconds=0.0 if stats is None else stats.flush_seconds,

@@ -52,7 +52,7 @@ Streaming delta segments (store-backed runs)
 --------------------------------------------
 
 Monolithic snapshots rewrite every discovered state per checkpoint —
-a multi-GB rewrite at 10^7 states.  Runs with a durable
+a multi-GB rewrite at 10^7 states.  Runs with a
 :class:`~repro.engine.store.StateStore` never do that: the states and
 edges stream into the store exactly once, append-only, and the
 checkpoint becomes a tiny *segment* file written after each store
@@ -77,6 +77,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import shlex
 import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -555,17 +556,21 @@ def checkpoint_meta(path: str | os.PathLike) -> dict:
     return meta if isinstance(meta, dict) else {}
 
 
-def resume_hint(directory: str | os.PathLike) -> str:
+def resume_hint(directory: str | os.PathLike, store: str | None = None) -> str:
     """The ready-to-run recipe for resuming checkpoints under ``directory``.
 
     Attached to :class:`~repro.engine.budget.BudgetExhausted` whenever
     the engine writes a checkpoint on the way out, so the exit-2 path
     tells the caller *how* to continue, not just that a snapshot exists.
+    ``store`` is the run's store URI: delta segments resume only against
+    the store they were written with, so the recipe names it.
     """
-    return (
-        f"ExplorationEngine(checkpoint_dir={str(directory)!r}, resume=True)"
-        f" (CLI: --resume {directory})"
-    )
+    engine = f"checkpoint_dir={str(directory)!r}, resume=True"
+    cli = f"--resume {directory}"
+    if store is not None:
+        engine = f"store={store!r}, {engine}"
+        cli += f" --store {shlex.quote(store)}"
+    return f"ExplorationEngine({engine}) (CLI: {cli})"
 
 
 def discard_checkpoint(directory: str | os.PathLike, digest: bytes) -> None:

@@ -1,4 +1,4 @@
-"""Pluggable state storage: the external-memory backends behind the engine.
+"""Pluggable state storage: the external-memory backend behind the engine.
 
 ROADMAP item 2 names memory — not CPU — as the exploration scaling
 wall: the full tob(4,1) run peaks around 4 GB RSS for only 359k states,
@@ -27,18 +27,17 @@ plus an append-only **expansion log** (``parent, task, action,
 successor`` rows) from which :meth:`iter_expansions` replays the exact
 edge structure for graph materialization and checkpoint compatibility.
 
-Two backends implement the protocol:
-
-* ``memory`` — plain dicts and deques; today's behavior, used to assert
-  the identical-graph guarantee against the disk backend;
-* ``sqlite`` — one WAL-mode database (stdlib ``sqlite3``), batched
-  writes, durable ``flush()``.
+One backend implements the protocol, ``sqlite``: one WAL-mode database
+(stdlib ``sqlite3``), batched writes, durable ``flush()``.  The
+abstract :class:`StateStore` stays the seam a wrapping or fault-injecting
+store plugs into.  A run without a store is the engine's classic in-RAM
+loop, which needs none of this.
 
 Stores are selected with a string URI (resolved by
 :func:`resolve_store`)::
 
     ExplorationEngine(store="sqlite:/var/tmp/run")     # URI
-    ExplorationEngine(store=StoreConfig(backend="sqlite", path=...))
+    ExplorationEngine(store=StoreConfig(path=...))
     ExplorationEngine(store=my_store_instance)          # pre-opened
 
 Durability contract (the streaming-delta checkpoint protocol): the
@@ -66,9 +65,6 @@ from typing import Hashable, Iterator
 
 from .fingerprint import DIGEST_SIZE
 
-#: The backends :func:`open_store` can construct.
-BACKENDS = ("memory", "sqlite")
-
 #: Default expansions between store flushes / delta segments.
 DEFAULT_FLUSH_INTERVAL = 50_000
 
@@ -82,28 +78,23 @@ class StoreError(RuntimeError):
 
 @dataclass(frozen=True)
 class StoreConfig:
-    """How to open a :class:`StateStore`.
+    """How to open the ``sqlite`` :class:`StateStore`.
 
-    ``backend`` is one of :data:`BACKENDS`.  ``path`` is the directory a
-    disk backend lives in; ``None`` means a scratch temporary directory
-    that is deleted when the store closes (fine for one-shot runs,
-    useless for kill-and-resume — pass a real path to resume).
+    ``path`` is the directory the store lives in; ``None`` means a
+    scratch temporary directory that is deleted when the store closes
+    (fine for one-shot runs, useless for kill-and-resume — pass a real
+    path to resume).
     ``flush_interval`` is the number of committed expansions between
     durable flushes (and therefore between delta-checkpoint segments);
     ``frontier_window`` bounds the in-memory frontier before digests
     spill to disk.
     """
 
-    backend: str = "memory"
     path: str | None = None
     flush_interval: int = DEFAULT_FLUSH_INTERVAL
     frontier_window: int = DEFAULT_FRONTIER_WINDOW
 
     def __post_init__(self) -> None:
-        if self.backend not in BACKENDS:
-            raise ValueError(
-                f"backend must be one of {', '.join(BACKENDS)}; got {self.backend!r}"
-            )
         if self.flush_interval < 1:
             raise ValueError("flush_interval must be >= 1")
         if self.frontier_window < 1:
@@ -111,7 +102,7 @@ class StoreConfig:
 
     @classmethod
     def from_uri(cls, uri: str) -> "StoreConfig":
-        """Parse a store URI: ``memory`` or ``sqlite:/path``.
+        """Parse a store URI: ``sqlite`` or ``sqlite:/path``.
 
         The path part is optional (a scratch directory is used when
         omitted).  Tuning knobs ride a query string:
@@ -121,10 +112,9 @@ class StoreConfig:
             raise ValueError(f"store URI must be a nonempty string, got {uri!r}")
         backend, _, rest = uri.partition(":")
         rest, _, query = rest.partition("?")
-        if backend not in BACKENDS:
+        if backend != "sqlite":
             raise ValueError(
-                f"unknown store backend {backend!r}; "
-                f"expected one of {', '.join(BACKENDS)}"
+                f"unknown store backend {backend!r}; expected sqlite"
             )
         overrides: dict = {}
         if query:
@@ -142,11 +132,11 @@ class StoreConfig:
                     raise ValueError(
                         f"store option {key}= must be an integer, got {value!r}"
                     ) from None
-        return cls(backend=backend, path=rest or None, **overrides)
+        return cls(path=rest or None, **overrides)
 
     def to_uri(self) -> str:
         """The canonical URI (inverse of :meth:`from_uri`, defaults omitted)."""
-        uri = self.backend
+        uri = "sqlite"
         if self.path is not None:
             uri += f":{self.path}"
         query = []
@@ -165,7 +155,6 @@ class StoreConfig:
 class StoreStats:
     """Storage counters one exploration accumulated (``EngineReport`` feed)."""
 
-    backend: str
     states: int = 0
     spilled_states: int = 0
     flushes: int = 0
@@ -176,7 +165,7 @@ class StoreStats:
     def to_json(self) -> dict:
         """JSON-serializable payload (the shared report protocol)."""
         return {
-            "backend": self.backend,
+            "backend": "sqlite",
             "states": self.states,
             "spilled_states": self.spilled_states,
             "flushes": self.flushes,
@@ -217,11 +206,11 @@ class _SpillFrontier:
         "spilled",
     )
 
-    def __init__(self, directory: Path | None, window: int) -> None:
+    def __init__(self, directory: Path, window: int) -> None:
         self.window = window
         self._head: deque = deque()
         self._tail: deque = deque()
-        self._path = None if directory is None else directory / "frontier.spill"
+        self._path = directory / "frontier.spill"
         self._file = None
         self._read_offset = 0
         self._write_offset = 0
@@ -229,8 +218,6 @@ class _SpillFrontier:
 
     def _spill_handle(self):
         if self._file is None:
-            if self._path is None:
-                raise StoreError("in-memory frontier cannot spill")
             self._path.parent.mkdir(parents=True, exist_ok=True)
             self._file = open(self._path, "w+b")
         return self._file
@@ -314,11 +301,10 @@ class _SpillFrontier:
         if self._file is not None:
             self._file.close()
             self._file = None
-        if self._path is not None:
-            try:
-                self._path.unlink()
-            except FileNotFoundError:
-                pass
+        try:
+            self._path.unlink()
+        except FileNotFoundError:
+            pass
 
 
 class StateStore(ABC):
@@ -336,10 +322,6 @@ class StateStore(ABC):
     pruned states record an empty expansion, exactly as the classic
     engine records ``edges[state] = []``).
     """
-
-    #: True when the backend survives process death (enables delta
-    #: checkpoints; the memory backend snapshots monolithically instead).
-    durable = False
 
     config: StoreConfig
 
@@ -425,13 +407,13 @@ class StateStore(ABC):
     def flush(self) -> None:
         """Make everything added so far durable; advances :meth:`marks`."""
 
+    @abstractmethod
     def marks(self) -> dict:
         """Backend-opaque high-water marks of the last :meth:`flush`."""
-        return {}
 
+    @abstractmethod
     def truncate(self, marks: dict) -> None:
         """Drop everything recorded after ``marks`` (resume reconciliation)."""
-        raise StoreError(f"{self.config.backend} store cannot truncate")
 
     @abstractmethod
     def clear(self) -> None:
@@ -454,105 +436,6 @@ class StateStore(ABC):
         self.close()
 
 
-class MemoryStore(StateStore):
-    """Plain in-RAM backend: today's behavior behind the store protocol.
-
-    Exists so the digest-native driver can be asserted identical against
-    the classic one (and against the sqlite backend) without any disk in
-    the loop; not durable, so checkpointing falls back to monolithic
-    snapshots.
-    """
-
-    durable = False
-
-    def __init__(self, config: StoreConfig) -> None:
-        self.config = config
-        self._packed: dict[bytes, bytes] = {}
-        self._order: list[bytes] = []
-        self._expansions: list = []
-        self._actions: list = []
-        self._action_index: dict = {}
-        self._frontier: deque = deque()
-        self._flushes = 0
-
-    def add(self, digest: bytes, packed: bytes) -> int:
-        if digest in self._packed:
-            return -1
-        index = len(self._order)
-        self._packed[digest] = packed
-        self._order.append(digest)
-        return index
-
-    def get(self, digest: bytes) -> bytes | None:
-        return self._packed.get(digest)
-
-    def __contains__(self, digest: bytes) -> bool:
-        return digest in self._packed
-
-    def __len__(self) -> int:
-        return len(self._order)
-
-    def iter_packed(self) -> Iterator[bytes]:
-        packed = self._packed
-        return (packed[digest] for digest in self._order)
-
-    def append_expansion(self, parent, rows) -> None:
-        self._expansions.append((parent, rows))
-
-    def iter_expansions(self):
-        return iter(self._expansions)
-
-    def action_slot(self, action) -> int:
-        slot = self._action_index.get(action)
-        if slot is None:
-            slot = self._action_index[action] = len(self._actions)
-            self._actions.append(action)
-        return slot
-
-    def actions(self) -> list:
-        return self._actions
-
-    def push(self, digest: bytes) -> None:
-        self._frontier.append(digest)
-
-    def push_front(self, digest: bytes) -> None:
-        self._frontier.appendleft(digest)
-
-    def pop(self) -> bytes | None:
-        return self._frontier.popleft() if self._frontier else None
-
-    def frontier_snapshot(self) -> bytes:
-        return b"".join(self._frontier)
-
-    def frontier_load(self, blob: bytes) -> None:
-        self._frontier = deque(_split_digests(blob))
-
-    def frontier_len(self) -> int:
-        return len(self._frontier)
-
-    def flush(self) -> None:
-        self._flushes += 1
-
-    def clear(self) -> None:
-        self._packed.clear()
-        self._order.clear()
-        self._expansions.clear()
-        self._actions.clear()
-        self._action_index.clear()
-        self._frontier.clear()
-
-    def stats(self) -> StoreStats:
-        return StoreStats(
-            backend="memory", states=len(self._order), flushes=self._flushes
-        )
-
-    def close(self) -> None:
-        self._packed.clear()
-        self._order.clear()
-        self._expansions.clear()
-        self._frontier.clear()
-
-
 class SQLiteStore(StateStore):
     """The ``sqlite`` backend: one WAL database, batched durable writes.
 
@@ -566,15 +449,13 @@ class SQLiteStore(StateStore):
     the frontier is a :class:`_SpillFrontier` in the same directory.
     """
 
-    durable = True
-
     def __init__(self, config: StoreConfig) -> None:
         import sqlite3
 
         self.config = config
         if config.path is None:
             self._scratch = True
-            self.directory = Path(tempfile.mkdtemp(prefix=f"repro-{config.backend}-"))
+            self.directory = Path(tempfile.mkdtemp(prefix="repro-sqlite-"))
         else:
             self._scratch = False
             self.directory = Path(config.path)
@@ -814,7 +695,6 @@ class SQLiteStore(StateStore):
 
     def stats(self) -> StoreStats:
         return StoreStats(
-            backend=self.config.backend,
             states=len(self._visited),
             spilled_states=self._frontier.spilled,
             flushes=self._flushes,
@@ -836,8 +716,17 @@ class SQLiteStore(StateStore):
             shutil.rmtree(self.directory, ignore_errors=True)
 
 
+class MemoryStore:
+    """The name of the deleted in-RAM backend, and nothing else.
+
+    ``perfbench/spans.py`` still lists this class among those a traced
+    benchmark run times; with no methods of its own there is nothing to
+    wrap, and the lookup keeps working.  Delete it with that entry.
+    """
+
+
 def open_store(config: StoreConfig, namespace: str | None = None) -> StateStore:
-    """Open a backend for one exploration.
+    """Open the sqlite store for one exploration.
 
     ``namespace`` (the engine passes the root digest's hex) is appended
     to the configured path so one configured directory can serve every
@@ -846,8 +735,6 @@ def open_store(config: StoreConfig, namespace: str | None = None) -> StateStore:
     """
     if namespace is not None and config.path is not None:
         config = replace(config, path=str(Path(config.path) / namespace))
-    if config.backend == "memory":
-        return MemoryStore(config)
     return SQLiteStore(config)
 
 

@@ -212,7 +212,7 @@ class VerdictServer:
         artifacts = {}
         if self.data_dir is not None:
             artifacts["checkpoint_dir"] = str(job_checkpoint_dir(self.data_dir, job.key))
-            if spec.store not in (None, "memory"):
+            if spec.store is not None:
                 artifacts["store_dir"] = str(job_store_dir(self.data_dir, job.key))
         try:
             run = self.ledger.open(
@@ -220,7 +220,7 @@ class VerdictServer:
                 f"{spec.candidate}(n={spec.n},f={spec.resilience})",
                 budget=spec.budget.to_json(),
                 store=spec.store,
-                workers=min(spec.workers, self.config.max_engine_workers),
+                workers=spec.engine_workers(self.config.max_engine_workers),
                 artifacts=artifacts,
                 links={"job_id": job.id, "tenant": spec.tenant, "key": job.key.hex()},
                 heartbeat_interval=self.config.progress_interval_seconds,

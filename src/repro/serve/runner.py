@@ -23,7 +23,9 @@ Jobs requesting a disk-backed state store (``"store": "sqlite"`` in
 the spec — a backend name only, never a client path) get a
 per-cache-key store directory next to the checkpoints; it is likewise
 removed at a terminal verdict, and a restarted server resumes from the
-store's delta segments.  A spec's ``rss_limit_mb`` is clamped to the
+store's delta segments.  Only such a job runs the worker pool: without
+a store a job runs the in-RAM loop at one worker, whatever its
+``workers``.  A spec's ``rss_limit_mb`` is clamped to the
 server's ``max_rss_limit_mb`` and recorded in the engine report — the
 server does *not* setrlimit (jobs share the server process); enforcement
 is the operator's, via ``repro refute --rss-limit-mb`` or the service
@@ -89,15 +91,14 @@ def job_store_dir(data_dir: str | Path, key: bytes) -> Path:
 def _job_store(spec, data_dir, key: bytes, flush_interval: int):
     """The engine ``store=`` argument for a job, or ``None``.
 
-    Backend name comes from the validated spec (:data:`~.wire.STORES`
-    members only); the path is always server-chosen.  Without a data dir
-    the store gets ``path=None`` — a scratch directory the store deletes
-    on close — so disk-bounded RSS still works, just without resume.
+    The spec only names the backend (:data:`~.wire.STORES` members); the
+    path is always server-chosen.  Without a data dir the store gets
+    ``path=None`` — a scratch directory the store deletes on close — so
+    disk-bounded RSS still works, just without resume.
     """
-    if spec.store is None or spec.store == "memory":
-        return spec.store
+    if spec.store is None:
+        return None
     return StoreConfig(
-        backend=spec.store,
         path=None if data_dir is None else job_store_dir(data_dir, key),
         flush_interval=flush_interval,
     )
@@ -142,7 +143,7 @@ def execute_job(
         if rss_limit_mb is not None and max_rss_limit_mb is not None:
             rss_limit_mb = min(rss_limit_mb, max_rss_limit_mb)
         engine = ExplorationEngine(
-            workers=min(spec.workers, max_engine_workers),
+            workers=spec.engine_workers(max_engine_workers),
             budget=spec.budget,
             store=_job_store(spec, data_dir, job.key, checkpoint_interval),
             checkpoint_dir=checkpoint_dir,
@@ -193,7 +194,7 @@ def execute_job(
         )
     if checkpoint_dir is not None:
         shutil.rmtree(checkpoint_dir, ignore_errors=True)
-    if data_dir is not None and spec.store not in (None, "memory"):
+    if data_dir is not None and spec.store is not None:
         shutil.rmtree(job_store_dir(data_dir, job.key), ignore_errors=True)
     return JobOutcome(
         state=COMPLETED,

@@ -13,9 +13,9 @@ A job request is one JSON object::
       "n": 3,                      // processes (default 3)
       "f": 1,                      // service resilience (default 1)
       "budget": {"max_states": 200000, "deadline_seconds": 60},
-      "workers": 1,                // engine workers (server-clamped)
+      "workers": 1,                // engine workers (server-clamped; 1 without a store)
       "reduction": "none",         // none | symmetry | por | full
-      "store": "sqlite",           // memory | sqlite (backend name only)
+      "store": "sqlite",           // sqlite (backend name only)
       "rss_limit_mb": 1024,        // RSS ceiling hint (server-clamped)
       "proposals": {"0": 0, "1": 1},  // optional: cache-key root inputs
       "tenant": "alice"            // fair-queueing identity
@@ -25,7 +25,8 @@ A job request is one JSON object::
 clients do not get to choose where the server writes; disk-backed
 stores live under the server's own data directory.  ``rss_limit_mb``
 is clamped to the server's ``max_rss_limit_mb`` the same way
-``workers`` is clamped to ``max_engine_workers``.
+``workers`` is clamped to ``max_engine_workers``; a job without a store
+runs at one worker, because the worker pool runs on a store.
 
 ``tenant`` may instead arrive as an ``X-Repro-Tenant`` header; the body
 wins when both are present.  ``proposals`` only influences the cache
@@ -123,7 +124,7 @@ REDUCTIONS = ("none", "symmetry", "por", "full")
 #: Backend names a job's ``store`` field may carry.  Bare names only —
 #: a path in the request would let clients choose server filesystem
 #: locations, so URIs are rejected at validation time.
-STORES = ("memory", "sqlite")
+STORES = ("sqlite",)
 
 #: Submitted request bodies larger than this are refused with 413.
 MAX_BODY_BYTES = 1 << 20
@@ -215,10 +216,15 @@ class JobSpec:
     budget: Budget = DEFAULT_BUDGET
     workers: int = 1
     reduction: str = "none"
-    store: str | None = None  # backend name from STORES; None = engine default
+    store: str | None = None  # backend name from STORES; None = in-RAM loop
     rss_limit_mb: int | None = None  # server-clamped ceiling hint
     proposals: tuple = ()  # sorted ((endpoint, value), ...) or () = balanced
     tenant: str = DEFAULT_TENANT
+
+    def engine_workers(self, cap: int) -> int:
+        """The engine's worker count: ``workers`` clamped to ``cap``, and
+        to 1 without a store (the worker pool runs on a store)."""
+        return 1 if self.store is None else min(self.workers, cap)
 
     def build(self):
         """The candidate :class:`~repro.system.DistributedSystem`."""

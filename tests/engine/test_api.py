@@ -2,9 +2,9 @@
 
 The load-bearing guarantees under test:
 
-* at any worker count, a completed run produces a StateGraph identical
-  to the sequential explorer's — same states *in the same discovery
-  order*, same edges;
+* at any worker count (more than one runs on a sqlite store), a
+  completed run produces a StateGraph identical to the sequential
+  explorer's — same states *in the same discovery order*, same edges;
 * budget exhaustion raises BudgetExhausted with the exact legacy
   semantics (`len(states) == max_states` at raise time) plus progress;
 * an interrupted checkpointed run resumes to the same completed graph
@@ -23,13 +23,13 @@ from repro.engine import (
     BudgetExhausted,
     ExplorationEngine,
     FingerprintIndex,
-    MemoryStore,
     StoreConfig,
     find_checkpoint,
     fingerprint,
+    open_store,
 )
 from repro.engine.store import DEFAULT_FLUSH_INTERVAL
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, RingBufferSink, Tracer, assemble_spans
 from repro.obs.export import prometheus_textfile
 from repro.protocols import delegation_consensus_system, tob_delegation_system
 
@@ -46,6 +46,11 @@ def instance():
 def sequential_graph(instance):
     view, root = instance
     return explore(view, root, budget=Budget(max_states=50_000))
+
+
+def pool_store(tmp_path, workers):
+    """The engine ``store=`` for ``workers``: the pool runs on sqlite."""
+    return None if workers == 1 else f"sqlite:{tmp_path / 'store'}"
 
 
 class TestSequentialEquivalence:
@@ -65,33 +70,35 @@ class TestSequentialEquivalence:
 class TestParallelEquivalence:
     @pytest.mark.parametrize("workers", [2, 4])
     def test_identical_graph_including_order(
-        self, instance, sequential_graph, workers
+        self, instance, sequential_graph, workers, tmp_path
     ):
         view, root = instance
-        graph = ExplorationEngine(workers=workers, budget=Budget()).explore(view, root)
+        graph = ExplorationEngine(
+            workers=workers, budget=Budget(), store=pool_store(tmp_path, workers)
+        ).explore(view, root)
         assert list(graph.states) == list(sequential_graph.states)
         assert graph.edges == sequential_graph.edges
         assert graph.edge_count() == sequential_graph.edge_count()
 
-    def test_prune_respected_in_parallel(self, instance):
+    def test_prune_respected_in_parallel(self, instance, tmp_path):
         view, root = instance
 
         def decided(state):
             return bool(view.decisions(state))
 
         sequential = explore(view, root, budget=Budget(max_states=50_000), prune=decided)
-        parallel = ExplorationEngine(workers=2, budget=Budget()).explore(
-            view, root, prune=decided
-        )
+        parallel = ExplorationEngine(
+            workers=2, budget=Budget(), store=pool_store(tmp_path, 2)
+        ).explore(view, root, prune=decided)
         assert list(parallel.states) == list(sequential.states)
         assert parallel.edges == sequential.edges
 
-    def test_worker_metrics_published(self, instance):
+    def test_worker_metrics_published(self, instance, tmp_path):
         view, root = instance
         metrics = MetricsRegistry()
-        ExplorationEngine(workers=2, budget=Budget(), metrics=metrics).explore(
-            view, root
-        )
+        ExplorationEngine(
+            workers=2, budget=Budget(), metrics=metrics, store=pool_store(tmp_path, 2)
+        ).explore(view, root)
         counters = metrics.snapshot()["counters"]
         assert counters["engine.runs"] == 1
         assert counters["explore.states"] == counters["engine.expanded"]
@@ -103,22 +110,43 @@ class TestParallelEquivalence:
         assert sum(per_worker) == counters["engine.expanded"]
 
 
-class TestWorkersWithoutStoreWarn:
-    def test_pool_without_store_warns_once_per_engine(self, instance):
-        view, root = instance
-        with pytest.warns(RuntimeWarning, match="use workers=1") as caught:
-            engine = ExplorationEngine(workers=2, budget=Budget())
-        assert len(caught) == 1
-        assert "BENCH_engine.json" in str(caught[0].message)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            engine.explore(view, root)
+class TestWorkersNeedAStore:
+    def test_pool_without_store_is_refused(self):
+        """The worker pool runs on a sqlite store; without one the
+        engine refuses workers > 1 up front and names both ways out."""
+        with pytest.raises(ValueError, match="workers=2 needs a store") as info:
+            ExplorationEngine(workers=2, budget=Budget())
+        assert "workers=1" in str(info.value)
+        assert "sqlite:" in str(info.value)
 
-    def test_one_worker_or_a_store_does_not_warn(self):
+    def test_one_worker_or_a_store_is_accepted(self, tmp_path):
+        """One worker needs no store, and a pool with a sqlite store
+        constructs without a warning."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ExplorationEngine(workers=1)
-            ExplorationEngine(workers=2, store="memory")
+            ExplorationEngine(workers=2, store=pool_store(tmp_path, 2))
+
+
+class TestRunSpanStatus:
+    def test_crashed_run_ends_its_span_with_error(self, instance):
+        """Any exception out of the loop, not only budget exhaustion or a
+        lost worker, ends ``engine.run`` with status ``error``."""
+        view, root = instance
+
+        def cancel():
+            raise OSError("cancel hook failed")
+
+        sink = RingBufferSink()
+        engine = ExplorationEngine(
+            workers=1, budget=Budget(), tracer=Tracer(sink), cancel=cancel
+        )
+        with pytest.raises(OSError, match="cancel hook failed"):
+            engine.explore(view, root)
+        records = assemble_spans(sink.events())
+        assert [(record.name, record.status) for record in records] == [
+            ("engine.run", "error")
+        ]
 
 
 class TestMemoStatistics:
@@ -206,14 +234,15 @@ class TestFlushInterval:
     def test_default_without_store(self):
         assert ExplorationEngine().flush_interval == DEFAULT_FLUSH_INTERVAL
 
-    def test_store_config_supplies_default(self):
-        config = StoreConfig(backend="memory", flush_interval=77)
+    def test_store_config_supplies_default(self, tmp_path):
+        config = StoreConfig(path=str(tmp_path / "store"), flush_interval=77)
         assert ExplorationEngine(store=config).flush_interval == 77
         assert ExplorationEngine(store="sqlite:/x?flush=33").flush_interval == 33
-        assert ExplorationEngine(store=MemoryStore(config)).flush_interval == 77
+        with open_store(config) as store:
+            assert ExplorationEngine(store=store).flush_interval == 77
 
     def test_explicit_value_wins(self):
-        config = StoreConfig(backend="memory", flush_interval=77)
+        config = StoreConfig(flush_interval=77)
         engine = ExplorationEngine(store=config, flush_interval=99)
         assert engine.flush_interval == 99
 
@@ -231,16 +260,22 @@ class TestCheckpointResume:
     ):
         view, root = instance
         directory = tmp_path / f"ckpt-{workers}"
+        store = pool_store(tmp_path, workers)
         with pytest.raises(BudgetExhausted) as info:
             ExplorationEngine(
                 workers=workers,
                 budget=Budget(max_states=60),
+                store=store,
                 checkpoint_dir=directory,
             ).explore(view, root)
         assert info.value.checkpoint is not None
         assert find_checkpoint(directory, fingerprint(root)) is not None
         resumed = ExplorationEngine(
-            workers=workers, budget=Budget(), checkpoint_dir=directory, resume=True
+            workers=workers,
+            budget=Budget(),
+            store=store,
+            checkpoint_dir=directory,
+            resume=True,
         ).explore(view, root)
         assert set(resumed.states) == set(sequential_graph.states)
         assert resumed.edges == sequential_graph.edges
@@ -251,7 +286,8 @@ class TestCheckpointResume:
     def test_resume_across_format_bump(
         self, instance, sequential_graph, tmp_path, workers
     ):
-        """A v1 (pre-packed) checkpoint file still resumes to the full graph."""
+        """A v1 (pre-packed) checkpoint file still resumes to the full
+        graph: in RAM at one worker, through a sqlite store at two."""
         import pickle
 
         from repro.engine.checkpoint import (
@@ -263,7 +299,7 @@ class TestCheckpointResume:
         view, root = instance
         with pytest.raises(BudgetExhausted):
             ExplorationEngine(
-                workers=workers,
+                workers=1,
                 budget=Budget(max_states=60),
                 checkpoint_dir=tmp_path,
             ).explore(view, root)
@@ -282,7 +318,11 @@ class TestCheckpointResume:
             )
         )
         resumed = ExplorationEngine(
-            workers=workers, budget=Budget(), checkpoint_dir=tmp_path, resume=True
+            workers=workers,
+            budget=Budget(),
+            store=pool_store(tmp_path, workers),
+            checkpoint_dir=tmp_path,
+            resume=True,
         ).explore(view, root)
         assert set(resumed.states) == set(sequential_graph.states)
         assert resumed.edges == sequential_graph.edges

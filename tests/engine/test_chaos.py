@@ -46,7 +46,9 @@ def sequential_graph(instance):
 
 
 def lose_worker(instance, poison, **options) -> WorkerLost:
-    """Explore at 2 workers with a round-2 state of worker 0 poisoned."""
+    """Explore at 2 workers with a round-2 state of worker 0 poisoned.
+
+    ``options`` must carry the ``store`` the pool runs on."""
     view, root = instance
     poison.round_two(view, root)
     engine = ExplorationEngine(workers=2, budget=Budget(), progress=False, **options)
@@ -86,15 +88,18 @@ class TestKillRecovery:
     def test_fingerprint_set_identical_after_recovery(
         self, instance, sequential_graph, poison, tmp_path
     ):
-        """memory store: the loss writes a monolithic checkpoint file,
-        and resuming it reproduces every digest and edge."""
+        """The segments a loss leaves do not depend on the worker count:
+        resuming them in one process reproduces every digest and edge."""
         view, root = instance
-        options = {"store": "memory", "checkpoint_dir": tmp_path}
+        options = {
+            "store": f"sqlite:{tmp_path / 'store'}",
+            "checkpoint_dir": tmp_path / "ckpt",
+        }
         lost = lose_worker(instance, poison, **options)
         assert (lost.worker, lost.round_index) == (0, 2)
-        assert lost.checkpoint.is_file()
+        assert lost.checkpoint.is_dir()
         engine = ExplorationEngine(
-            workers=2, budget=Budget(), resume=True, progress=False, **options
+            workers=1, budget=Budget(), resume=True, progress=False, **options
         )
         graph = engine.explore(view, root)
         assert {fingerprint(s) for s in graph.states} == {
@@ -102,12 +107,16 @@ class TestKillRecovery:
         }
         assert_same_graph(graph, sequential_graph)
 
-    def test_loss_without_checkpoint_dir_carries_none(self, instance, poison):
-        lost = lose_worker(instance, poison, store="memory")
+    def test_loss_without_checkpoint_dir_carries_none(
+        self, instance, poison, tmp_path
+    ):
+        lost = lose_worker(instance, poison, store=f"sqlite:{tmp_path}")
         assert lost.checkpoint is None and lost.resume_command is None
         assert str(lost) == "worker 0 lost in round 2"
 
-    def test_loss_unlinks_the_shared_table(self, instance, poison, monkeypatch):
+    def test_loss_unlinks_the_shared_table(
+        self, instance, poison, monkeypatch, tmp_path
+    ):
         names = []
         start = parallel.WorkerPool.start
 
@@ -117,20 +126,22 @@ class TestKillRecovery:
             return started
 
         monkeypatch.setattr(parallel.WorkerPool, "start", recording_start)
-        lose_worker(instance, poison, store="memory")
+        lose_worker(instance, poison, store=f"sqlite:{tmp_path}")
         assert len(names) == 1
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=names[0])
 
-    def test_loss_emits_worker_lost_event(self, instance, poison):
+    def test_loss_emits_worker_lost_event(self, instance, poison, tmp_path):
         sink = RingBufferSink()
-        lose_worker(instance, poison, store="memory", tracer=Tracer(sink))
+        lose_worker(
+            instance, poison, store=f"sqlite:{tmp_path}", tracer=Tracer(sink)
+        )
         lost = [event for event in sink.events() if event.kind == "worker_lost"]
         assert [(e.data["worker"], e.data["round"]) for e in lost] == [(0, 2)]
 
 
 @needs_fork
-def test_poisoned_pipeline_raises_instead_of_a_wrong_verdict(poison):
+def test_poisoned_pipeline_raises_instead_of_a_wrong_verdict(poison, tmp_path):
     """A worker that dies on every bivalent Lemma 4 root must stop the
     pipeline; skipping those roots would read them as blocked and
     refute the candidate with the wrong mechanism."""
@@ -144,7 +155,7 @@ def test_poisoned_pipeline_raises_instead_of_a_wrong_verdict(poison):
         fingerprint(entry.execution.final_state) for entry in bivalent
     )
     engine = ExplorationEngine(
-        workers=2, budget=Budget(), store="memory", progress=False
+        workers=2, budget=Budget(), store=f"sqlite:{tmp_path}", progress=False
     )
     with pytest.raises(WorkerLost):
         refute_candidate(system, engine=engine)

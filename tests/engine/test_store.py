@@ -5,10 +5,10 @@ Three layers of guarantees:
 * unit: ``StoreConfig`` URI round-trips, the spillable frontier's FIFO
   invariant across its head/spill-file/tail windows, and the backend
   contract (add/get/contains, expansion log order, truncate-to-marks,
-  clear, reopen) for both backends;
-* equivalence: a store-backed exploration — any backend, sequential or
-  parallel — produces the *identical* graph (state order and edge dict)
-  to the classic in-RAM engine, on tob(3,1) and delegation(5,1);
+  clear, reopen) for the ``sqlite`` backend;
+* equivalence: a store-backed exploration — sequential or parallel —
+  produces the *identical* graph (state order and edge dict) to the
+  classic in-RAM engine, on tob(3,1) and delegation(5,1);
 * durability: streaming delta segments let a SIGKILLed run resume to
   the identical graph, segment directories are first-class citizens of
   find/list/discard_checkpoint, and monolithic v1/v2 checkpoints seed a
@@ -32,7 +32,6 @@ from repro.engine import (
     CheckpointError,
     EngineError,
     ExplorationEngine,
-    MemoryStore,
     ReductionConfig,
     SQLiteStore,
     StoreConfig,
@@ -50,21 +49,15 @@ from repro.engine.reduction import build_reduced_view
 from repro.engine.store import _SpillFrontier
 from repro.protocols import delegation_consensus_system, tob_delegation_system
 
-BACKENDS = ("memory", "sqlite")
+#: The one backend; kept as a parameter so the test ids name it.
+BACKENDS = ("sqlite",)
 
 
 def make_store(backend, tmp_path, **overrides):
-    config = StoreConfig(
-        backend=backend,
-        path=None if backend == "memory" else str(tmp_path / backend),
-        **overrides,
-    )
-    return open_store(config)
+    return open_store(StoreConfig(path=str(tmp_path / backend), **overrides))
 
 
 def store_uri(backend, tmp_path, suffix=""):
-    if backend == "memory":
-        return "memory"
     return f"{backend}:{tmp_path / (backend + suffix)}"
 
 
@@ -103,12 +96,16 @@ def small_instance():
 
 class TestStoreConfig:
     def test_from_uri_memory(self):
-        config = StoreConfig.from_uri("memory")
-        assert config.backend == "memory" and config.path is None
+        """The in-RAM memory backend is gone: its URI is an unknown
+        backend, like any other, and the scheme-only URI is a scratch
+        sqlite store."""
+        with pytest.raises(ValueError, match="unknown store backend 'memory'"):
+            StoreConfig.from_uri("memory")
+        assert StoreConfig.from_uri("sqlite") == StoreConfig()
+        assert StoreConfig().path is None
 
     def test_from_uri_with_path(self):
         config = StoreConfig.from_uri("sqlite:/var/run/store")
-        assert config.backend == "sqlite"
         assert config.path == "/var/run/store"
 
     def test_from_uri_query_overrides(self):
@@ -117,14 +114,15 @@ class TestStoreConfig:
         assert config.frontier_window == 64
 
     def test_to_uri_round_trips(self):
-        for uri in ("memory", "sqlite:/p", "sqlite:/d?flush=100&window=64"):
+        for uri in ("sqlite", "sqlite:/p", "sqlite:/d?flush=100&window=64"):
             assert StoreConfig.from_uri(uri).to_uri() == uri
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown store backend"):
             StoreConfig.from_uri("redis:/nope")
-        with pytest.raises(ValueError, match="backend must be one of"):
-            StoreConfig(backend="redis")
+        # One backend, so no backend field: naming one is a TypeError.
+        with pytest.raises(TypeError):
+            StoreConfig(backend="sqlite")
 
     def test_unknown_option_rejected(self):
         with pytest.raises(ValueError, match="unknown store option"):
@@ -133,12 +131,12 @@ class TestStoreConfig:
     def test_removed_backend_and_option_rejected(self):
         """The mmap backend and the shards= option are gone; both are
         the ordinary unknown-value errors, naming what is accepted."""
-        with pytest.raises(ValueError, match="expected one of memory, sqlite"):
+        with pytest.raises(ValueError, match="expected sqlite"):
             StoreConfig.from_uri("mmap:/x")
         with pytest.raises(ValueError, match="expected one of flush, window"):
             StoreConfig.from_uri("sqlite:/x?shards=4")
         with pytest.raises(TypeError):
-            StoreConfig(backend="sqlite", shards=4)
+            StoreConfig(shards=4)
 
     def test_bad_values_rejected(self):
         with pytest.raises(ValueError, match="flush_interval"):
@@ -151,10 +149,9 @@ class TestStoreConfig:
         config = StoreConfig()
         assert resolve_store(config) is config
         resolved = resolve_store("sqlite:/p")
-        assert isinstance(resolved, StoreConfig)
-        assert resolved.backend == "sqlite"
-        store = make_store("memory", tmp_path)
-        assert resolve_store(store) is store
+        assert resolved == StoreConfig(path="/p")
+        with make_store("sqlite", tmp_path) as store:
+            assert resolve_store(store) is store
         with pytest.raises(TypeError):
             resolve_store(42)
 
@@ -287,7 +284,7 @@ class TestBackendContract:
 
     @pytest.mark.parametrize("backend", ("sqlite",))
     def test_reopen_preserves_everything(self, backend, tmp_path):
-        config = StoreConfig(backend=backend, path=str(tmp_path / backend))
+        config = StoreConfig(path=str(tmp_path / backend))
         with open_store(config) as store:
             digest = b"a" * 16
             store.add(digest, b"packed-a")
@@ -316,11 +313,10 @@ class TestBackendContract:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_stats_backend_label(self, backend, tmp_path):
         with make_store(backend, tmp_path) as store:
-            assert store.stats().backend == backend
             assert store.stats().to_json()["backend"] == backend
 
     def test_scratch_directory_cleaned_up(self):
-        store = open_store(StoreConfig(backend="sqlite", path=None))
+        store = open_store(StoreConfig(path=None))
         directory = store.directory
         assert directory.exists()
         store.close()
@@ -328,7 +324,7 @@ class TestBackendContract:
 
 
 class TestIdenticalGraph:
-    """The headline guarantee: every backend, same graph, byte for byte."""
+    """The headline guarantee: same graph as classic, byte for byte."""
 
     @pytest.mark.parametrize("workers", (1, 2))
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -463,7 +459,7 @@ class TestComposability:
             refute_candidate(
                 system,
                 engine=ExplorationEngine(workers=1),
-                store="memory",
+                store="sqlite",
             )
 
     def test_reduction_parallel_store_compose(self, tmp_path):
@@ -483,13 +479,11 @@ class TestComposability:
 
     def test_audit_mode_rejects_store(self):
         with pytest.raises(ValueError, match="audit"):
-            ExplorationEngine(store="memory", audit=True)
+            ExplorationEngine(store="sqlite", audit=True)
 
     def test_store_instance_bound_to_one_root(self, small_instance, tmp_path):
         view, root = small_instance
-        with open_store(
-            StoreConfig(backend="sqlite", path=str(tmp_path / "s"))
-        ) as store:
+        with open_store(StoreConfig(path=str(tmp_path / "s"))) as store:
             engine = ExplorationEngine(workers=1, store=store)
             engine.explore(view, root)
             with pytest.raises(EngineError, match="resume=True"):
@@ -571,23 +565,6 @@ class TestSegmentCheckpoints:
         with pytest.raises(CheckpointError, match="store="):
             load_checkpoint(segments)
 
-    @pytest.mark.parametrize("workers", (1, 2))
-    def test_memory_store_refuses_segments(
-        self, workers, small_instance, tmp_path
-    ):
-        """A memory store never held the segments' states: resuming them
-        is the classic run's CheckpointError, not a silent fresh start."""
-        view, root = small_instance
-        checkpoint_dir, _, _ = self.exhaust(view, root, tmp_path)
-        engine = ExplorationEngine(
-            workers=workers,
-            store="memory",
-            checkpoint_dir=checkpoint_dir,
-            resume=True,
-        )
-        with pytest.raises(CheckpointError, match="store="):
-            engine.explore(view, root)
-
     def test_discard_checkpoint_removes_segments(
         self, small_instance, tmp_path
     ):
@@ -596,31 +573,6 @@ class TestSegmentCheckpoints:
         digest = fingerprint(root)
         discard_checkpoint(checkpoint_dir, digest)
         assert find_checkpoint(checkpoint_dir, digest) is None
-
-    def test_memory_store_writes_monolithic_checkpoint(
-        self, small_instance, tmp_path
-    ):
-        view, root = small_instance
-        classic = ExplorationEngine(workers=1).explore(view, root)
-        checkpoint_dir = tmp_path / "ck"
-        with pytest.raises(BudgetExhausted) as info:
-            ExplorationEngine(
-                workers=1,
-                budget=Budget(max_states=60),
-                store="memory",
-                checkpoint_dir=checkpoint_dir,
-                flush_interval=25,
-            ).explore(view, root)
-        assert info.value.checkpoint.suffix == ".ckpt"
-        graph = ExplorationEngine(
-            workers=1,
-            budget=Budget(max_states=100_000),
-            store="memory",
-            checkpoint_dir=checkpoint_dir,
-            resume=True,
-        ).explore(view, root)
-        assert list(graph.states) == list(classic.states)
-        assert graph.edges == classic.edges
 
     def test_classic_checkpoint_seeds_store_resume(
         self, small_instance, tmp_path

@@ -32,7 +32,7 @@ needs_fork = pytest.mark.skipif(
 
 
 @needs_fork
-def test_cache_resets_keep_graph_and_workers(monkeypatch):
+def test_cache_resets_keep_graph_and_workers(monkeypatch, tmp_path):
     system = delegation_consensus_system(5, resilience=1)
     view = DeterministicSystemView(system)
     proposals = {
@@ -44,7 +44,9 @@ def test_cache_resets_keep_graph_and_workers(monkeypatch):
     assert len(sequential.states) > 4 * limit  # every worker resets
     # Set before the pool forks, so workers inherit the low cap too.
     monkeypatch.setattr(parallel, "WORKER_CACHE_LIMIT", limit)
-    engine = ExplorationEngine(workers=2, budget=Budget())
+    engine = ExplorationEngine(
+        workers=2, budget=Budget(), store=f"sqlite:{tmp_path / 'store'}"
+    )
     graph = engine.explore(DeterministicSystemView(system), root)
     assert list(graph.states) == list(sequential.states)
     assert graph.edges == sequential.edges
@@ -53,6 +55,8 @@ def test_cache_resets_keep_graph_and_workers(monkeypatch):
 
 _COORDINATOR = textwrap.dedent(
     """
+    import sys
+
     from repro.analysis import DeterministicSystemView
     from repro.engine import Budget, ExplorationEngine
     from repro.protocols import tob_delegation_system
@@ -63,7 +67,10 @@ _COORDINATOR = textwrap.dedent(
     }
     root = system.initialization(proposals).final_state
     engine = ExplorationEngine(
-        workers=2, budget=Budget(max_states=400_000), progress=False
+        workers=2,
+        budget=Budget(max_states=400_000),
+        store=sys.argv[1],
+        progress=False,
     )
     engine.scan(DeterministicSystemView(system), root)
     """
@@ -97,12 +104,12 @@ def _running(pid: int) -> bool:
 
 @needs_fork
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
-def test_workers_exit_when_coordinator_killed():
+def test_workers_exit_when_coordinator_killed(tmp_path):
     env = dict(os.environ)
     src = str(Path(repro.__file__).resolve().parents[1])
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     coordinator = subprocess.Popen(
-        [sys.executable, "-c", _COORDINATOR],
+        [sys.executable, "-c", _COORDINATOR, f"sqlite:{tmp_path / 'store'}"],
         env=env,
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,

@@ -94,7 +94,7 @@ class TestLifecycle:
             "refute",
             "tob(n=3,f=1)",
             budget={"max_states": 10},
-            store="memory",
+            store="sqlite:/tmp/s",
             workers=2,
             artifacts={"resume": "repro refute tob --resume ck"},
         )

@@ -42,6 +42,7 @@ def traced_exploration(instance, tmp_path, workers=2):
         engine = ExplorationEngine(
             workers=workers,
             budget=Budget(max_states=50_000),
+            store=f"sqlite:{tmp_path / 'store'}",
             tracer=tracer,
         )
         graph = engine.explore(view, root)
@@ -118,7 +119,9 @@ class TestChaosTraceCompleteness:
 
             def pipeline():
                 engine = ExplorationEngine(
-                    workers=2, budget=Budget(max_states=50_000), store="memory"
+                    workers=2,
+                    budget=Budget(max_states=50_000),
+                    store=f"sqlite:{tmp_path / 'store'}",
                 )
                 return refute_candidate(system, tracer=tracer, engine=engine)
 

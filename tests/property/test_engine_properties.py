@@ -7,6 +7,8 @@ These properties drive the engine across the paper's Fig. 1/Fig. 2
 instances (delegation over an atomic consensus object, delegation over
 totally ordered broadcast) with randomized worker counts, budgets, and
 interrupt points, and compare against the sequential ground truth.
+Runs with more than one worker go through a sqlite store, as the engine
+requires.
 """
 
 from hypothesis import given, settings
@@ -49,11 +51,12 @@ class TestParallelEquivalence:
         name=st.sampled_from(sorted(FACTORIES)),
         workers=st.sampled_from([2, 4]),
     )
-    def test_same_graph_and_decision_sets(self, name, workers):
+    def test_same_graph_and_decision_sets(self, name, workers, tmp_path_factory):
         view, root, sequential = _instance(name)
-        graph = ExplorationEngine(workers=workers, budget=Budget()).explore(
-            view, root
-        )
+        store = f"sqlite:{tmp_path_factory.mktemp('engine-store')}"
+        graph = ExplorationEngine(
+            workers=workers, budget=Budget(), store=store
+        ).explore(view, root)
         assert set(graph.states) == set(sequential.states)
         assert list(graph.states) == list(sequential.states)  # discovery order too
         assert graph.edge_count() == sequential.edge_count()
@@ -75,16 +78,21 @@ class TestCheckpointRoundTrip:
     ):
         view, root, sequential = _instance(name)
         directory = tmp_path_factory.mktemp("engine-ckpt")
+        store = (
+            None if workers == 1 else f"sqlite:{tmp_path_factory.mktemp('engine-store')}"
+        )
         try:
             graph = ExplorationEngine(
                 workers=workers,
                 budget=Budget(max_states=interrupt_after),
+                store=store,
                 checkpoint_dir=directory,
             ).explore(view, root)
         except BudgetExhausted:
             graph = ExplorationEngine(
                 workers=workers,
                 budget=Budget(),
+                store=store,
                 checkpoint_dir=directory,
                 resume=True,
             ).explore(view, root)

@@ -215,6 +215,12 @@ class TestErrors:
         assert status == 400
         assert "candidate" in document["detail"]
 
+    def test_removed_memory_store_is_a_400(self, serve_factory):
+        _, client = serve_factory(fleet=0)
+        status, _, document = client.submit({**FAST_SPEC, "store": "memory"})
+        assert status == 400
+        assert "store must be one of sqlite" in document["detail"]
+
     def test_unknown_job_is_a_404(self, serve_factory):
         _, client = serve_factory(fleet=0)
         status, _, document = client.get("/jobs/job-999999-ffffff")

@@ -7,6 +7,8 @@ the job up — same id — and complete it.  A third server then answers
 the identical resubmission from the persisted verdict cache.
 """
 
+import json
+
 from .conftest import FAST_SPEC
 
 
@@ -44,6 +46,32 @@ class TestRestartRecovery:
         assert answer["cached"] is True
         assert answer["verdict"] == document["verdict"]
         assert headers["X-Repro-Cache"] == "hit"
+
+    def test_journaled_memory_store_job_is_dropped(self, serve_factory, tmp_path):
+        """A job journaled with the removed ``memory`` store no longer
+        validates, so a restarted server drops it instead of running it;
+        a valid job journaled beside it still recovers."""
+        handle1, client1 = serve_factory(fleet=0, data_dir=tmp_path)
+        _, _, submitted = client1.submit(FAST_SPEC)
+        handle1.stop()
+        journal = tmp_path / "jobs.jsonl"
+        (kept,) = [json.loads(line) for line in journal.read_text().splitlines()]
+        stale = {
+            **kept,
+            "id": "job-000099-abcdef",
+            "spec": {**kept["spec"], "store": "memory"},
+        }
+        with open(journal, "a", encoding="utf-8") as stream:
+            stream.write(json.dumps(stale, sort_keys=True) + "\n")
+
+        handle2, client2 = serve_factory(fleet=0, data_dir=tmp_path)
+        status, _, _ = client2.get(f"/jobs/{stale['id']}")
+        assert status == 404
+        status, _, recovered = client2.get(f"/jobs/{submitted['id']}")
+        assert status == 200 and recovered["resumed"] is True
+        assert handle2.server.metrics.snapshot()["counters"][
+            "serve.jobs.recovered"
+        ] == 1
 
     def test_done_jobs_are_not_recovered(self, serve_factory, tmp_path):
         handle1, client1 = serve_factory(fleet=1, data_dir=tmp_path)

@@ -134,7 +134,13 @@ class TestWorkerLoss:
 
         if not fork_available():
             pytest.skip("killing a worker needs forked workers")
-        document = {"candidate": "delegation", "n": 3, "f": 1, "workers": 2}
+        document = {
+            "candidate": "delegation",
+            "n": 3,
+            "f": 1,
+            "workers": 2,
+            "store": "sqlite",
+        }
         clean, _ = run(make_job(document), max_engine_workers=2)
         assert clean.state == COMPLETED
 
@@ -160,6 +166,23 @@ class TestWorkerLoss:
         assert outcome.verdict == clean.verdict
         assert metrics.snapshot()["counters"].get("engine.resumes", 0) >= 1
         assert not checkpoints.exists()
+
+
+class TestWorkersClamp:
+    def test_pool_only_with_a_store(self):
+        """With a cap of 2, a ``workers: 2`` job runs at one worker
+        without a store and at two with one; the verdict is the same."""
+        document = {"candidate": "delegation", "n": 3, "f": 1, "workers": 2}
+        plain, _ = run(make_job(document), max_engine_workers=2)
+        stored, _ = run(
+            make_job({**document, "store": "sqlite"}), max_engine_workers=2
+        )
+        assert plain.state == stored.state == COMPLETED
+        assert plain.engine_report["workers"] == 1
+        assert plain.engine_report["store_backend"] == "memory"
+        assert stored.engine_report["workers"] == 2
+        assert stored.engine_report["store_backend"] == "sqlite"
+        assert plain.verdict == stored.verdict
 
 
 class TestStoreJobs:

@@ -66,13 +66,25 @@ class TestJobSpecFromJson:
             JobSpec.from_json({"candidate": "tob", "budget": {"max_states": "lots"}})
 
     def test_store_accepts_backend_names_only(self):
-        for backend in ("memory", "sqlite"):
-            spec = JobSpec.from_json({"candidate": "tob", "store": backend})
-            assert spec.store == backend
+        spec = JobSpec.from_json({"candidate": "tob", "store": "sqlite"})
+        assert spec.store == "sqlite"
 
     def test_store_rejects_removed_mmap_backend(self):
-        with pytest.raises(WireError, match="one of memory, sqlite"):
+        with pytest.raises(WireError, match="one of sqlite"):
             JobSpec.from_json({"candidate": "tob", "store": "mmap"})
+
+    def test_store_rejects_removed_memory_backend(self):
+        with pytest.raises(WireError, match="one of sqlite"):
+            JobSpec.from_json({"candidate": "tob", "store": "memory"})
+
+    def test_engine_workers_clamp(self):
+        """``workers`` is clamped to the server's cap, and to 1 without a
+        store: the worker pool runs on a store."""
+        spec = JobSpec.from_json({"candidate": "tob", "workers": 4})
+        assert spec.engine_workers(2) == 1
+        spec = JobSpec.from_json({"candidate": "tob", "workers": 4, "store": "sqlite"})
+        assert spec.engine_workers(2) == 2
+        assert spec.engine_workers(8) == 4
 
     def test_store_rejects_paths(self):
         # A path-carrying URI would let a client choose server filesystem

@@ -190,8 +190,9 @@ class TestHeadlineSignatures:
 
         assert [
             field.name for field in dataclasses.fields(repro.engine.StoreConfig)
-        ] == ["backend", "path", "flush_interval", "frontier_window"]
-        assert repro.engine.store.BACKENDS == ("memory", "sqlite")
+        ] == ["path", "flush_interval", "frontier_window"]
+        assert not hasattr(repro.engine.store, "BACKENDS")
+        assert "MemoryStore" not in repro.engine.__all__
 
     def test_run_consensus_round_signature(self):
         parameters = inspect.signature(

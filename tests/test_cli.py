@@ -1,11 +1,40 @@
-"""Tests for the ``python -m repro`` command-line interface."""
+"""Tests for the ``python -m repro`` command-line interface.
+
+``$REPRO_ENGINE_WORKERS`` and ``$REPRO_ENGINE_STORE`` set the pipeline
+commands' defaults, so the same tests also run against the worker pool
+(``REPRO_ENGINE_WORKERS=2 REPRO_ENGINE_STORE=sqlite``).  A test that
+resumes across invocations then needs a store that outlives the first
+one: :func:`resumable` names a directory under the test's tmp path.
+"""
 
 import json
+import os
 import re
+import shlex
 
 import pytest
 
 from repro.__main__ import main
+
+
+def resumable(tmp_path) -> list[str]:
+    """``--store`` arguments that survive between two invocations.
+
+    Empty by default (the classic loop's checkpoint files need no
+    store); when the environment selects a store, it is a sqlite
+    directory under ``tmp_path`` instead of a scratch one, which would
+    vanish with the run whose delta segments point at it.
+    """
+    if not os.environ.get("REPRO_ENGINE_STORE"):
+        return []
+    return ["--store", f"sqlite:{tmp_path / 'env-store'}"]
+
+
+@pytest.fixture
+def no_engine_env(monkeypatch):
+    """The pipeline defaults without the environment: no store, 1 worker."""
+    monkeypatch.delenv("REPRO_ENGINE_WORKERS", raising=False)
+    monkeypatch.delenv("REPRO_ENGINE_STORE", raising=False)
 
 
 class TestVersion:
@@ -77,10 +106,13 @@ class TestRefute:
 
 
 class TestEngineFlags:
-    def test_workers_flag_same_verdict(self, capsys):
+    def test_workers_flag_same_verdict(self, capsys, tmp_path):
         assert main(["refute", "delegation", "-n", "2", "-f", "0"]) == 0
         sequential = capsys.readouterr().out
-        assert main(["refute", "delegation", "-n", "2", "-f", "0", "--workers", "2"]) == 0
+        assert main(
+            ["refute", "delegation", "-n", "2", "-f", "0", "--workers", "2",
+             "--store", f"sqlite:{tmp_path / 'store'}"]
+        ) == 0
         parallel = capsys.readouterr().out
         strip = lambda out: [
             line
@@ -116,7 +148,22 @@ class TestEngineFlags:
         assert code == 2
         assert "Exploration budget exhausted" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("uri", ["bogus:x", "mmap:/tmp/x", "sqlite:/x?shards=4"])
+    def test_workers_without_store_is_a_usage_error(
+        self, capsys, tmp_path, no_engine_env
+    ):
+        runs_dir = str(tmp_path / "runs")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["refute", "delegation", "--workers", "2", "--runs-dir", runs_dir])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--workers 2 needs --store" in err
+        # Rejected before the run ledger opened: no false "interrupted" run.
+        assert main(["runs", "list", "--json", "--runs-dir", runs_dir]) == 0
+        assert json.loads(capsys.readouterr().out) == []
+
+    @pytest.mark.parametrize(
+        "uri", ["bogus:x", "mmap:/tmp/x", "sqlite:/x?shards=4", "memory"]
+    )
     def test_bad_store_uri_is_a_usage_error(self, capsys, tmp_path, uri):
         runs_dir = str(tmp_path / "runs")
         with pytest.raises(SystemExit) as excinfo:
@@ -124,7 +171,7 @@ class TestEngineFlags:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "argument --store" in err
-        assert "expected one of" in err
+        assert "expected" in err
         # Rejected before the run ledger opened: no false "interrupted" run.
         assert main(["runs", "list", "--json", "--runs-dir", runs_dir]) == 0
         assert json.loads(capsys.readouterr().out) == []
@@ -132,14 +179,16 @@ class TestEngineFlags:
     def test_bad_store_environment_default_is_a_usage_error(
         self, capsys, monkeypatch
     ):
-        monkeypatch.setenv("REPRO_ENGINE_STORE", "mmap:/tmp/x")
-        with pytest.raises(SystemExit) as excinfo:
-            main(["refute", "delegation"])
-        assert excinfo.value.code == 2
-        assert "memory, sqlite" in capsys.readouterr().err
+        for removed in ("mmap:/tmp/x", "memory"):
+            monkeypatch.setenv("REPRO_ENGINE_STORE", removed)
+            with pytest.raises(SystemExit) as excinfo:
+                main(["refute", "delegation"])
+            assert excinfo.value.code == 2
+            assert "expected sqlite" in capsys.readouterr().err
 
     def test_interrupted_run_resumes_to_same_verdict(self, capsys, tmp_path):
         checkpoints = str(tmp_path / "ckpt")
+        store = resumable(tmp_path)
         assert main(["refute", "delegation"]) == 0
         uninterrupted = capsys.readouterr().out
         # Interrupt: a states budget too small for the Lemma 4 chain.
@@ -152,6 +201,7 @@ class TestEngineFlags:
                     "50",
                     "--checkpoint",
                     checkpoints,
+                    *store,
                 ]
             )
             == 2
@@ -159,7 +209,7 @@ class TestEngineFlags:
         interrupted = capsys.readouterr().out
         assert "checkpoint:" in interrupted
         # Resume with the full budget: same verdict as never interrupted.
-        assert main(["refute", "delegation", "--resume", checkpoints]) == 0
+        assert main(["refute", "delegation", "--resume", checkpoints, *store]) == 0
         resumed = capsys.readouterr().out
         strip = lambda out: [
             line
@@ -168,7 +218,55 @@ class TestEngineFlags:
         ]
         assert strip(resumed) == strip(uninterrupted)
 
-    def test_unusable_resume_fails_without_traceback(self, capsys, tmp_path):
+    def test_store_run_resume_recipe_runs_verbatim(self, capsys, tmp_path):
+        """The exit-2 recipe of a store-backed run names its store, so
+        running it as printed completes with the uninterrupted verdict;
+        the ledger's resume artifacts name the store too."""
+        runs_dir = str(tmp_path / "runs")
+        assert main(["refute", "delegation", "--runs-dir", runs_dir]) == 0
+        uninterrupted = capsys.readouterr().out
+        checkpoint_run = [
+            "refute", "delegation", "--max-states", "50",
+            "--store", f"sqlite:{tmp_path / 'st'}",
+            "--checkpoint", str(tmp_path / "ck"), "--runs-dir", runs_dir,
+        ]
+        assert main(checkpoint_run) == 2
+        out = capsys.readouterr().out
+        (resume_line,) = [line for line in out.splitlines() if line.startswith("Resume:")]
+        recipe = re.search(r"\(CLI: (.*)\)$", resume_line).group(1)
+        assert f"--store sqlite:{tmp_path / 'st'}" in recipe
+        assert f"store='sqlite:{tmp_path / 'st'}'" in resume_line
+        assert main(["runs", "list", "--json", "--runs-dir", runs_dir]) == 0
+        (record,) = [
+            r for r in json.loads(capsys.readouterr().out) if r["status"] == "exhausted"
+        ]
+        assert recipe in record["artifacts"]["resume"]
+        assert main(["refute", "delegation", *shlex.split(recipe)]) == 0
+        resumed = capsys.readouterr().out
+        strip = lambda out: [
+            line
+            for line in out.splitlines()
+            if not line.startswith(("Explored", "Run id:"))
+        ]
+        assert strip(resumed) == strip(uninterrupted)
+
+    def test_opening_record_resume_names_the_store(self, capsys, tmp_path):
+        runs_dir = str(tmp_path / "runs")
+        store = f"sqlite:{tmp_path / 'st'}?flush=100"
+        assert main(
+            ["refute", "delegation", "-n", "2", "-f", "0", "--store", store,
+             "--checkpoint", str(tmp_path / "ck"), "--runs-dir", runs_dir]
+        ) == 0
+        capsys.readouterr()
+        assert main(["runs", "list", "--json", "--runs-dir", runs_dir]) == 0
+        (record,) = json.loads(capsys.readouterr().out)
+        resume = record["artifacts"]["resume"]
+        assert resume.endswith(f"--resume {tmp_path / 'ck'} --store {shlex.quote(store)}")
+        assert shlex.split(resume)[-1] == store
+
+    def test_unusable_resume_fails_without_traceback(
+        self, capsys, tmp_path, no_engine_env
+    ):
         """Delta segments need their store: resuming them without
         --store is a one-line error, exit 1, and a failed ledger run."""
         checkpoints = str(tmp_path / "ckpt")
@@ -282,7 +380,10 @@ class TestChaosFlags:
             pytest.skip("killing a worker needs forked workers")
         checkpoints = str(tmp_path / "ckpt")
         runs_dir = str(tmp_path / "runs")
-        refute = ["refute", "delegation", "--workers", "2", "--runs-dir", runs_dir]
+        refute = [
+            "refute", "delegation", "--workers", "2",
+            "--store", f"sqlite:{tmp_path / 'store'}", "--runs-dir", runs_dir,
+        ]
         assert main(refute) == 0
         clean = capsys.readouterr().out
         # The Lemma 4 chain explores the all-zero initialization first.
