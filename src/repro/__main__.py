@@ -53,7 +53,8 @@ directly: ``--workers N`` parallelizes the explorations (on a
 ``--deadline SECONDS`` bounds each stage's wall clock, and
 ``--checkpoint DIR`` / ``--resume DIR`` snapshot interrupted
 explorations and continue them on the next invocation instead of
-starting over.  ``--store URI`` keeps
+starting over (under the same ``--store``, which must then name a
+path: a scratch ``--store sqlite`` is a usage error).  ``--store URI`` keeps
 packed states in a disk-backed :class:`~repro.engine.StateStore`
 (``sqlite:/path``; default from ``$REPRO_ENGINE_STORE``, else no store)
 with streaming delta checkpoints, and
@@ -1157,7 +1158,8 @@ def main(argv: list[str] | None = None) -> int:
             "$REPRO_ENGINE_STORE, else none: the in-RAM loop, the "
             "fastest); 'sqlite:/path' holds packed states on disk for "
             "10^6+-state runs under a bounded RSS ('sqlite' alone: a "
-            "scratch directory); --workers N>1 runs on it",
+            "scratch directory, deleted when the run ends, so it cannot "
+            "be checkpointed); --workers N>1 runs on it",
         )
         subparser.add_argument(
             "--rss-limit-mb",
@@ -1185,7 +1187,9 @@ def main(argv: list[str] | None = None) -> int:
             "--checkpoint",
             metavar="DIR",
             default=None,
-            help="snapshot exploration progress into DIR",
+            help="snapshot exploration progress into DIR; a checkpoint "
+            "resumes only under the configuration that wrote it, so with "
+            "--store it needs a store path (sqlite:DIR), not a scratch one",
         )
         subparser.add_argument(
             "--resume",
@@ -1582,6 +1586,17 @@ def main(argv: list[str] | None = None) -> int:
             f"--workers {args.workers} needs --store sqlite:DIR (the worker "
             "pool runs on a state store); without a store use --workers 1"
         )
+    store = getattr(args, "store", None)
+    checkpoint = getattr(args, "resume", None) or getattr(args, "checkpoint", None)
+    if checkpoint is not None and store is not None:
+        from .engine import StoreConfig
+
+        if StoreConfig.from_uri(store).path is None:
+            parser.error(
+                f"--checkpoint/--resume need a store that outlives the run: "
+                f"--store {store} is a scratch directory deleted when the run "
+                "ends; use --store sqlite:DIR, or no --store"
+            )
     return args.handler(args)
 
 

@@ -49,9 +49,11 @@ from __future__ import annotations
 
 import time
 from collections import deque
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Callable, Hashable
+from typing import Callable, Hashable, Iterator
 
 try:
     import resource as _resource
@@ -70,6 +72,7 @@ from .checkpoint import (
     Checkpoint,
     CheckpointError,
     Segment,
+    checkpoint_path,
     compact_segments,
     discard_checkpoint,
     find_checkpoint,
@@ -148,23 +151,22 @@ class _Run:
         "pruned_tasks",
         "pool",
         "store",
-        "store_mode",
-        "owns_store",
         "task_slot",
         "segment_seq",
         "last_flush_ms",
         "cache_published",
         "memo_start",
+        "report",
     )
 
     def elapsed(self) -> float:
         return self.elapsed_prior + (time.monotonic() - self.started)
 
     def states_count(self) -> int:
-        return len(self.store) if self.store_mode else len(self.order)
+        return len(self.order) if self.store is None else len(self.store)
 
     def frontier_count(self) -> int:
-        return self.store.frontier_len() if self.store_mode else len(self.frontier)
+        return len(self.frontier) if self.store is None else self.store.frontier_len()
 
 
 class _StorePackedMap:
@@ -209,7 +211,8 @@ class EngineReport:
     ``engine.run`` span share, so those can never disagree.  The final
     snapshot is :attr:`ExplorationEngine.last_report` after every
     ``explore()`` call (including ones that raised
-    :class:`~repro.engine.budget.BudgetExhausted`).  It covers that one
+    :class:`~repro.engine.budget.BudgetExhausted`; ``None`` after one
+    that failed before exploring, e.g. an unusable resume).  It covers that one
     exploration: a refutation runs several, and its run-ledger record
     sums them from the metrics registry instead.  ``degraded`` is
     true when the run finished on in-process expanders despite multiple
@@ -368,7 +371,10 @@ class ExplorationEngine:
         their exploration completes.  Store-backed runs write streaming
         *delta segments* (tiny counter + frontier files — the states are
         already in the store); classic runs write monolithic checkpoint
-        files.
+        files.  Segments are only as durable as their store, so a
+        scratch store (``"sqlite"``, ``StoreConfig(path=None)``: deleted
+        when its exploration ends) with ``checkpoint_dir`` is a
+        ``ValueError``.
     flush_interval:
         Expansions between durable store flushes / checkpoint
         snapshots.  ``None`` defers to the store's configured
@@ -376,10 +382,12 @@ class ExplorationEngine:
         without a store).
     resume:
         When true (and ``checkpoint_dir`` holds a checkpoint for this
-        root), continue from the snapshot instead of starting over.
-        Store-backed runs resume from the newest delta segment (the
-        store is truncated to the segment's durable marks), or seed the
-        store from a classic run's monolithic v1/v2 file.
+        root), continue from the snapshot instead of starting over.  A
+        checkpoint resumes only under the configuration that wrote it:
+        store-backed runs resume from the newest delta segment (the
+        store is truncated to the segment's durable marks), classic runs
+        from the monolithic v1/v2 file, and either kind found by the
+        other raises :class:`~repro.engine.checkpoint.CheckpointError`.
     rss_limit_mb:
         The RSS ceiling the run is expected to respect, echoed in
         :class:`EngineReport` next to the measured ``peak_rss_kb``.
@@ -463,6 +471,17 @@ class ExplorationEngine:
                 "sqlite store; use workers=1 (the in-RAM loop, the fastest "
                 "without a store) or pass store='sqlite:/path'"
             )
+        if (
+            checkpoint_dir is not None
+            and isinstance(self.store, StoreConfig)
+            and self.store.path is None
+        ):
+            raise ValueError(
+                "checkpoint_dir needs a store that outlives the run: a "
+                "scratch store (store='sqlite', no path) is deleted when its "
+                "exploration ends, so its delta segments could never resume; "
+                "pass store='sqlite:/path' or no store"
+            )
         self.workers = workers
         self.budget = DEFAULT_BUDGET if budget is None else budget
         self.checkpoint_dir = None if checkpoint_dir is None else Path(checkpoint_dir)
@@ -520,19 +539,11 @@ class ExplorationEngine:
         whose entire point is *not* holding the graph in memory, use
         :meth:`scan`.
         """
-        run = self._execute(view, root, prune, tracer, metrics)
-        try:
-            if run.store_mode:
-                graph = self._materialize_graph(run)
-            else:
-                graph = StateGraph(
-                    root=root, states=StateSet(run.order), edges=run.edges
-                )
-        finally:
-            self._close_store(run)
-        if self.checkpoint_dir is not None:
-            discard_checkpoint(self.checkpoint_dir, run.root_digest)
-        return graph
+        with self._run_scope(view, root, prune, tracer, metrics) as run:
+            self._drive(run)
+            if run.store is not None:
+                return self._materialize_graph(run)
+            return StateGraph(root=root, states=StateSet(run.order), edges=run.edges)
 
     def scan(
         self,
@@ -554,83 +565,118 @@ class ExplorationEngine:
         when configured with a real path) retains the packed graph for
         later materialization or auditing.
         """
-        run = self._execute(view, root, prune, tracer, metrics)
-        self._close_store(run)
-        if self.checkpoint_dir is not None:
-            discard_checkpoint(self.checkpoint_dir, run.root_digest)
+        with self._run_scope(view, root, prune, tracer, metrics) as run:
+            self._drive(run)
         return self.last_report
 
-    def _execute(self, view, root, prune, tracer, metrics) -> _Run:
-        tracer = self.tracer if tracer is None else tracer
-        metrics = self.metrics if metrics is None else metrics
-        run = self._start_run(view, root, prune, tracer, metrics)
-        try:
-            self._drive(run, metrics)
-        except BaseException:
-            # Budget raises, lost workers, KeyboardInterrupt: flush a
-            # caller-owned store (so resume sees the durable prefix) and
-            # close an engine-owned one before propagating.
-            self._close_store(run)
-            raise
-        return run
+    @contextmanager
+    def _run_scope(self, view, root, prune, tracer, metrics) -> Iterator[_Run]:
+        """One exploration's resources, released in reverse on every exit.
 
-    def _drive(self, run: _Run, metrics) -> None:
-        span_attrs = {"workers": self.workers, "resumed": run.resumed}
-        if self.run_id is not None:
-            span_attrs["run"] = self.run_id
-        run_span = start_span(run.tracer, "engine.run", **span_attrs)
-        status = "ok"
-        try:
-            try:
-                if self.workers > 1:
-                    self._drive_store_parallel(run)
-                elif run.store_mode:
-                    self._drive_store_sequential(run)
-                else:
-                    self._drive_sequential(run)
-            except _Exhausted as signal:
-                status = "exhausted"
-                path = self._write_checkpoint(run)
-                if metrics.enabled:
-                    metrics.counter("explore.budget_exhausted").inc()
-                    metrics.counter("engine.budget_exhausted").inc()
-                raise BudgetExhausted(
-                    resource=signal.resource,
-                    limit=signal.limit,
-                    states=run.states_count(),
-                    transitions=run.transitions,
-                    elapsed_seconds=run.elapsed(),
-                    checkpoint=path,
-                    resume_command=(
-                        None if path is None else self._resume_hint()
-                    ),
-                ) from None
-            except WorkerLost as lost:
-                # The pool is stopped and the lost round's frontier is
-                # back at its head: checkpoint that and hand the resume
-                # path to the caller.
-                status = "error"
-                path = self._write_checkpoint(run)
-                raise WorkerLost(
-                    lost.worker,
-                    lost.round_index,
-                    checkpoint=path,
-                    resume_command=(
-                        None if path is None else self._resume_hint()
-                    ),
-                ) from None
-            except BaseException:
-                # A store or checkpoint error, a raising cancel hook,
-                # KeyboardInterrupt: the run did not finish either.
-                status = "error"
-                raise
-        finally:
-            report = self._tick(run, force=True)
+        Each resource is registered as it is acquired: the ``engine.run``
+        span first (so a failed setup or resume still ends it, with
+        status ``error``), then the store (closed if the engine opened
+        it, flushed if it is the caller's), the worker pool and the
+        progress reporter.  The checkpoint is discarded only after a
+        clean exit.
+        """
+        run = self._new_run(
+            view,
+            root,
+            prune,
+            self.tracer if tracer is None else tracer,
+            self.metrics if metrics is None else metrics,
+        )
+        with ExitStack() as scope:
+            attrs = {"workers": self.workers}
+            if self.run_id is not None:
+                attrs["run"] = self.run_id
+            span = start_span(run.tracer, "engine.run", **attrs)
+            scope.push(partial(self._end_run, run, span))
+            if self.store is None:
+                self._start_classic(run)
+            else:
+                run.store = self._open_store(run.root_digest)
+                scope.callback(
+                    run.store.flush if run.store is self.store else run.store.close
+                )
+                self._start_store(run)
+            if run.resumed and run.metrics.enabled:
+                run.metrics.counter("engine.resumes").inc()
+            run.started = time.monotonic()
+            run.deadline = Deadline(
+                self.budget.deadline_seconds, already_elapsed=run.elapsed_prior
+            )
+            if self.workers > 1:
+                run.pool = WorkerPool(
+                    self.workers,
+                    view,
+                    prune,
+                    expected_states=self.budget.max_states,
+                    tracer=run.tracer,
+                    metrics=run.metrics,
+                ).start()
+                scope.callback(run.pool.stop)
             if self.progress is not None:
-                self.progress.finish()
-            end_span(run.tracer, run_span, status=status, **report.live())
-            self._publish(run)
-            self.last_report = report
+                scope.callback(self.progress.finish)
+            yield run
+        if self.checkpoint_dir is not None:
+            discard_checkpoint(self.checkpoint_dir, run.root_digest)
+
+    def _end_run(self, run: _Run, span, exc_type, exc, traceback) -> bool:
+        """The scope's last exit step: end the span, publish the report."""
+        if exc_type is None:
+            status = "ok"
+        elif issubclass(exc_type, BudgetExhausted):
+            status = "exhausted"
+        else:
+            # A lost worker, a store or checkpoint error, a raising
+            # cancel hook, KeyboardInterrupt: the run did not finish.
+            status = "error"
+        report = run.report
+        live = {} if report is None else report.live()
+        end_span(run.tracer, span, status=status, resumed=run.resumed, **live)
+        if report is not None:
+            self._publish(run, report)
+        self.last_report = report
+        return False
+
+    def _drive(self, run: _Run) -> None:
+        """Run the exploration loop; its end is the run's final snapshot."""
+        try:
+            if self.workers > 1:
+                self._drive_store_parallel(run)
+            elif run.store is not None:
+                self._drive_store_sequential(run)
+            else:
+                self._drive_sequential(run)
+        except _Exhausted as signal:
+            path = self._write_checkpoint(run)
+            if run.metrics.enabled:
+                run.metrics.counter("explore.budget_exhausted").inc()
+                run.metrics.counter("engine.budget_exhausted").inc()
+            raise BudgetExhausted(
+                resource=signal.resource,
+                limit=signal.limit,
+                states=run.states_count(),
+                transitions=run.transitions,
+                elapsed_seconds=run.elapsed(),
+                checkpoint=path,
+                resume_command=None if path is None else self._resume_hint(),
+            ) from None
+        except WorkerLost as lost:
+            # The pool is stopped and the lost round's frontier is back
+            # at its head: checkpoint that and hand the resume path to
+            # the caller.
+            path = self._write_checkpoint(run)
+            raise WorkerLost(
+                lost.worker,
+                lost.round_index,
+                checkpoint=path,
+                resume_command=None if path is None else self._resume_hint(),
+            ) from None
+        finally:
+            run.report = self._tick(run, force=True)
 
     def _resume_hint(self) -> str:
         """The resume recipe, naming the configured store (if any)."""
@@ -644,12 +690,12 @@ class ExplorationEngine:
             return FingerprintIndex(audit=True, codec=codec)
         return StateIndex()
 
-    def _start_run(self, view, root, prune, tracer, metrics) -> _Run:
+    def _new_run(self, view, root, prune, tracer, metrics) -> _Run:
         run = _Run()
         run.view = view
         run.root = root
         run.codec = Codec()
-        packed_root, run.root_digest = run.codec.encode_digest(root)
+        run.root_digest = run.codec.encode_digest(root)[1]
         run.prune = prune
         run.tracer = tracer
         run.tracing = tracer.enabled
@@ -667,58 +713,47 @@ class ExplorationEngine:
         run.pruned_tasks = 0
         run.pool = None
         run.store = None
-        run.store_mode = False
-        run.owns_store = False
         run.task_slot = None
         run.segment_seq = 0
         run.last_flush_ms = None
         run.cache_published = (0, 0)
         run.memo_start = view.system.memo_misses
-        if self.store is not None:
-            self._start_run_external(run, packed_root, metrics)
-            run.started = time.monotonic()
-            run.deadline = Deadline(
-                self.budget.deadline_seconds, already_elapsed=run.elapsed_prior
-            )
-            return run
-        checkpoint = self._load_resumable(run)
-        if checkpoint is not None:
-            run.order = checkpoint.order
-            run.edges = checkpoint.edges
-            run.frontier = deque(checkpoint.frontier)
-            run.transitions = checkpoint.transitions
-            run.elapsed_prior = checkpoint.elapsed_seconds
-            run.resumed = True
-            if isinstance(run.index, StateIndex):
-                run.index.add_states(run.order)
-            else:
-                for state in run.order:
-                    run.index.add(state)
-            if metrics.enabled:
-                metrics.counter("engine.resumes").inc()
-        else:
-            run.order = [root]
-            run.edges = {}
-            run.index.add(root, run.root_digest)
-            run.frontier = deque([root])
-        run.started = time.monotonic()
-        run.deadline = Deadline(
-            self.budget.deadline_seconds, already_elapsed=run.elapsed_prior
-        )
+        run.report = None
         return run
 
-    def _load_resumable(self, run: _Run) -> Checkpoint | None:
-        if not self.resume or self.checkpoint_dir is None:
-            return None
-        path = find_checkpoint(self.checkpoint_dir, run.root_digest)
-        if path is None:
-            return None
-        return load_checkpoint(path)
+    def _start_classic(self, run: _Run) -> None:
+        """Seed the in-RAM tables: from a monolithic checkpoint, or the root."""
+        checkpoint = None
+        if self.resume and self.checkpoint_dir is not None:
+            path = find_checkpoint(self.checkpoint_dir, run.root_digest)
+            if path is not None:
+                checkpoint = load_checkpoint(path)
+        if checkpoint is None:
+            run.order = [run.root]
+            run.edges = {}
+            run.index.add(run.root, run.root_digest)
+            run.frontier = deque([run.root])
+            return
+        run.order = checkpoint.order
+        run.edges = checkpoint.edges
+        run.frontier = deque(checkpoint.frontier)
+        run.transitions = checkpoint.transitions
+        run.elapsed_prior = checkpoint.elapsed_seconds
+        run.resumed = True
+        if isinstance(run.index, StateIndex):
+            run.index.add_states(run.order)
+        else:
+            for state in run.order:
+                run.index.add(state)
 
     # -- store-backed runs ----------------------------------------------------
 
-    def _open_store(self, root_digest: bytes) -> tuple[StateStore, bool]:
-        """(store, engine-owned) for one exploration of ``root_digest``."""
+    def _open_store(self, root_digest: bytes) -> StateStore:
+        """The store for one exploration of ``root_digest``.
+
+        A caller's :class:`StateStore` instance is returned as is (the
+        caller owns it); a :class:`StoreConfig` opens a fresh store.
+        """
         if isinstance(self.store, StateStore):
             if self._store_bound is not None and self._store_bound != root_digest:
                 raise EngineError(
@@ -728,118 +763,59 @@ class ExplorationEngine:
                     "to let the engine open per-run stores"
                 )
             self._store_bound = root_digest
-            return self.store, False
-        return open_store(self.store, namespace=root_digest.hex()), True
+            return self.store
+        return open_store(self.store, namespace=root_digest.hex())
 
-    def _start_run_external(self, run: _Run, packed_root: bytes, metrics) -> None:
-        run.store_mode = True
-        store, run.owns_store = self._open_store(run.root_digest)
-        run.store = store
+    def _start_store(self, run: _Run) -> None:
+        """Seed the store: from the newest delta segment, or the root."""
+        store = run.store
         run.task_slot = {task: slot for slot, task in enumerate(run.view.tasks)}
-        resumed = False
         if self.resume and self.checkpoint_dir is not None:
-            resumed = self._resume_external(run)
-        if not resumed:
-            if len(store) > 0:
-                if not run.owns_store:
-                    raise EngineError(
-                        "the StateStore already holds an exploration; pass "
-                        "resume=True to continue it or a fresh store to start over"
-                    )
-                # resume=False means start over, exactly as a stale
-                # monolithic checkpoint would be overwritten.
-                store.clear()
-            store.add(run.root_digest, packed_root)
-            store.push(run.root_digest)
-        run.resumed = resumed
-        if resumed and metrics.enabled:
-            metrics.counter("engine.resumes").inc()
+            run.resumed = self._resume_external(run)
+        if run.resumed:
+            return
+        if len(store) > 0:
+            if store is self.store:
+                raise EngineError(
+                    "the StateStore already holds an exploration; pass "
+                    "resume=True to continue it or a fresh store to start over"
+                )
+            # resume=False means start over, exactly as a stale
+            # monolithic checkpoint would be overwritten.
+            store.clear()
+        store.add(run.root_digest, run.codec.encode(run.root))
+        store.push(run.root_digest)
 
     def _resume_external(self, run: _Run) -> bool:
         store = run.store
         segment = load_segment(self.checkpoint_dir, run.root_digest)
-        if segment is not None:
-            if len(store) < segment.marks.get("states", 0):
+        if segment is None:
+            path = checkpoint_path(self.checkpoint_dir, run.root_digest)
+            if path.exists():
+                # A checkpoint resumes only under the configuration that
+                # wrote it, mirroring load_checkpoint's refusal of a
+                # segment directory for a store-less resume.
                 raise CheckpointError(
-                    "delta segment expects "
-                    f"{segment.marks.get('states', 0)} states but the "
-                    f"store holds {len(store)}; resume needs the store "
-                    "directory the segment was written against"
+                    f"{path} is a classic checkpoint, written without a "
+                    "store; resume it without store= (no --store on the "
+                    "CLI), or delete it to start the store-backed run over"
                 )
-            store.truncate(segment.marks)
-            store.frontier_load(segment.frontier_blob)
-            run.transitions = segment.transitions
-            run.elapsed_prior = segment.elapsed_seconds
-            run.expanded = segment.meta.get("expanded", 0)
-            compact_segments(self.checkpoint_dir, run.root_digest, segment.seq)
-            run.segment_seq = segment.seq + 1
-            return True
-        path = find_checkpoint(self.checkpoint_dir, run.root_digest)
-        if path is None or path.is_dir():
-            # No monolithic fallback (a bare segment directory cannot
-            # seed a store that lost its states).
             return False
-        self._seed_store_from_checkpoint(run, load_checkpoint(path))
-        return True
-
-    def _seed_store_from_checkpoint(self, run: _Run, checkpoint: Checkpoint) -> None:
-        """Resume a store-backed run from a monolithic v1/v2 file.
-
-        Replays the snapshot into the (empty) store: states in discovery
-        order, expansions in commit order, frontier digests in expansion
-        order — after which the run proceeds exactly as a segment resume
-        would.
-        """
-        store = run.store
-        if len(store) > 0:
-            store.clear()
-        codec = run.codec
-        digest_of = {}
-        if checkpoint.packed_order is not None:
-            for state, packed in zip(checkpoint.order, checkpoint.packed_order):
-                digest = digest_of_packed(packed)
-                if digest not in store:
-                    store.add(digest, packed)
-                digest_of.setdefault(id(state), digest)
-        else:
-            for state in checkpoint.order:
-                packed, digest = codec.encode_digest(state)
-                if digest not in store:
-                    store.add(digest, packed)
-                digest_of.setdefault(id(state), digest)
-
-        def digest_for(state) -> bytes:
-            digest = digest_of.get(id(state))
-            if digest is None:
-                digest = digest_of[id(state)] = codec.encode_digest(state)[1]
-            return digest
-
-        task_slot = run.task_slot
-        for state, rows in checkpoint.edges.items():
-            store.append_expansion(
-                digest_for(state),
-                [
-                    (
-                        task_slot[task],
-                        store.action_slot(action),
-                        digest_for(successor),
-                    )
-                    for task, action, successor in rows
-                ],
+        if len(store) < segment.marks.get("states", 0):
+            raise CheckpointError(
+                "delta segment expects "
+                f"{segment.marks.get('states', 0)} states but the "
+                f"store holds {len(store)}; resume needs the store "
+                "directory the segment was written against"
             )
-        for state in checkpoint.frontier:
-            store.push(digest_for(state))
-        run.transitions = checkpoint.transitions
-        run.elapsed_prior = checkpoint.elapsed_seconds
-        run.expanded = len(checkpoint.edges)
-
-    def _close_store(self, run: _Run) -> None:
-        if not run.store_mode or run.store is None:
-            return
-        if run.owns_store:
-            run.store.close()
-        else:
-            run.store.flush()
+        store.truncate(segment.marks)
+        store.frontier_load(segment.frontier_blob)
+        run.transitions = segment.transitions
+        run.elapsed_prior = segment.elapsed_seconds
+        run.expanded = segment.meta.get("expanded", 0)
+        compact_segments(self.checkpoint_dir, run.root_digest, segment.seq)
+        run.segment_seq = segment.seq + 1
+        return True
 
     def _materialize_graph(self, run: _Run) -> StateGraph:
         """Decode the store back into a classic :class:`StateGraph`.
@@ -950,15 +926,7 @@ class ExplorationEngine:
     def _drive_store_parallel(self, run: _Run) -> None:
         budget = self.budget
         store = run.store
-        pool = WorkerPool(
-            self.workers,
-            run.view,
-            run.prune,
-            expected_states=budget.max_states,
-            tracer=run.tracer,
-            metrics=run.metrics,
-        ).start()
-        run.pool = pool
+        pool = run.pool
         # The wire protocol's packed_of table, backed by the store: the
         # store serves every already-discovered digest; novel bytes from
         # worker replies stage in an in-RAM overlay for the duration of
@@ -969,84 +937,81 @@ class ExplorationEngine:
         # cost more than the duplicate shipping it avoids.
         packed_of = _StorePackedMap(store)
         cancel = self.cancel
-        try:
-            while store.frontier_len():
-                if cancel is not None and cancel():
-                    raise _Exhausted("cancelled", 0.0)
-                if run.deadline.expired():
-                    raise _Exhausted("deadline", budget.deadline_seconds)
-                digests = []
-                while True:
-                    digest = store.pop()
-                    if digest is None:
-                        break
-                    digests.append(digest)
-                round_span = start_span(
-                    run.tracer, "round", round=run.rounds + 1, states=len(digests)
+        while store.frontier_len():
+            if cancel is not None and cancel():
+                raise _Exhausted("cancelled", 0.0)
+            if run.deadline.expired():
+                raise _Exhausted("deadline", budget.deadline_seconds)
+            digests = []
+            while True:
+                digest = store.pop()
+                if digest is None:
+                    break
+                digests.append(digest)
+            round_span = start_span(
+                run.tracer, "round", round=run.rounds + 1, states=len(digests)
+            )
+            try:
+                results = pool.run_round(
+                    run.rounds + 1,
+                    digests,
+                    packed_of,
+                    run.phase,
+                    round_span_id=(
+                        None if round_span is None else round_span.span_id
+                    ),
                 )
-                try:
-                    results = pool.run_round(
-                        run.rounds + 1,
-                        digests,
-                        packed_of,
-                        run.phase,
-                        round_span_id=(
-                            None if round_span is None else round_span.span_id
-                        ),
-                    )
-                except WorkerLost:
-                    # Nothing of the round was merged: put its whole
-                    # frontier back at the head, in order.
-                    for digest in reversed(digests):
-                        store.push_front(digest)
-                    end_span(run.tracer, round_span, status="error")
-                    raise
-                merge_started = time.perf_counter()
-                position = 0
-                try:
-                    for position, digest in enumerate(digests):
-                        result = results[position]
-                        if result == PRUNED:
-                            self._commit_external_empty(run, digest)
-                            continue
-                        rows = []
-                        for task_index, action, succ_digest in result:
-                            packed = packed_of.get(succ_digest)
-                            if packed is None:
-                                packed = self._recover_packed_external(
-                                    run, digest, succ_digest, packed_of
-                                )
-                            rows.append((task_index, action, succ_digest, packed))
-                        self._commit_external(run, digest, rows)
-                except _Exhausted:
-                    # _commit_external re-queued the offending digest at
-                    # the head; slot the round's unmerged tail right
-                    # after it to preserve BFS order.
-                    state_digest = store.pop()
-                    for tail_digest in reversed(digests[position + 1 :]):
-                        store.push_front(tail_digest)
-                    store.push_front(state_digest)
-                    end_span(run.tracer, round_span, status="exhausted")
-                    raise
-                finally:
-                    packed_of.pending.clear()
-                    run.phase["merge_seconds"] = run.phase.get(
-                        "merge_seconds", 0.0
-                    ) + (time.perf_counter() - merge_started)
-                run.rounds += 1
-                if run.tracing:
-                    run.tracer.emit(
-                        WORKER_ROUND,
-                        round=run.rounds,
-                        expanded=len(digests),
-                        shards=pool.last_round_producers,
-                        frontier=store.frontier_len(),
-                    )
-                end_span(run.tracer, round_span, frontier=store.frontier_len())
-                self._tick(run)
-                self._maybe_checkpoint(run)
-        finally:
-            pool.stop()
+            except WorkerLost:
+                # Nothing of the round was merged: put its whole
+                # frontier back at the head, in order.
+                for digest in reversed(digests):
+                    store.push_front(digest)
+                end_span(run.tracer, round_span, status="error")
+                raise
+            merge_started = time.perf_counter()
+            position = 0
+            try:
+                for position, digest in enumerate(digests):
+                    result = results[position]
+                    if result == PRUNED:
+                        self._commit_external_empty(run, digest)
+                        continue
+                    rows = []
+                    for task_index, action, succ_digest in result:
+                        packed = packed_of.get(succ_digest)
+                        if packed is None:
+                            packed = self._recover_packed_external(
+                                run, digest, succ_digest, packed_of
+                            )
+                        rows.append((task_index, action, succ_digest, packed))
+                    self._commit_external(run, digest, rows)
+            except _Exhausted:
+                # _commit_external re-queued the offending digest at
+                # the head; slot the round's unmerged tail right
+                # after it to preserve BFS order.
+                state_digest = store.pop()
+                for tail_digest in reversed(digests[position + 1 :]):
+                    store.push_front(tail_digest)
+                store.push_front(state_digest)
+                end_span(run.tracer, round_span, status="exhausted")
+                raise
+            finally:
+                packed_of.pending.clear()
+                run.phase["merge_seconds"] = run.phase.get(
+                    "merge_seconds", 0.0
+                ) + (time.perf_counter() - merge_started)
+            run.rounds += 1
+            if run.tracing:
+                run.tracer.emit(
+                    WORKER_ROUND,
+                    round=run.rounds,
+                    expanded=len(digests),
+                    shards=pool.last_round_producers,
+                    frontier=store.frontier_len(),
+                )
+            end_span(run.tracer, round_span, frontier=store.frontier_len())
+            self._tick(run)
+            self._maybe_checkpoint(run)
 
     def _commit_external_empty(self, run: _Run, digest: bytes) -> None:
         """A pruned expansion: node kept, no outgoing edges."""
@@ -1257,7 +1222,7 @@ class ExplorationEngine:
     # -- checkpointing --------------------------------------------------------
 
     def _maybe_checkpoint(self, run: _Run) -> None:
-        if run.store_mode:
+        if run.store is not None:
             # The composition's transition memo pins one decoded object
             # per distinct component value, and a reduced view's orbit
             # cache maps every orbit image it has seen to its
@@ -1276,7 +1241,7 @@ class ExplorationEngine:
             return
         if self.checkpoint_dir is not None:
             self._write_checkpoint(run)
-        elif run.store_mode:
+        elif run.store is not None:
             # No checkpointing, but the store's write buffers must still
             # drain on the flush cadence or a disk backend quietly grows
             # an unbounded pending list in RAM.
@@ -1295,9 +1260,7 @@ class ExplorationEngine:
             return None
         states = run.states_count()
         checkpoint_span = start_span(run.tracer, "checkpoint", states=states)
-        if run.store_mode:
-            path = self._write_segment(run)
-        else:
+        if run.store is None:
             path = save_checkpoint(
                 self.checkpoint_dir,
                 Checkpoint(
@@ -1313,6 +1276,8 @@ class ExplorationEngine:
                 ),
                 codec=run.codec,
             )
+        else:
+            path = self._write_segment(run)
         run.since_checkpoint = 0
         if run.metrics.enabled:
             run.metrics.counter("engine.checkpoints_written").inc()
@@ -1348,7 +1313,7 @@ class ExplorationEngine:
     def _build_report(self, run: _Run) -> EngineReport:
         """The one snapshot of a run, live or final (see :meth:`_tick`)."""
         pool = run.pool
-        stats = run.store.stats() if run.store_mode else None
+        stats = None if run.store is None else run.store.stats()
         flush_ms = run.last_flush_ms
         if flush_ms is None and stats is not None and stats.flushes:
             # The engine has not driven a flush yet, but the backend has
@@ -1393,7 +1358,8 @@ class ExplorationEngine:
 
     # -- metrics --------------------------------------------------------------
 
-    def _publish(self, run: _Run) -> None:
+    def _publish(self, run: _Run, report: EngineReport) -> None:
+        """Fold the run into the metrics registry, from its final report."""
         # Reduction stats gathered by the pool (worker replies) belong to
         # the run, metrics or not.
         if run.pool is not None:
@@ -1404,9 +1370,9 @@ class ExplorationEngine:
         if not metrics.enabled:
             return
         metrics.counter("explore.runs").inc()
-        metrics.counter("explore.states").inc(run.states_count())
-        metrics.counter("explore.transitions").inc(run.transitions)
-        metrics.gauge("explore.last_run_states").set(run.states_count())
+        metrics.counter("explore.states").inc(report.states)
+        metrics.counter("explore.transitions").inc(report.transitions)
+        metrics.gauge("explore.last_run_states").set(report.states)
         metrics.counter("engine.runs").inc()
         metrics.counter("engine.expanded").inc(run.expanded)
         metrics.gauge("engine.workers").set(self.workers)
@@ -1415,11 +1381,9 @@ class ExplorationEngine:
         # published: live store flushes already pushed a prefix.
         self._publish_cache_counters(run)
         # The transition memo's, this process only (see EngineReport).
-        system = run.view.system
-        memo_misses = system.memo_misses - run.memo_start
-        if memo_misses:
-            metrics.counter("engine.memo.misses").inc(memo_misses)
-        metrics.gauge("engine.memo.entries").set(system.memo_entries())
+        if report.memo_misses:
+            metrics.counter("engine.memo.misses").inc(report.memo_misses)
+        metrics.gauge("engine.memo.entries").set(report.memo_entries)
         if run.pool is not None and run.pool.visited_overflows:
             metrics.counter("engine.visited.overflows").inc(
                 run.pool.visited_overflows
@@ -1427,12 +1391,11 @@ class ExplorationEngine:
         if run.rounds:
             metrics.counter("engine.rounds").inc(run.rounds)
         if run.resumed:
-            metrics.gauge("engine.resumed_states").set(run.states_count())
-        if run.store_mode:
-            stats = run.store.stats()
-            metrics.counter("engine.store.flushes").inc(stats.flushes)
-            if stats.spilled_states:
-                metrics.counter("engine.store.spilled").inc(stats.spilled_states)
+            metrics.gauge("engine.resumed_states").set(report.states)
+        if run.store is not None:
+            metrics.counter("engine.store.flushes").inc(report.store_flushes)
+            if report.spilled_states:
+                metrics.counter("engine.store.spilled").inc(report.spilled_states)
         for name, seconds in run.phase.items():
             if seconds:
                 metrics.counter(f"engine.phase.{name}").inc(seconds)

@@ -31,9 +31,8 @@ as its canonical packed bytes (:mod:`repro.engine.codec`), with
 ``edges`` and ``frontier`` flattened to indices into that list plus
 interned task/action tables.  This kills the v1 format's quadratic
 blowup — pickling ``edges`` used to re-serialize every successor state
-per referencing edge — and gives resume a fast path: the visited digest
-set is rebuilt from the packed bytes alone (``blake2b(packed)`` *is*
-the fingerprint), no state re-encoded.  Tasks, actions, and the
+per referencing edge (``blake2b(packed)`` *is* each state's
+fingerprint).  Tasks, actions, and the
 dataclass/enum classes the codec needs for decoding are pickled by
 reference alongside, so a fresh process (``--resume`` from the CLI) can
 register the classes before decoding.  States the codec cannot
@@ -43,10 +42,7 @@ trading size for fidelity.
 
 Compatibility: v1 files (object-pickle payloads from engines before the
 format bump) still **load** — resume works across the bump — but saves
-always write v2.  :attr:`Checkpoint.packed_order` carries the packed
-states out of a v2 load so the engine can seed its tables without
-re-encoding; it is ``None`` for v1 loads and ``mode="pickle"`` v2
-payloads, where the engine falls back to encoding on resume.
+always write v2.
 
 Streaming delta segments (store-backed runs)
 --------------------------------------------
@@ -69,8 +65,15 @@ crash mid-write).  Resume loads the newest readable segment, calls
 that segment was written, reloads the frontier, and *compacts* the
 directory down to the chosen segment.  :func:`find_checkpoint` and
 :func:`list_checkpoints` surface segment directories alongside v1/v2
-files; :func:`load_checkpoint` on a segment directory raises with the
-recipe (segments carry no states — a store is required to resume).
+files.
+
+A checkpoint resumes only under the configuration that wrote it:
+:func:`load_checkpoint` on a segment directory raises with the recipe
+(segments carry no states — a store is required to resume), and the
+engine refuses to resume a store-backed run from a monolithic file.
+Segments are also only as durable as their store, so the engine
+refuses to checkpoint a run on a scratch store (``StoreConfig(path=None)``,
+deleted when its exploration ends).
 """
 
 from __future__ import annotations
@@ -105,13 +108,7 @@ class CheckpointError(RuntimeError):
 
 @dataclass
 class Checkpoint:
-    """One resumable snapshot of an in-progress exploration.
-
-    ``packed_order`` mirrors ``order`` as canonical packed bytes when
-    the snapshot came through the packed (v2) path — producers never
-    set it; it is populated by :func:`load_checkpoint` so resume can
-    rebuild digests from bytes alone.
-    """
+    """One resumable snapshot of an in-progress exploration."""
 
     root: Hashable
     root_digest: bytes
@@ -122,7 +119,6 @@ class Checkpoint:
     elapsed_seconds: float
     workers: int = 1
     meta: dict = field(default_factory=dict)
-    packed_order: list | None = field(default=None, repr=False, compare=False)
 
 
 def root_digest(root: Hashable) -> bytes:
@@ -291,7 +287,6 @@ def _unpack_payload(payload: dict, path: Path) -> Checkpoint:
         elapsed_seconds=payload["elapsed_seconds"],
         workers=payload["workers"],
         meta=payload.get("meta", {}),
-        packed_order=payload["packed_order"],
     )
 
 

@@ -83,7 +83,8 @@ class StoreConfig:
     ``path`` is the directory the store lives in; ``None`` means a
     scratch temporary directory that is deleted when the store closes
     (fine for one-shot runs, useless for kill-and-resume — pass a real
-    path to resume).
+    path to resume: the engine refuses ``checkpoint_dir=`` with a
+    scratch store, since its delta segments could never resume).
     ``flush_interval`` is the number of committed expansions between
     durable flushes (and therefore between delta-checkpoint segments);
     ``frontier_window`` bounds the in-memory frontier before digests

@@ -211,7 +211,9 @@ class VerdictServer:
         spec = job.spec
         artifacts = {}
         if self.data_dir is not None:
-            artifacts["checkpoint_dir"] = str(job_checkpoint_dir(self.data_dir, job.key))
+            artifacts["checkpoint_dir"] = str(
+                job_checkpoint_dir(self.data_dir, job.key, spec.store)
+            )
             if spec.store is not None:
                 artifacts["store_dir"] = str(job_store_dir(self.data_dir, job.key))
         try:

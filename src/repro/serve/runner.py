@@ -15,6 +15,11 @@ dir.  The engine names checkpoint files by each exploration's root
 digest, so re-running the job with ``resume=True`` (a restarted server,
 or a resubmission) continues the interrupted stage instead of starting
 over; the directory is removed once the job reaches a terminal verdict.
+The cache key ignores ``store``, but a checkpoint resumes only under
+the configuration that wrote it, so a key's two store modes checkpoint
+into separate directories: a resubmission under the other mode starts
+fresh instead of failing on the other mode's snapshot, and its verdict
+removes both.
 A job whose engine loses a pool worker ends ``failed`` (the engine is
 fail-stop and raises :class:`~repro.engine.WorkerLost`), and keeps its
 checkpoint, so resubmitting it resumes where the loss stopped it.
@@ -46,7 +51,7 @@ from ..obs.metrics import NULL_METRICS, MetricsRegistry
 from ..obs.progress import ProgressReporter
 from ..obs.sinks import NULL_TRACER, Tracer
 from .jobs import CANCELLED, COMPLETED, EXHAUSTED, FAILED, Job
-from .wire import error_document
+from .wire import STORES, error_document
 
 
 class JobProgressReporter(ProgressReporter):
@@ -78,9 +83,17 @@ class JobOutcome:
     engine_report: dict | None = None
 
 
-def job_checkpoint_dir(data_dir: str | Path, key: bytes) -> Path:
-    """Where a job's engine checkpoints live (per cache key)."""
-    return Path(data_dir) / "checkpoints" / key.hex()
+def job_checkpoint_dir(
+    data_dir: str | Path, key: bytes, store: str | None = None
+) -> Path:
+    """Where a job's engine checkpoints live (per cache key and store mode).
+
+    ``store`` is the spec's backend name (``None`` for the in-RAM loop):
+    classic checkpoint files and a store's delta segments never share a
+    directory.
+    """
+    name = key.hex() if store is None else f"{key.hex()}-{store}"
+    return Path(data_dir) / "checkpoints" / name
 
 
 def job_store_dir(data_dir: str | Path, key: bytes) -> Path:
@@ -132,8 +145,11 @@ def execute_job(
     """
     spec = job.spec
     checkpoint_dir = (
-        None if data_dir is None else job_checkpoint_dir(data_dir, job.key)
+        None
+        if data_dir is None
+        else job_checkpoint_dir(data_dir, job.key, spec.store)
     )
+    engine = None
     try:
         from ..analysis import refute_candidate
 
@@ -164,7 +180,11 @@ def execute_job(
             reduction=reduction if reduction.enabled else None,
         )
     except ExplorationBudget as budget:
-        report = _last_report(locals())
+        report = (
+            None
+            if engine is None or engine.last_report is None
+            else engine.last_report.to_json()
+        )
         payload = budget.to_json() if hasattr(budget, "to_json") else {}
         extra = {
             name: value
@@ -192,9 +212,13 @@ def execute_job(
                 traceback=traceback.format_exc(limit=8),
             ),
         )
-    if checkpoint_dir is not None:
-        shutil.rmtree(checkpoint_dir, ignore_errors=True)
-    if data_dir is not None and spec.store is not None:
+    if data_dir is not None:
+        # The verdict is terminal for the key under either store mode, so
+        # the other mode's snapshot (a cross-mode resubmission) goes too.
+        for store in (None, *STORES):
+            shutil.rmtree(
+                job_checkpoint_dir(data_dir, job.key, store), ignore_errors=True
+            )
         shutil.rmtree(job_store_dir(data_dir, job.key), ignore_errors=True)
     return JobOutcome(
         state=COMPLETED,
@@ -203,10 +227,3 @@ def execute_job(
             None if engine.last_report is None else engine.last_report.to_json()
         ),
     )
-
-
-def _last_report(frame_locals: dict) -> dict | None:
-    engine = frame_locals.get("engine")
-    if engine is None or engine.last_report is None:
-        return None
-    return engine.last_report.to_json()

@@ -21,6 +21,7 @@ from repro.engine import (
     DEFAULT_BUDGET,
     Budget,
     BudgetExhausted,
+    CheckpointError,
     ExplorationEngine,
     FingerprintIndex,
     StoreConfig,
@@ -126,6 +127,18 @@ class TestWorkersNeedAStore:
             warnings.simplefilter("error")
             ExplorationEngine(workers=1)
             ExplorationEngine(workers=2, store=pool_store(tmp_path, 2))
+
+
+class TestCheckpointNeedsADurableStore:
+    @pytest.mark.parametrize("store", ["sqlite", StoreConfig(path=None)])
+    def test_scratch_store_with_checkpoint_dir_is_refused(self, tmp_path, store):
+        """A scratch store is deleted when its exploration ends, so its
+        delta segments could never resume: refused at construction."""
+        with pytest.raises(ValueError, match="scratch store") as info:
+            ExplorationEngine(store=store, checkpoint_dir=tmp_path)
+        assert "sqlite:/path" in str(info.value)
+        ExplorationEngine(store=store)
+        ExplorationEngine(store=f"sqlite:{tmp_path / 'st'}", checkpoint_dir=tmp_path)
 
 
 class TestRunSpanStatus:
@@ -287,7 +300,9 @@ class TestCheckpointResume:
         self, instance, sequential_graph, tmp_path, workers
     ):
         """A v1 (pre-packed) checkpoint file still resumes to the full
-        graph: in RAM at one worker, through a sqlite store at two."""
+        graph in RAM at one worker; a store-backed run at two refuses
+        it, since a checkpoint resumes only under the configuration
+        that wrote it."""
         import pickle
 
         from repro.engine.checkpoint import (
@@ -307,7 +322,6 @@ class TestCheckpointResume:
         # Checkpoint object, version 1) — the format old engines wrote.
         path = checkpoint_path(tmp_path, fingerprint(root))
         checkpoint = load_checkpoint(path)
-        checkpoint.packed_order = None
         path.write_bytes(
             pickle.dumps(
                 {
@@ -317,13 +331,18 @@ class TestCheckpointResume:
                 }
             )
         )
-        resumed = ExplorationEngine(
+        engine = ExplorationEngine(
             workers=workers,
             budget=Budget(),
             store=pool_store(tmp_path, workers),
             checkpoint_dir=tmp_path,
             resume=True,
-        ).explore(view, root)
+        )
+        if workers > 1:
+            with pytest.raises(CheckpointError, match="without store="):
+                engine.explore(view, root)
+            return
+        resumed = engine.explore(view, root)
         assert set(resumed.states) == set(sequential_graph.states)
         assert resumed.edges == sequential_graph.edges
 

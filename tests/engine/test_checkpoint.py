@@ -9,6 +9,7 @@ from repro.engine.checkpoint import CHECKPOINT_FORMAT
 from repro.engine import (
     Checkpoint,
     CheckpointError,
+    Codec,
     Segment,
     checkpoint_path,
     digest_of_packed,
@@ -102,11 +103,14 @@ class TestFormatV2:
             fingerprint(state) for state in checkpoint.order
         ]
 
-    def test_load_populates_packed_order(self, tmp_path):
+    def test_payload_packed_order_decodes_to_loaded_order(self, tmp_path):
         path = save_checkpoint(tmp_path, _sample())
+        payload = pickle.loads(path.read_bytes())
         loaded = load_checkpoint(path)
-        assert loaded.packed_order is not None
-        assert len(loaded.packed_order) == len(loaded.order)
+        codec = Codec()
+        assert [codec.decode(packed) for packed in payload["packed_order"]] == (
+            loaded.order
+        )
 
     def test_states_stored_once_not_per_edge(self, tmp_path):
         # Ten edges all pointing at one successor: the v1 format pickled
@@ -157,7 +161,7 @@ class TestFormatV2:
         assert payload["edges"] == [(0, [(0, 0, 2)])]
         assert payload["frontier"] == [2, 1]
         loaded = load_checkpoint(checkpoint_path(tmp_path, checkpoint.root_digest))
-        assert [digest_of_packed(packed) for packed in loaded.packed_order] == [
+        assert [digest_of_packed(packed) for packed in payload["packed_order"]] == [
             fingerprint(state) for state in checkpoint.order
         ]
         assert loaded.frontier[0][0] is not True  # decoded (1, "x"), not (True, "x")
@@ -197,10 +201,10 @@ class TestFormatV2:
         payload = pickle.loads(path.read_bytes())
         assert payload["version"] == 2
         assert payload["mode"] == "pickle"
+        assert "packed_order" not in payload
         loaded = load_checkpoint(path)
         assert loaded.order == checkpoint.order
         assert loaded.edges == checkpoint.edges
-        assert loaded.packed_order is None
 
     def test_v1_payload_still_loads(self, tmp_path):
         # Resume-across-the-format-bump: a file written by a pre-v2
@@ -219,7 +223,6 @@ class TestFormatV2:
         loaded = load_checkpoint(path)
         assert loaded.order == checkpoint.order
         assert loaded.edges == checkpoint.edges
-        assert loaded.packed_order is None
 
 
 class TestValidation:

@@ -574,10 +574,11 @@ class TestSegmentCheckpoints:
         discard_checkpoint(checkpoint_dir, digest)
         assert find_checkpoint(checkpoint_dir, digest) is None
 
-    def test_classic_checkpoint_seeds_store_resume(
+    def test_classic_checkpoint_refuses_store_resume(
         self, small_instance, tmp_path
     ):
-        """Cross-version: monolithic file -> store-backed continuation."""
+        """A monolithic file resumes only without a store: a store-backed
+        resume raises with the fix, and the file still resumes in RAM."""
         view, root = small_instance
         classic = ExplorationEngine(workers=1).explore(view, root)
         checkpoint_dir = tmp_path / "ck"
@@ -588,10 +589,18 @@ class TestSegmentCheckpoints:
                 checkpoint_dir=checkpoint_dir,
                 flush_interval=25,
             ).explore(view, root)
+        with pytest.raises(CheckpointError, match="classic checkpoint") as info:
+            ExplorationEngine(
+                workers=1,
+                budget=Budget(max_states=100_000),
+                store=store_uri("sqlite", tmp_path),
+                checkpoint_dir=checkpoint_dir,
+                resume=True,
+            ).explore(view, root)
+        assert "without store=" in str(info.value)
         graph = ExplorationEngine(
             workers=1,
             budget=Budget(max_states=100_000),
-            store=store_uri("sqlite", tmp_path),
             checkpoint_dir=checkpoint_dir,
             resume=True,
         ).explore(view, root)

@@ -286,6 +286,23 @@ class TestRunLedger:
         assert record.links["tenant"] == "alice"
         assert record.verdict is not None
 
+    def test_checkpoint_artifact_names_the_store_mode_directory(
+        self, serve_factory, tmp_path
+    ):
+        from repro.obs import RunLedger
+        from repro.serve import job_checkpoint_dir
+
+        data_dir = tmp_path / "data"
+        _, client = serve_factory(fleet=1, data_dir=str(data_dir))
+        _, _, submitted = client.submit({**FAST_SPEC, "store": "sqlite"})
+        document = client.poll(submitted["id"])
+        assert document["state"] == "completed"
+        record = RunLedger(data_dir / "runs").find(document["run_id"])
+        key = bytes.fromhex(record.links["key"])
+        assert record.artifacts["checkpoint_dir"] == str(
+            job_checkpoint_dir(data_dir, key, "sqlite")
+        )
+
     def test_no_data_dir_and_no_runs_dir_disables_the_ledger(
         self, serve_factory
     ):

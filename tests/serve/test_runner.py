@@ -153,7 +153,7 @@ class TestWorkerLoss:
         assert outcome.state == FAILED
         assert outcome.error["error"] == "job_failed"
         assert "WorkerLost: worker 0 lost in round 2" in outcome.error["detail"]
-        checkpoints = job_checkpoint_dir(tmp_path, job.key)
+        checkpoints = job_checkpoint_dir(tmp_path, job.key, "sqlite")
         assert checkpoints.is_dir() and any(checkpoints.iterdir())
 
         poison.digests.clear()
@@ -216,6 +216,39 @@ class TestStoreJobs:
         assert outcome.state == COMPLETED
         assert outcome.verdict["refuted"] is True
         assert not store_dir.exists()
+
+    @pytest.mark.parametrize("starved_store", ["sqlite", None])
+    def test_resubmission_under_the_other_store_mode_starts_fresh(
+        self, tmp_path, starved_store
+    ):
+        """The cache key ignores ``store``, so an exhausted job can come
+        back under the other mode; it finds no checkpoint of its own
+        and completes with the uninterrupted verdict."""
+        document = {"candidate": "delegation", "n": 3, "f": 1}
+        clean, _ = run(make_job(document))
+        starved_document = {**document, "budget": {"max_states": 60}}
+        retry_document = dict(document)
+        if starved_store is None:
+            retry_document["store"] = "sqlite"
+        else:
+            starved_document["store"] = starved_store
+        starved = make_job(starved_document)
+        outcome, _ = run(starved, data_dir=tmp_path)
+        assert outcome.state == EXHAUSTED
+        starved_checkpoints = job_checkpoint_dir(tmp_path, starved.key, starved_store)
+        assert any(starved_checkpoints.iterdir())
+
+        retry = make_job(retry_document, job_id="job-retry", resume=True)
+        assert retry.key == starved.key
+        metrics = MetricsRegistry()
+        outcome, _ = run(retry, data_dir=tmp_path, metrics=metrics)
+        assert outcome.state == COMPLETED
+        assert outcome.verdict == clean.verdict
+        assert metrics.snapshot()["counters"].get("engine.resumes", 0) == 0
+        # The terminal verdict retires both modes' checkpoints and the store.
+        assert not job_checkpoint_dir(tmp_path, retry.key, retry.spec.store).exists()
+        assert not starved_checkpoints.exists()
+        assert not job_store_dir(tmp_path, retry.key).exists()
 
     def test_rss_limit_is_clamped_and_reported(self, tmp_path):
         job = make_job(

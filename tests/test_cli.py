@@ -18,12 +18,14 @@ from repro.__main__ import main
 
 
 def resumable(tmp_path) -> list[str]:
-    """``--store`` arguments that survive between two invocations.
+    """``--store`` arguments for a test that passes ``--checkpoint`` or
+    ``--resume``.
 
     Empty by default (the classic loop's checkpoint files need no
-    store); when the environment selects a store, it is a sqlite
-    directory under ``tmp_path`` instead of a scratch one, which would
-    vanish with the run whose delta segments point at it.
+    store).  When the environment selects a store, it is a sqlite
+    directory under ``tmp_path``: a scratch one would vanish with the
+    run whose delta segments point at it, so ``--checkpoint`` with the
+    environment's scratch ``sqlite`` is a usage error.
     """
     if not os.environ.get("REPRO_ENGINE_STORE"):
         return []
@@ -158,6 +160,30 @@ class TestEngineFlags:
         err = capsys.readouterr().err
         assert "--workers 2 needs --store" in err
         # Rejected before the run ledger opened: no false "interrupted" run.
+        assert main(["runs", "list", "--json", "--runs-dir", runs_dir]) == 0
+        assert json.loads(capsys.readouterr().out) == []
+
+    @pytest.mark.parametrize("source", ["flag", "environment"])
+    @pytest.mark.parametrize("option", ["--checkpoint", "--resume"])
+    def test_checkpoint_with_scratch_store_is_a_usage_error(
+        self, capsys, tmp_path, monkeypatch, no_engine_env, source, option
+    ):
+        """A scratch store is deleted when the run ends, so its delta
+        segments could never resume: rejected before the ledger opens,
+        whether the store comes from --store or $REPRO_ENGINE_STORE."""
+        runs_dir = str(tmp_path / "runs")
+        checkpoints = tmp_path / "ck"
+        argv = ["refute", "delegation", "--max-states", "50",
+                option, str(checkpoints), "--runs-dir", runs_dir]
+        if source == "flag":
+            argv += ["--store", "sqlite"]
+        else:
+            monkeypatch.setenv("REPRO_ENGINE_STORE", "sqlite")
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "--store sqlite is a scratch directory" in capsys.readouterr().err
+        assert not checkpoints.exists()
         assert main(["runs", "list", "--json", "--runs-dir", runs_dir]) == 0
         assert json.loads(capsys.readouterr().out) == []
 
@@ -318,6 +344,7 @@ class TestJsonOutput:
                     "--checkpoint",
                     checkpoints,
                     "--json",
+                    *resumable(tmp_path),
                 ]
             )
             == 2
@@ -358,6 +385,7 @@ class TestBudgetExhaustionPath:
                     "50",
                     "--checkpoint",
                     checkpoints,
+                    *resumable(tmp_path),
                 ]
             )
             == 2
