@@ -9,8 +9,8 @@ nothing.  This benchmark pits the instrumented
 engine loop with every observability guard deleted, on an identical
 warmed view, and asserts the overhead bound.
 
-The baseline is the *engine's* sequential loop (state-keyed index,
-intern tables, budget check, graph build), not a bare BFS: `explore`
+The baseline is the *engine's* sequential loop (position index,
+frontier cursor, budget check, graph build), not a bare BFS: `explore`
 delegates to :class:`repro.engine.ExplorationEngine`, so comparing
 against a minimal BFS would measure the engine's bookkeeping, not the
 instrumentation.  The only differences between the two contenders are
@@ -43,15 +43,12 @@ Methodology notes (for stability on shared CI machines):
   relative bound so timer granularity alone cannot fail it.
 """
 
-from collections import deque
 from statistics import median
 from time import perf_counter
 
 from conftest import report
 
-from repro.analysis import DeterministicSystemView, StateGraph, StateSet, explore
-from repro.engine import fingerprint
-from repro.engine.fingerprint import StateIndex
+from repro.analysis import DeterministicSystemView, StateGraph, explore
 from repro.protocols import tob_delegation_system
 
 REPETITIONS = 9
@@ -59,7 +56,6 @@ ATTEMPTS = 5
 RELATIVE_BOUND = 0.05
 ABSOLUTE_EPSILON_S = 0.002
 MAX_STATES = 200_000
-_NOVEL = object()
 
 
 class _BaselineRun:
@@ -69,9 +65,7 @@ class _BaselineRun:
         "view",
         "index",
         "order",
-        "edges",
-        "frontier",
-        "action_intern",
+        "succ",
         "transitions",
         "expanded",
         "since_checkpoint",
@@ -82,10 +76,10 @@ class _UninstrumentedEngine:
     """The engine's sequential path verbatim, minus every obs guard.
 
     A *structural* copy of ``ExplorationEngine._drive_sequential`` +
-    ``_commit`` for the default single-worker configuration (state-keyed
-    index, no prune, no checkpoints, no deadline): same per-state method
-    calls, same attribute access through a slotted run object, same
-    budget checks — only the tracer/metrics/progress branches are
+    ``_commit`` for the default single-worker configuration (position
+    dict index, no prune, no checkpoints, no deadline): same per-state
+    method calls, same attribute access through a slotted run object,
+    same budget checks — only the tracer/metrics/progress branches are
     deleted.  The delta against :func:`repro.analysis.explore` is then
     the cost of the disabled-instrumentation guards, not an artifact of
     locals-versus-attributes code shape.
@@ -101,56 +95,48 @@ class _UninstrumentedEngine:
     def explore(self, view, root):
         run = _BaselineRun()
         run.view = view
-        run.index = StateIndex()
+        run.index = {}
         run.order = [root]
-        run.edges = {}
-        run.frontier = deque(
-            [(root, run.index.add(root, fingerprint(root)))]
-        )
-        run.action_intern = {}
+        run.succ = []
+        for position, state in enumerate(run.order):
+            run.index[state] = position
         run.transitions = 0
         run.expanded = 0
         run.since_checkpoint = 0
         self._drive_sequential(run)
         return StateGraph(
-            root=root, states=StateSet(run.order), edges=run.edges
+            root=root, order=run.order, position=run.index, succ=run.succ
         )
 
     def _drive_sequential(self, run):
-        while run.frontier:
-            state, digest = run.frontier.popleft()
-            self._commit(run, state, digest, run.view.successors(state), None)
+        order = run.order
+        succ = run.succ
+        while len(succ) < len(order):
+            state = order[len(succ)]
+            self._commit(run, run.view.successors(state))
             self._maybe_checkpoint(run)
 
-    def _commit(self, run, state, digest, out, succ_digests):
+    def _commit(self, run, out):
         if (
             self.max_transitions is not None
             and run.transitions + len(out) > self.max_transitions
         ):
             raise RuntimeError("budget")
-        interned = run.index.interned
-        intern_action = run.action_intern
-        rebuilt = []
-        added = []
-        for position, (task, action, successor) in enumerate(out):
-            known = interned(successor, _NOVEL)
-            if known is not _NOVEL:
-                rebuilt.append(
-                    (task, intern_action.setdefault(action, action), known)
-                )
-                continue
-            if self.max_states is not None and len(run.index) >= self.max_states:
-                raise RuntimeError("budget")
-            succ_digest = run.index.add(
-                successor, succ_digests[position] if succ_digests else None
-            )
-            run.order.append(successor)
-            added.append((successor, succ_digest))
-            rebuilt.append(
-                (task, intern_action.setdefault(action, action), successor)
-            )
-        run.frontier.extend(added)
-        run.edges[state] = rebuilt
+        index = run.index
+        get = index.get
+        order = run.order
+        max_states = self.max_states
+        row = []
+        for task, action, successor in out:
+            position = get(successor)
+            if position is None:
+                position = len(order)
+                if max_states is not None and position >= max_states:
+                    raise RuntimeError("budget")
+                index[successor] = position
+                order.append(successor)
+            row.append((task, action, position))
+        run.succ.append(row)
         run.transitions += len(out)
         run.expanded += 1
         run.since_checkpoint += 1
@@ -196,7 +182,8 @@ def test_disabled_tracer_overhead_under_5_percent():
     # Sanity-check that both contenders walk the same graph.
     warm = explore(view, root)
     baseline_graph = uninstrumented_explore(view, root)
-    assert set(baseline_graph.states) == set(warm.states)
+    assert baseline_graph.order == warm.order
+    assert baseline_graph.succ == warm.succ
     states = len(warm.states)
     assert states >= 2_000, (
         f"workload too small to measure ({states} states); overhead numbers "

@@ -7,11 +7,15 @@ reachable task-transition graph.  This module provides:
 
 * :func:`explore` — breadth-first reachability from a root state under
   the deterministic task semantics, producing a :class:`StateGraph`;
-* :class:`StateGraph` — the explored graph with task-labeled edges;
-* :func:`reachable_decision_sets` — for every explored state, the set of
-  values decided in *some* failure-free extension; computed as a
-  backward fixpoint over the graph (sound for cyclic graphs), this is
-  precisely the semantic ingredient of valence.
+* :class:`StateGraph` — the explored graph by discovery position: the
+  states in discovery order, the visited dict mapping each state to its
+  position, and per expanded position the task-labeled edges as
+  ``(task, action, successor_index)`` rows;
+* :func:`reachable_decision_sets` — for every explored position, the
+  set of values decided in *some* failure-free extension; computed as
+  one backward-reachability pass per decision value over the integer
+  graph (sound for cyclic graphs), this is precisely the semantic
+  ingredient of valence.
 
 Budgets: exploration takes a :class:`repro.engine.Budget` and raises
 :class:`ExplorationBudget` when exceeded, so callers can distinguish
@@ -32,7 +36,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, Iterator
+from typing import Callable
 
 from ..ioa.actions import Action
 from ..ioa.automaton import State, Task
@@ -45,63 +49,25 @@ class ExplorationBudget(RuntimeError):
     """The reachable state space exceeded the caller's budget."""
 
 
-class StateSet:
-    """An insertion-ordered set of states.
-
-    Iteration follows first-discovery order, so every consumer that
-    walks ``graph.states`` — witness searches, similarity scans, valence
-    histograms — is deterministic across runs instead of following the
-    salted iteration order of a builtin ``set``.  Equality is
-    order-insensitive set equality, including against plain
-    ``set``/``frozenset`` values.
-    """
-
-    __slots__ = ("_items",)
-
-    def __init__(self, items: Iterable[State] = ()) -> None:
-        self._items: dict = dict.fromkeys(items)
-
-    def add(self, state: State) -> None:
-        self._items[state] = None
-
-    def update(self, items: Iterable[State]) -> None:
-        self._items.update(dict.fromkeys(items))
-
-    def __contains__(self, state: object) -> bool:
-        return state in self._items
-
-    def __iter__(self) -> Iterator[State]:
-        return iter(self._items)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __bool__(self) -> bool:
-        return bool(self._items)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, StateSet):
-            return self._items.keys() == other._items.keys()
-        if isinstance(other, (set, frozenset)):
-            return self._items.keys() == other
-        return NotImplemented
-
-    __hash__ = None  # mutable container
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"StateSet({list(self._items)!r})"
-
-    def __reduce__(self):
-        return (StateSet, (list(self._items),))
-
-
 @dataclass
 class StateGraph:
-    """An explored failure-free task-transition graph.
+    """An explored failure-free task-transition graph, by discovery position.
 
-    ``edges[s]`` lists the outgoing ``(task, action, successor)`` triples
-    of ``s``; ``states`` is the insertion-ordered :class:`StateSet` of
-    explored states (discovery order).  The graph is exactly the
+    Three tables hold the whole graph:
+
+    * ``order`` — the states in discovery order (``order[0]`` is the
+      root);
+    * ``position`` — state to its index in ``order``: the engine's
+      visited dict, handed over rather than rebuilt;
+    * ``succ`` — for each expanded position ``p``, the outgoing edges of
+      ``order[p]`` as ``(task, action, successor_index)`` rows.
+      Breadth-first search expands states in discovery order, so the
+      expanded states are exactly ``order[:len(succ)]``.
+
+    ``states`` (``position``'s keys) iterates in discovery order, so
+    every consumer that walks it — witness searches, similarity scans,
+    valence histograms — is deterministic across runs, and it compares
+    equal to a ``set`` of the same states.  The graph is exactly the
     reachable fragment of the paper's ``G(C)`` collapsed from executions
     to states — sound because, under the determinism assumptions,
     valence is a function of the final state (two executions ending in
@@ -109,19 +75,40 @@ class StateGraph:
     """
 
     root: State
-    states: StateSet = field(default_factory=StateSet)
-    edges: dict = field(default_factory=dict)
+    order: list = field(default_factory=list)
+    position: dict = field(default_factory=dict)
+    succ: list = field(default_factory=list)
+
+    @property
+    def states(self):
+        """The explored states, in discovery order (a set-like view)."""
+        return self.position.keys()
 
     def successors(self, state: State) -> list[tuple[Task, Action, State]]:
-        """Outgoing edges of ``state``."""
-        return self.edges.get(state, [])
+        """Outgoing ``(task, action, successor)`` edges of ``state``."""
+        index = self.position.get(state)
+        if index is None or index >= len(self.succ):
+            return []
+        return self._edges_at(index)
+
+    def _edges_at(self, index: int) -> list[tuple[Task, Action, State]]:
+        order = self.order
+        return [
+            (task, action, order[target]) for task, action, target in self.succ[index]
+        ]
+
+    @property
+    def edges(self) -> dict:
+        """State-keyed adjacency of the expanded states, built on each access."""
+        order = self.order
+        return {order[index]: self._edges_at(index) for index in range(len(self.succ))}
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.order)
 
     def edge_count(self) -> int:
         """Total number of transitions in the graph."""
-        return sum(len(out) for out in self.edges.values())
+        return sum(len(rows) for rows in self.succ)
 
 
 def explore(
@@ -175,42 +162,45 @@ def explore(
 
 def reachable_decision_sets(
     graph: StateGraph, view: DeterministicSystemView
-) -> dict[State, frozenset]:
-    """For each state, the union of decision values over all extensions.
+) -> list[frozenset]:
+    """For each position, the union of decision values over all extensions.
 
-    A value ``v`` is in the set of ``s`` iff some failure-free extension
-    of an execution ending in ``s`` contains a ``decide(v)`` — i.e. some
-    state reachable from ``s`` records ``v``.  Computed as a backward
-    fixpoint: start from each state's own recorded decisions and
-    propagate along reversed edges until stable.  Fixpoint iteration (as
-    opposed to a DAG pass) is required because protocol graphs contain
-    cycles (processes spin on dummy steps).
+    A value ``v`` is in the set of ``graph.order[p]`` iff some
+    failure-free extension of an execution ending in that state contains
+    a ``decide(v)`` — i.e. some state reachable from it records ``v``.
+    Computed as one backward-reachability pass per decision value (the
+    EF fixpoint of CTL model checking) over the predecessor lists of
+    ``graph.succ``: a pass marks every position that reaches a state
+    recording ``v``, which is sound on the cyclic graphs protocols
+    produce (processes spin on dummy steps).  The passes touch only
+    positions, so no state is hashed; the one per-state call is
+    ``view.decision_values``.
     """
-    states = list(graph.states)
-    position = {state: index for index, state in enumerate(states)}
     decision_values = view.decision_values
-    result = [decision_values(state) for state in states]
-    # Reverse adjacency over positions: the worklist below never hashes
-    # a state again.
-    predecessors: list[list[int]] = [[] for _ in states]
-    for state, out in graph.edges.items():
-        source = position[state]
-        for _, _, successor in out:
-            predecessors[position[successor]].append(source)
-    worklist: deque = deque(range(len(states)))
-    queued = [True] * len(states)
-    while worklist:
-        index = worklist.popleft()
-        queued[index] = False
-        values = result[index]
-        for predecessor in predecessors[index]:
-            current = result[predecessor]
-            if not values <= current:
-                result[predecessor] = current | values
-                if not queued[predecessor]:
-                    worklist.append(predecessor)
-                    queued[predecessor] = True
-    return dict(zip(states, result))
+    own = [decision_values(state) for state in graph.order]
+    predecessors: list[list[int]] = [[] for _ in own]
+    for source, rows in enumerate(graph.succ):
+        for _, _, target in rows:
+            predecessors[target].append(source)
+    masks = [0] * len(own)
+    values = list(frozenset().union(*own))
+    for bit, value in enumerate(values):
+        flag = 1 << bit
+        stack = [index for index, decided in enumerate(own) if value in decided]
+        for index in stack:
+            masks[index] |= flag
+        while stack:
+            for predecessor in predecessors[stack.pop()]:
+                if not masks[predecessor] & flag:
+                    masks[predecessor] |= flag
+                    stack.append(predecessor)
+    sets: dict[int, frozenset] = {}
+    for mask in masks:
+        if mask not in sets:
+            sets[mask] = frozenset(
+                value for bit, value in enumerate(values) if mask >> bit & 1
+            )
+    return [sets[mask] for mask in masks]
 
 
 def find_state(

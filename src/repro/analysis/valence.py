@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Sequence
 
 from ..ioa.automaton import State
 from ..ioa.execution import Execution
@@ -75,12 +75,13 @@ class ValenceAnalysis:
     """Valence of every state reachable (failure-free) from a root.
 
     Produced by :func:`analyze_valence`; wraps the explored graph, the
-    per-state reachable decision sets, and the derived valence map.
+    reachable decision sets indexed by graph position, and the derived
+    valence map.
     """
 
     view: DeterministicSystemView
     graph: StateGraph
-    decision_sets: Mapping[State, frozenset]
+    decision_sets: Sequence[frozenset]
     #: The :class:`repro.engine.ReducedView` the graph was explored
     #: through, or ``None`` for a full exploration.  When set, ``graph``
     #: holds canonical orbit representatives only, so valence lookups
@@ -92,7 +93,7 @@ class ValenceAnalysis:
         """The valence of ``state`` (must be an explored state, up to symmetry)."""
         if self.reduction is not None:
             state = self.reduction.canonical(state)
-        return classify(self.decision_sets[state])
+        return classify(self.decision_sets[self.graph.position[state]])
 
     def successors_of(self, state: State) -> list:
         """Successor edges of ``state`` for graph walks (hook search).
@@ -113,19 +114,26 @@ class ValenceAnalysis:
     def is_univalent(self, state: State) -> bool:
         return self.valence(state).is_univalent
 
+    def _states_of(self, valence: Valence) -> list[State]:
+        return [
+            state
+            for state, decided in zip(self.graph.order, self.decision_sets)
+            if classify(decided) is valence
+        ]
+
     def bivalent_states(self) -> list[State]:
         """All explored bivalent states."""
-        return [s for s in self.graph.states if self.is_bivalent(s)]
+        return self._states_of(Valence.BIVALENT)
 
     def blocked_states(self) -> list[State]:
         """All explored states violating Lemma 3 (no reachable decision)."""
-        return [s for s in self.graph.states if self.valence(s) is Valence.BLOCKED]
+        return self._states_of(Valence.BLOCKED)
 
     def counts(self) -> dict[Valence, int]:
         """Histogram of valences over the explored graph."""
         histogram = {valence: 0 for valence in Valence}
-        for state in self.graph.states:
-            histogram[self.valence(state)] += 1
+        for decided in self.decision_sets:
+            histogram[classify(decided)] += 1
         return histogram
 
     def summary(self) -> str:

@@ -79,10 +79,8 @@ from .fingerprint import (
     DIGEST_SIZE,
     FingerprintCollision,
     FingerprintIndex,
-    StateIndex,
     canonical_bytes,
     fingerprint,
-    fingerprint_components,
     shard_of,
 )
 from .parallel import WorkerPool, fork_available
@@ -135,7 +133,6 @@ __all__ = [
     "SQLiteStore",
     "Segment",
     "SharedVisitedTable",
-    "StateIndex",
     "StateStore",
     "StoreConfig",
     "StoreError",
@@ -154,7 +151,6 @@ __all__ = [
     "discard_checkpoint",
     "find_checkpoint",
     "fingerprint",
-    "fingerprint_components",
     "fork_available",
     "list_checkpoints",
     "load_checkpoint",

@@ -48,7 +48,6 @@ the way out) and never yields a partial graph.
 from __future__ import annotations
 
 import time
-from collections import deque
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from functools import partial
@@ -60,7 +59,7 @@ try:
 except ImportError:  # pragma: no cover - non-POSIX
     _resource = None
 
-from ..analysis.explorer import StateGraph, StateSet
+from ..analysis.explorer import StateGraph
 from ..analysis.view import DeterministicSystemView
 from ..obs.events import CHECKPOINT_SAVED, STATE_EXPLORED, WORKER_ROUND
 from ..obs.metrics import NULL_METRICS, MetricsRegistry
@@ -85,7 +84,7 @@ from .checkpoint import (
 )
 from .codec import Codec, digest_of_packed
 from .errors import EngineError, WorkerLost
-from .fingerprint import FingerprintIndex, StateIndex
+from .fingerprint import FingerprintIndex
 from .parallel import PRUNED, WorkerPool
 from .store import (
     DEFAULT_FLUSH_INTERVAL,
@@ -97,9 +96,6 @@ from .store import (
 
 #: Sequential deadline checks happen every this many expansions.
 _DEADLINE_STRIDE = 512
-
-#: ``StateIndex.interned`` default marking a novel successor.
-_NOVEL = object()
 
 #: Store-mode cap on the view's caches (entries): a reduced view's orbit
 #: cache, whose entries each pin a full decoded state, and the
@@ -114,7 +110,7 @@ CODEC_CACHE_LIMIT = 100_000
 
 
 class _Exhausted(Exception):
-    """Internal signal: a budget limit was hit (frontier already repaired)."""
+    """Internal signal: a budget limit was hit (run left checkpoint-consistent)."""
 
     def __init__(self, resource: str, limit: float) -> None:
         self.resource = resource
@@ -135,8 +131,7 @@ class _Run:
         "codec",
         "index",
         "order",
-        "edges",
-        "frontier",
+        "succ",
         "transitions",
         "expanded",
         "rounds",
@@ -166,7 +161,9 @@ class _Run:
         return len(self.order) if self.store is None else len(self.store)
 
     def frontier_count(self) -> int:
-        return len(self.frontier) if self.store is None else self.store.frontier_len()
+        if self.store is None:
+            return len(self.order) - len(self.succ)
+        return self.store.frontier_len()
 
 
 class _StorePackedMap:
@@ -386,7 +383,7 @@ class ExplorationEngine:
         checkpoint resumes only under the configuration that wrote it:
         store-backed runs resume from the newest delta segment (the
         store is truncated to the segment's durable marks), classic runs
-        from the monolithic v1/v2 file, and either kind found by the
+        from the monolithic v2 file, and either kind found by the
         other raises :class:`~repro.engine.checkpoint.CheckpointError`.
     rss_limit_mb:
         The RSS ceiling the run is expected to respect, echoed in
@@ -543,7 +540,13 @@ class ExplorationEngine:
             self._drive(run)
             if run.store is not None:
                 return self._materialize_graph(run)
-            return StateGraph(root=root, states=StateSet(run.order), edges=run.edges)
+            position = run.index
+            if type(position) is not dict:
+                # Audit mode: the index maps digests, not states.
+                position = _first_positions(run.order)
+            return StateGraph(
+                root=root, order=run.order, position=position, succ=run.succ
+            )
 
     def scan(
         self,
@@ -686,9 +689,15 @@ class ExplorationEngine:
     # -- run setup ------------------------------------------------------------
 
     def _make_index(self, codec: Codec):
+        """The classic loop's position index: state -> discovery position.
+
+        A plain dict (the graph's ``position``, handed over at the end),
+        or in audit mode a digest-keyed :class:`FingerprintIndex` with
+        the same ``get``/``[]=`` protocol.
+        """
         if self.audit:
             return FingerprintIndex(audit=True, codec=codec)
-        return StateIndex()
+        return {}
 
     def _new_run(self, view, root, prune, tracer, metrics) -> _Run:
         run = _Run()
@@ -730,21 +739,16 @@ class ExplorationEngine:
                 checkpoint = load_checkpoint(path)
         if checkpoint is None:
             run.order = [run.root]
-            run.edges = {}
-            run.index.add(run.root, run.root_digest)
-            run.frontier = deque([run.root])
-            return
-        run.order = checkpoint.order
-        run.edges = checkpoint.edges
-        run.frontier = deque(checkpoint.frontier)
-        run.transitions = checkpoint.transitions
-        run.elapsed_prior = checkpoint.elapsed_seconds
-        run.resumed = True
-        if isinstance(run.index, StateIndex):
-            run.index.add_states(run.order)
+            run.succ = []
         else:
-            for state in run.order:
-                run.index.add(state)
+            run.order = checkpoint.order
+            run.succ = checkpoint.succ
+            run.transitions = checkpoint.transitions
+            run.elapsed_prior = checkpoint.elapsed_seconds
+            run.resumed = True
+        index = run.index
+        for position, state in enumerate(run.order):
+            index[state] = position
 
     # -- store-backed runs ----------------------------------------------------
 
@@ -820,27 +824,38 @@ class ExplorationEngine:
     def _materialize_graph(self, run: _Run) -> StateGraph:
         """Decode the store back into a classic :class:`StateGraph`.
 
-        Positions are keyed by digest, never by ``==`` — two ==-equal
-        states with distinct encodings are distinct graph nodes (the
-        same invariant the packed checkpoint format documents).
+        Successor indices are resolved by digest, never by ``==`` — two
+        ==-equal states with distinct encodings are distinct graph
+        nodes.  The store logs expansions in discovery order, as the
+        classic loop does; a store that does not fails here instead of
+        yielding a wrong graph.
         """
         store = run.store
         codec = run.codec
         order: list = []
         index_of: dict[bytes, int] = {}
         for packed in store.iter_packed():
-            digest = digest_of_packed(packed)
-            index_of.setdefault(digest, len(order))
+            index_of[digest_of_packed(packed)] = len(order)
             order.append(codec.decode(packed))
         tasks = run.view.tasks
         actions = store.actions()
-        edges: dict = {}
+        succ: list = []
         for parent_digest, rows in store.iter_expansions():
-            edges[order[index_of[parent_digest]]] = [
-                (tasks[task], actions[action], order[index_of[succ]])
-                for task, action, succ in rows
-            ]
-        return StateGraph(root=run.root, states=StateSet(order), edges=edges)
+            if index_of[parent_digest] != len(succ):
+                raise EngineError(
+                    f"the store logs an expansion of position "
+                    f"{index_of[parent_digest]} where position {len(succ)} "
+                    "was due; the exploration is corrupt (please report this)"
+                )
+            succ.append(
+                [
+                    (tasks[task], actions[action], index_of[successor])
+                    for task, action, successor in rows
+                ]
+            )
+        return StateGraph(
+            root=run.root, order=order, position=_first_positions(order), succ=succ
+        )
 
     # -- drivers --------------------------------------------------------------
 
@@ -851,7 +866,11 @@ class ExplorationEngine:
         polling = deadline_enabled or cancel is not None
         timing = run.metrics.enabled
         ticking = self._ticking()
-        while run.frontier:
+        order = run.order
+        succ = run.succ
+        # Breadth-first search expands in discovery order, so the
+        # frontier is order[len(succ):] and its head is a cursor.
+        while len(succ) < len(order):
             if polling and run.expanded % _DEADLINE_STRIDE == 0:
                 if cancel is not None and cancel():
                     raise _Exhausted("cancelled", 0.0)
@@ -859,18 +878,18 @@ class ExplorationEngine:
                     raise _Exhausted("deadline", budget.deadline_seconds)
             if ticking and run.expanded % 256 == 0:
                 self._tick(run)
-            state = run.frontier.popleft()
+            state = order[len(succ)]
             if run.prune is not None and run.prune(state):
-                self._commit_pruned(run, state)
+                self._commit_pruned(run)
             elif timing:
                 before = time.perf_counter()
                 out = run.view.successors(state)
                 run.phase["expand_seconds"] = run.phase.get(
                     "expand_seconds", 0.0
                 ) + (time.perf_counter() - before)
-                self._commit(run, state, out)
+                self._commit(run, out)
             else:
-                self._commit(run, state, run.view.successors(state))
+                self._commit(run, run.view.successors(state))
             self._maybe_checkpoint(run)
 
     # -- store-backed (digest-native) drivers ---------------------------------
@@ -1094,65 +1113,51 @@ class ExplorationEngine:
 
     # -- the single merge step ------------------------------------------------
 
-    def _commit_pruned(self, run: _Run, state) -> None:
-        run.edges[state] = []
+    def _commit_pruned(self, run: _Run) -> None:
+        run.succ.append([])
         run.expanded += 1
         run.since_checkpoint += 1
         if run.tracing:
             run.tracer.emit(STATE_EXPLORED, edges=0, pruned=True)
 
-    def _commit(self, run: _Run, state, out) -> None:
+    def _commit(self, run: _Run, out) -> None:
         """Discover ``out``'s successors and record the expansion.
 
-        On a budget breach the method leaves the run in the documented
-        checkpoint-consistent shape — the offending state is requeued at
-        the frontier's head (its edges entry withheld) with any
-        partially-added successors behind it — then signals the driver.
+        ``out`` is the expansion of ``run.order[len(run.succ)]``, the
+        frontier's head.  Each successor resolves to its discovery
+        position with one index lookup; a novel one is appended to
+        ``order``.  On a budget breach the row is withheld, which leaves
+        the run in the documented checkpoint-consistent shape — the
+        offending state still at the frontier's head, any successors it
+        already discovered queued behind it — then signals the driver.
         """
         budget = self.budget
         if (
             budget.max_transitions is not None
             and run.transitions + len(out) > budget.max_transitions
         ):
-            run.frontier.appendleft(state)
             raise _Exhausted("transitions", budget.max_transitions)
-        # With a state-keyed index the visited set doubles as an intern
-        # table: edges reference the first-seen object per state, so the
-        # retained graph holds one object per distinct value instead of
-        # one per discovery (actions arrive interned by the composition's
-        # transition memo).  One lookup per successor both tests
-        # membership and fetches the interned object.
-        interned = getattr(run.index, "interned", None)
-        rebuilt = [] if interned is not None else None
-        added = []
-        succ_digest = None
+        index = run.index
+        get = index.get
+        order = run.order
+        max_states = budget.max_states
+        row = []
         for task, action, successor in out:
-            if interned is not None:
-                known = interned(successor, _NOVEL)
-                if known is not _NOVEL:
-                    rebuilt.append((task, action, known))
-                    continue
-            else:
-                known, succ_digest = run.index.check(successor)
-                if known:
-                    continue
-            if budget.max_states is not None and len(run.index) >= budget.max_states:
-                run.frontier.extend(added)
-                run.frontier.appendleft(state)
-                raise _Exhausted("states", budget.max_states)
-            run.index.add(successor, succ_digest)
-            run.order.append(successor)
-            added.append(successor)
-            if rebuilt is not None:
-                rebuilt.append((task, action, successor))
-        run.frontier.extend(added)
-        run.edges[state] = out if rebuilt is None else rebuilt
+            position = get(successor)
+            if position is None:
+                position = len(order)
+                if max_states is not None and position >= max_states:
+                    raise _Exhausted("states", max_states)
+                index[successor] = position
+                order.append(successor)
+            row.append((task, action, position))
+        run.succ.append(row)
         run.transitions += len(out)
         run.expanded += 1
         run.since_checkpoint += 1
         if run.tracing:
             run.tracer.emit(
-                STATE_EXPLORED, edges=len(out), frontier=len(run.frontier)
+                STATE_EXPLORED, edges=len(out), frontier=len(order) - len(run.succ)
             )
 
     # -- live snapshots -------------------------------------------------------
@@ -1267,8 +1272,7 @@ class ExplorationEngine:
                     root=run.root,
                     root_digest=run.root_digest,
                     order=run.order,
-                    edges=run.edges,
-                    frontier=list(run.frontier),
+                    succ=run.succ,
                     transitions=run.transitions,
                     elapsed_seconds=run.elapsed(),
                     workers=self.workers,
@@ -1413,3 +1417,11 @@ class ExplorationEngine:
             metrics.counter("engine.reduction.orbit_hits").inc(run.orbit_hits)
         if run.pruned_tasks:
             metrics.counter("engine.reduction.pruned_tasks").inc(run.pruned_tasks)
+
+
+def _first_positions(order: list) -> dict:
+    """State -> position over ``order``; the first of ==-equal states wins."""
+    position: dict = {}
+    for index, state in enumerate(order):
+        position.setdefault(state, index)
+    return position

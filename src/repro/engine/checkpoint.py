@@ -1,21 +1,23 @@
 """Exploration snapshots: write, load, locate, and retire checkpoints.
 
 A checkpoint captures everything needed to continue a breadth-first
-exploration exactly where it stopped:
+exploration exactly where it stopped — the run's
+:class:`~repro.analysis.explorer.StateGraph` tables so far:
 
-* ``order``    — every discovered state, in discovery order (this *is*
-  the visited set; the digest set is rebuilt from it on load);
-* ``edges``    — the expansions committed so far (``state -> [(task,
-  action, successor), ...]``);
-* ``frontier`` — discovered-but-not-expanded states, in expansion order;
+* ``order`` — every discovered state, in discovery order (this *is*
+  the visited set; the position index is rebuilt from it on load);
+* ``succ``  — one row of ``(task, action, successor_index)`` edges per
+  expanded position, ``0..m-1``;
 * ``transitions`` / ``elapsed_seconds`` — progress counters, so resumed
   runs keep honest budgets and reports.
 
-The invariant linking them (maintained by the engine even when a budget
-raise interrupts a half-merged expansion): every state is in ``order``;
-a state is either a key of ``edges`` or queued in ``frontier``; and
-every successor referenced by ``edges`` is in ``order``.  Resuming is
-therefore just "rebuild the visited set, continue the loop".
+Breadth-first search expands states in discovery order, so the
+frontier is implicit: it is ``order[m:]``, the discovered states past
+the last expansion.  The engine keeps that shape even when a budget
+raise interrupts a half-merged expansion (the interrupted state gets no
+row and stays at the frontier's head, with the successors it already
+discovered behind it), so resuming is "rebuild the position index,
+continue the loop".
 
 Files are written atomically (temp file + ``os.replace``) and named by
 the digest of the exploration's **root** state, so a pipeline that runs
@@ -23,26 +25,30 @@ several explorations against one checkpoint directory resumes exactly
 the interrupted one and starts the others fresh.  A checkpoint is
 deleted when its exploration completes.
 
-Format v2 (packed)
-------------------
+Format v2
+---------
 
-Since the packed-bytes refactor the payload stores each state **once**,
-as its canonical packed bytes (:mod:`repro.engine.codec`), with
-``edges`` and ``frontier`` flattened to indices into that list plus
-interned task/action tables.  This kills the v1 format's quadratic
-blowup — pickling ``edges`` used to re-serialize every successor state
-per referencing edge (``blake2b(packed)`` *is* each state's
-fingerprint).  Tasks, actions, and the
-dataclass/enum classes the codec needs for decoding are pickled by
-reference alongside, so a fresh process (``--resume`` from the CLI) can
-register the classes before decoding.  States the codec cannot
-round-trip (repr-encoded components, unpicklable classes) drop the
-whole payload back to v1-style object pickling (``mode="pickle"``),
-trading size for fidelity.
+The payload is index-based: ``edges`` holds one ``(position, rows)``
+pair per expanded position, each row ``(task_slot, action_slot,
+successor_index)`` into interned ``tasks``/``actions`` tables, and
+``frontier`` lists the positions ``m..n-1``.  The loader accepts
+exactly that shape — expansions covering ``0..m-1`` in order and the
+frontier ``m..n-1`` — and raises :class:`CheckpointError` on anything
+else.  States are stored once each, in one of two modes:
 
-Compatibility: v1 files (object-pickle payloads from engines before the
-format bump) still **load** — resume works across the bump — but saves
-always write v2.
+* ``mode="packed"`` — ``packed_order`` holds each state's canonical
+  packed bytes (:mod:`repro.engine.codec`; ``blake2b(packed)`` *is* the
+  state's fingerprint).  The dataclass/enum classes the codec needs are
+  pickled by reference alongside, so a fresh process (``--resume``
+  from the CLI) can register them before decoding;
+* ``mode="pickle"`` — ``order`` holds the state objects themselves,
+  for states the codec cannot round-trip (repr-encoded components,
+  classes that do not pickle by reference).
+
+Files that hold a pickled ``Checkpoint`` object — version 1, and
+pickle-mode files from engines before the positional layout — are
+refused with a :class:`CheckpointError` naming the fix: delete the file
+and rerun.
 
 Streaming delta segments (store-backed runs)
 --------------------------------------------
@@ -64,7 +70,7 @@ crash mid-write).  Resume loads the newest readable segment, calls
 ``store.truncate(marks)`` to drop whatever the store absorbed after
 that segment was written, reloads the frontier, and *compacts* the
 directory down to the chosen segment.  :func:`find_checkpoint` and
-:func:`list_checkpoints` surface segment directories alongside v1/v2
+:func:`list_checkpoints` surface segment directories alongside v2
 files.
 
 A checkpoint resumes only under the configuration that wrote it:
@@ -108,13 +114,16 @@ class CheckpointError(RuntimeError):
 
 @dataclass
 class Checkpoint:
-    """One resumable snapshot of an in-progress exploration."""
+    """One resumable snapshot of an in-progress exploration.
+
+    ``order`` and ``succ`` are the run's graph tables (see the module
+    docstring); the frontier is ``order[len(succ):]``.
+    """
 
     root: Hashable
     root_digest: bytes
     order: list
-    edges: dict
-    frontier: list
+    succ: list
     transitions: int
     elapsed_seconds: float
     workers: int = 1
@@ -140,66 +149,31 @@ def checkpoint_path(directory: str | os.PathLike, digest: bytes) -> Path:
     return Path(directory) / f"engine-{digest.hex()}{CHECKPOINT_SUFFIX}"
 
 
-def _pack_payload(checkpoint: Checkpoint, codec: Codec) -> dict:
-    """The packed (v2) payload body; raises ``CodecError`` if any state
-    cannot round-trip through the codec."""
-    order = checkpoint.order
-    # Positions are keyed by packed bytes, NOT by state equality: two
-    # order entries that merely compare equal (1 vs True under a
-    # digest-keyed index) are distinct graph nodes with distinct
-    # encodings, and an ==-keyed dict would collapse them to one index,
-    # pointing edges/frontier at the wrong node after resume.
-    index_of: dict[bytes, int] = {}
-    packed_order: list = []
-    for position, state in enumerate(order):
-        packed = codec.encode(state)
-        # Verified identity: a state whose encoding cannot reproduce it
-        # (repr fallback, unregistered semantics) must not be persisted
-        # packed — decode() raises CodecError and we fall back to pickle.
-        if codec.decode(packed) != state:
-            raise CodecError(f"state at order[{position}] does not round-trip")
-        index_of.setdefault(packed, position)
-        packed_order.append(packed)
-
-    def position_of(state) -> int:
-        # Re-encoding is a warm-cache identity hit: edges and frontier
-        # reference the same interned objects ``order`` holds.
-        position = index_of.get(codec.encode(state))
-        if position is None:
-            # An edge or frontier state whose encoding matches nothing
-            # in ``order`` (non-canonical alias) cannot be represented
-            # by index — demote the whole payload to object pickling.
-            raise CodecError("edge/frontier state is not in order")
-        return position
-
+def _index_layout(checkpoint: Checkpoint) -> dict:
+    """The mode-independent payload body: edges, frontier and counters."""
     tasks: list = []
     task_index: dict = {}
     actions: list = []
     action_index: dict = {}
     edges: list = []
-    for state, rows in checkpoint.edges.items():
-        packed_rows = []
+    for position, rows in enumerate(checkpoint.succ):
+        slotted = []
         for task, action, successor in rows:
-            position = task_index.get(task)
-            if position is None:
-                position = task_index[task] = len(tasks)
+            task_slot = task_index.get(task)
+            if task_slot is None:
+                task_slot = task_index[task] = len(tasks)
                 tasks.append(task)
-            slot = action_index.get(action)
-            if slot is None:
-                slot = action_index[action] = len(actions)
+            action_slot = action_index.get(action)
+            if action_slot is None:
+                action_slot = action_index[action] = len(actions)
                 actions.append(action)
-            packed_rows.append((position, slot, position_of(successor)))
-        edges.append((position_of(state), packed_rows))
+            slotted.append((task_slot, action_slot, successor))
+        edges.append((position, slotted))
     return {
-        "mode": "packed",
-        "packed_order": packed_order,
         "edges": edges,
-        "frontier": [position_of(state) for state in checkpoint.frontier],
+        "frontier": list(range(len(checkpoint.succ), len(checkpoint.order))),
         "tasks": tasks,
         "actions": actions,
-        # Classes the codec needs to decode, pickled by reference so a
-        # fresh process can re-register them before touching the bytes.
-        "codec_types": registered_codec_types(),
         "root_digest": checkpoint.root_digest,
         "digest_size": DIGEST_SIZE,
         "workers": checkpoint.workers,
@@ -207,6 +181,21 @@ def _pack_payload(checkpoint: Checkpoint, codec: Codec) -> dict:
         "elapsed_seconds": checkpoint.elapsed_seconds,
         "meta": checkpoint.meta,
     }
+
+
+def _packed_states(order: list, codec: Codec) -> list[bytes]:
+    """Each state's packed bytes; raises ``CodecError`` if one cannot
+    round-trip through the codec."""
+    packed_order = []
+    for position, state in enumerate(order):
+        packed = codec.encode(state)
+        # Verified identity: a state whose encoding cannot reproduce it
+        # (repr fallback, unregistered semantics) must not be persisted
+        # packed — decode() raises CodecError and we fall back to pickle.
+        if codec.decode(packed) != state:
+            raise CodecError(f"state at order[{position}] does not round-trip")
+        packed_order.append(packed)
+    return packed_order
 
 
 def save_checkpoint(
@@ -225,18 +214,22 @@ def save_checkpoint(
     directory.mkdir(parents=True, exist_ok=True)
     path = checkpoint_path(directory, checkpoint.root_digest)
     payload = {"format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION}
+    payload |= _index_layout(checkpoint)
     if codec is None:
         codec = Codec()
     try:
-        body = _pack_payload(checkpoint, codec)
-        blob = pickle.dumps(payload | body, protocol=pickle.HIGHEST_PROTOCOL)
-    except (CodecError, pickle.PicklingError, AttributeError, TypeError):
-        body = {
-            "mode": "pickle",
-            "checkpoint": checkpoint,
-            "digest_size": DIGEST_SIZE,
+        states = {
+            "mode": "packed",
+            "packed_order": _packed_states(checkpoint.order, codec),
+            # Classes the codec needs to decode, pickled by reference so
+            # a fresh process can re-register them before touching the
+            # bytes.
+            "codec_types": registered_codec_types(),
         }
-        blob = pickle.dumps(payload | body, protocol=pickle.HIGHEST_PROTOCOL)
+        blob = pickle.dumps(payload | states, protocol=pickle.HIGHEST_PROTOCOL)
+    except (CodecError, pickle.PicklingError, AttributeError, TypeError):
+        states = {"mode": "pickle", "order": checkpoint.order}
+        blob = pickle.dumps(payload | states, protocol=pickle.HIGHEST_PROTOCOL)
     temporary = path.with_suffix(path.suffix + f".tmp{os.getpid()}")
     try:
         with open(temporary, "wb") as handle:
@@ -248,7 +241,7 @@ def save_checkpoint(
     return path
 
 
-def _unpack_payload(payload: dict, path: Path) -> Checkpoint:
+def _decode_states(payload: dict, path: Path) -> list:
     for cls in payload.get("codec_types", {}).values():
         try:
             register_codec_type(cls)
@@ -259,30 +252,35 @@ def _unpack_payload(payload: dict, path: Path) -> Checkpoint:
             pass
     codec = Codec()
     try:
-        order = [codec.decode(packed) for packed in payload["packed_order"]]
+        return [codec.decode(packed) for packed in payload["packed_order"]]
     except CodecError as error:
         raise CheckpointError(f"{path}: cannot decode packed states: {error}") from error
+
+
+def _unpack_payload(payload: dict, order: list, path: Path) -> Checkpoint:
+    edges = payload["edges"]
+    expanded = len(edges)
+    if [position for position, _ in edges] != list(range(expanded)) or (
+        payload["frontier"] != list(range(expanded, len(order)))
+    ):
+        raise CheckpointError(
+            f"{path}: expansions must cover positions 0..m-1 in order and "
+            "the frontier must be m..n-1; this file does not have that "
+            "layout — delete it and rerun"
+        )
     tasks = payload["tasks"]
     actions = payload["actions"]
-    # Stored rows are index-based, so every successor/frontier reference
-    # resolves to the exact ``order`` node it was saved against.  The
-    # returned ``edges`` dict is state-keyed because that is the
-    # :class:`Checkpoint` contract (``run.edges`` in the engine is the
-    # same ==-keyed dict), so ==-equal order entries share one key here
-    # exactly as they would have live.
-    edges = {
-        order[state_index]: [
-            (tasks[task_slot], actions[action_slot], order[successor_index])
-            for task_slot, action_slot, successor_index in rows
-        ]
-        for state_index, rows in payload["edges"]
-    }
     return Checkpoint(
         root=order[0],
         root_digest=payload["root_digest"],
         order=order,
-        edges=edges,
-        frontier=[order[index] for index in payload["frontier"]],
+        succ=[
+            [
+                (tasks[task_slot], actions[action_slot], successor)
+                for task_slot, action_slot, successor in rows
+            ]
+            for _, rows in edges
+        ],
         transitions=payload["transitions"],
         elapsed_seconds=payload["elapsed_seconds"],
         workers=payload["workers"],
@@ -291,7 +289,7 @@ def _unpack_payload(payload: dict, path: Path) -> Checkpoint:
 
 
 def load_checkpoint(path: str | os.PathLike) -> Checkpoint:
-    """Load and validate a checkpoint file (v2 packed, v2 pickle, or v1)."""
+    """Load and validate a v2 checkpoint file (packed or pickle mode)."""
     path = Path(path)
     if path.is_dir():
         # A delta-segment directory: it carries counters and frontier
@@ -313,24 +311,27 @@ def load_checkpoint(path: str | os.PathLike) -> Checkpoint:
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path} is not a {CHECKPOINT_FORMAT} file")
     version = payload.get("version")
-    if version == 1 or (version == 2 and payload.get("mode") == "pickle"):
-        checkpoint = payload.get("checkpoint")
-        if not isinstance(checkpoint, Checkpoint):  # pragma: no cover - corrupt
-            raise CheckpointError(f"{path} payload is not a Checkpoint")
-        # Object pickles from before the width became a constant carry
-        # it as an attribute of the checkpoint itself.
-        stored = vars(checkpoint).pop("digest_size", DIGEST_SIZE)
-        _check_width(path, payload.get("digest_size", stored))
-        return checkpoint
-    if version == 2:
-        if payload.get("mode") != "packed":  # pragma: no cover - corrupt
-            raise CheckpointError(f"{path} has unknown payload mode")
-        _check_width(path, payload.get("digest_size"))
-        return _unpack_payload(payload, path)
-    raise CheckpointError(
-        f"{path} has checkpoint version {version!r}, "
-        f"this engine reads versions 1-{CHECKPOINT_VERSION}"
-    )
+    if version == 1 or "checkpoint" in payload:
+        raise CheckpointError(
+            f"{path} holds a pickled Checkpoint object (a version-1 file, or "
+            "a pickle-mode file from an engine before the positional "
+            "layout), which this engine does not read; delete the file and "
+            "rerun the exploration"
+        )
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"{path} has checkpoint version {version!r}, "
+            f"this engine reads version {CHECKPOINT_VERSION}"
+        )
+    _check_width(path, payload.get("digest_size"))
+    mode = payload.get("mode")
+    if mode == "packed":
+        order = _decode_states(payload, path)
+    elif mode == "pickle":
+        order = payload["order"]
+    else:  # pragma: no cover - corrupt
+        raise CheckpointError(f"{path} has unknown payload mode {mode!r}")
+    return _unpack_payload(payload, order, path)
 
 
 @dataclass
@@ -543,10 +544,6 @@ def checkpoint_meta(path: str | os.PathLike) -> dict:
         return {}
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         return {}
-    if payload.get("mode") == "pickle":
-        checkpoint = payload.get("checkpoint")
-        meta = getattr(checkpoint, "meta", {})
-        return meta if isinstance(meta, dict) else {}
     meta = payload.get("meta", {})
     return meta if isinstance(meta, dict) else {}
 

@@ -22,7 +22,7 @@ packed-bytes refactor it is the engine's *primary* state representation
 (shipped over worker pipes and stored in checkpoints), not just hash
 input, and the codec adds the decode path and interning caches.  This
 module keeps the digest-level API on top of it: :func:`fingerprint`,
-:func:`shard_of`, and the visited-set indexes.
+:func:`shard_of`, and the digest-keyed :class:`FingerprintIndex`.
 
 Soundness: a digest collision would make the engine silently identify
 two distinct states (dropping one subtree of the graph).  With the
@@ -39,16 +39,15 @@ not a production mode).
 
 from __future__ import annotations
 
-from typing import Any, Hashable, Iterable
+from typing import Any, Hashable
 
 from .codec import (  # noqa: F401  (canonical_bytes re-exported for compat)
     DIGEST_SIZE,
-    _TUPLE,
     Codec,
-    _cached_bytes,
     canonical_bytes,
     digest_of_packed,
 )
+
 
 class FingerprintCollision(RuntimeError):
     """Two unequal states produced the same digest (audit mode only)."""
@@ -57,35 +56,6 @@ class FingerprintCollision(RuntimeError):
 def fingerprint(value: Any) -> bytes:
     """The :data:`DIGEST_SIZE`-byte canonical digest of ``value``."""
     return digest_of_packed(canonical_bytes(value))
-
-
-def fingerprint_components(state: Any, cache: dict) -> bytes:
-    """:func:`fingerprint` of a tuple state via a per-component cache.
-
-    Bit-identical to ``fingerprint(state)``: the tuple
-    encoding is tag + length + concatenated component encodings, so the
-    digest can be assembled from cached ``canonical_bytes`` of the
-    components.  Composite states share component states massively
-    (expanding one transition changes one or two components), which
-    makes the amortized encoding cost near zero on the engine's hot
-    path.  Non-tuple states fall back to plain :func:`fingerprint`.
-
-    :class:`repro.engine.codec.Codec` is the stateful form of this
-    helper (it owns the cache, counts hits, and also produces the packed
-    bytes); this function remains for callers that manage their own
-    cache dict.  Treat that dict as opaque: it is strictly keyed (never
-    by plain ``==``, which would conflate ``True``/``1``-style values
-    whose canonical encodings differ — see
-    :func:`repro.engine.codec._cached_bytes`).
-    """
-    if type(state) is not tuple:
-        return fingerprint(state)
-    out = bytearray()
-    out += _TUPLE
-    out += len(state).to_bytes(4, "big")
-    for component in state:
-        out += _cached_bytes(cache, component)[0]
-    return digest_of_packed(bytes(out))
 
 
 def shard_of(digest: bytes, shards: int) -> int:
@@ -99,26 +69,28 @@ def shard_of(digest: bytes, shards: int) -> int:
 
 
 class FingerprintIndex:
-    """A digest-keyed visited set with an optional collision audit.
+    """A digest-keyed position index with an optional collision audit.
 
-    In normal mode only digests are retained; in ``audit`` mode the full
-    state is kept per digest and every membership hit is verified by
-    value equality, raising :class:`FingerprintCollision` on mismatch.
+    Maps each recorded state's digest to its discovery position, with
+    the same ``get(state)`` / ``index[state] = position`` protocol as
+    the plain ``dict`` the classic loop uses, so the engine's commit
+    step runs unchanged over either.  In normal mode only digests are
+    retained; in ``audit`` mode the full state is kept per digest and
+    every hit is verified by value equality, raising
+    :class:`FingerprintCollision` on mismatch.
 
     Digests are computed through a :class:`~repro.engine.codec.Codec`,
-    so the sequential fingerprinting path gets the same per-component
-    encode cache as the parallel workers: checking a successor that
+    whose per-component encode cache means checking a successor that
     shares most components with its parent re-encodes only the changed
     components.  Pass a shared ``codec`` to pool the cache with other
-    participants in the same process (the engine shares one codec
-    between its index and its merge loop).
+    participants in the same process.
     """
 
-    __slots__ = ("codec", "_digests", "_audit")
+    __slots__ = ("codec", "_positions", "_audit")
 
     def __init__(self, audit: bool = False, codec: Codec | None = None) -> None:
         self.codec = codec if codec is not None else Codec()
-        self._digests: set[bytes] = set()
+        self._positions: dict[bytes, int] = {}
         self._audit: dict[bytes, Hashable] | None = {} if audit else None
 
     @property
@@ -126,17 +98,16 @@ class FingerprintIndex:
         return self._audit is not None
 
     def __len__(self) -> int:
-        return len(self._digests)
+        return len(self._positions)
 
     def __contains__(self, digest: bytes) -> bool:
-        return digest in self._digests
+        return digest in self._positions
 
-    def check(self, state: Hashable, digest: bytes | None = None) -> tuple[bool, bytes]:
-        """``(known, digest)`` for ``state``; audits collisions when on."""
-        if digest is None:
-            digest = self.codec.digest(state)
-        known = digest in self._digests
-        if known and self._audit is not None:
+    def get(self, state: Hashable) -> int | None:
+        """The position recorded for ``state``, or ``None``; audits when on."""
+        digest = self.codec.digest(state)
+        position = self._positions.get(digest)
+        if position is not None and self._audit is not None:
             stored = self._audit[digest]
             if stored != state:
                 raise FingerprintCollision(
@@ -144,54 +115,10 @@ class FingerprintIndex:
                     f"  {stored!r}\n  {state!r}\n"
                     "(please report this)"
                 )
-        return known, digest
+        return position
 
-    def add(self, state: Hashable, digest: bytes | None = None) -> bytes:
-        """Record ``state`` as visited; returns its digest."""
-        if digest is None:
-            digest = self.codec.digest(state)
-        self._digests.add(digest)
+    def __setitem__(self, state: Hashable, position: int) -> None:
+        digest = self.codec.digest(state)
+        self._positions[digest] = position
         if self._audit is not None:
             self._audit[digest] = state
-        return digest
-
-
-class StateIndex:
-    """Exact visited set keyed by full states (the sequential default).
-
-    Same interface as :class:`FingerprintIndex`; dedupes by state
-    equality (no collision risk, no encoding cost) — the right trade for
-    single-process exploration, where the graph retains references to
-    every state anyway.
-
-    The set is stored as a state-to-state mapping so it doubles as an
-    **interning table**: ``interned(state, default)`` returns the
-    first-seen object equal to ``state``, or ``default`` when ``state``
-    is novel, letting the engine store one object per distinct state in
-    the graph instead of one per discovery (deep composite tuples arrive
-    as fresh objects from every expansion).  It is the mapping's own
-    ``get``, so the membership test and the interning share one hash of
-    the state.
-    """
-
-    __slots__ = ("_states", "interned")
-
-    audit = False
-
-    def __init__(self) -> None:
-        self._states: dict[Hashable, Hashable] = {}
-        self.interned = self._states.get
-
-    def __len__(self) -> int:
-        return len(self._states)
-
-    def check(self, state: Hashable, digest: bytes | None = None) -> tuple[bool, bytes | None]:
-        return state in self._states, digest
-
-    def add(self, state: Hashable, digest: bytes | None = None) -> bytes | None:
-        self._states[state] = state
-        return digest
-
-    def add_states(self, states: Iterable[Hashable]) -> None:
-        for state in states:
-            self._states[state] = state

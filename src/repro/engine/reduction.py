@@ -599,30 +599,34 @@ def audit_reduction(
     )
     full_sets = reachable_decision_sets(full_graph, view)
     reduced_sets = reachable_decision_sets(reduced_graph, view)
-    for state in reduced_graph.states:
-        if state not in full_sets:
+    full_position = full_graph.position
+    reduced_position = reduced_graph.position
+    for state, reduced_set in zip(reduced_graph.order, reduced_sets):
+        index = full_position.get(state)
+        if index is None:
             raise ReductionAuditError(
                 f"reduced graph explored a state unreachable in the full "
                 f"graph: {state!r}"
             )
-        if reduced_sets[state] != full_sets[state]:
+        if reduced_set != full_sets[index]:
             raise ReductionAuditError(
                 f"decision-set mismatch at {state!r}: reduced "
-                f"{sorted(reduced_sets[state], key=repr)!r} != full "
-                f"{sorted(full_sets[state], key=repr)!r}"
+                f"{sorted(reduced_set, key=repr)!r} != full "
+                f"{sorted(full_sets[index], key=repr)!r}"
             )
     if not config.por:
-        for state in full_graph.states:
+        for state, full_set in zip(full_graph.order, full_sets):
             image = reduced_view.canonical(state)
-            if image not in reduced_sets:
+            index = reduced_position.get(image)
+            if index is None:
                 raise ReductionAuditError(
                     f"canonical image of full-graph state missing from the "
                     f"reduced graph: {state!r} -> {image!r}"
                 )
-            if full_sets[state] != reduced_sets[image]:
+            if full_set != reduced_sets[index]:
                 raise ReductionAuditError(
                     f"decision-set mismatch across the quotient at {state!r}: "
-                    f"full {sorted(full_sets[state], key=repr)!r} != reduced "
-                    f"{sorted(reduced_sets[image], key=repr)!r}"
+                    f"full {sorted(full_set, key=repr)!r} != reduced "
+                    f"{sorted(reduced_sets[index], key=repr)!r}"
                 )
     return _make_comparison(full_graph, reduced_graph, reduced_view)

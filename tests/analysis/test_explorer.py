@@ -5,6 +5,7 @@ import pytest
 from repro.analysis import (
     DeterministicSystemView,
     ExplorationBudget,
+    StateGraph,
     explore,
     find_state,
     reachable_decision_sets,
@@ -64,26 +65,64 @@ class TestDecisionSets:
         # Mixed-input delegation is schedule-dependent: bivalent root.
         _, view, root, graph = explored
         decisions = reachable_decision_sets(graph, view)
-        assert decisions[root] == frozenset({0, 1})
+        assert decisions[graph.position[root]] == frozenset({0, 1})
 
     def test_decided_states_are_sinks_of_their_value(self, explored):
         system, view, _, graph = explored
         decisions = reachable_decision_sets(graph, view)
-        for state in graph.states:
+        assert len(decisions) == len(graph.order)
+        for state, decided in zip(graph.order, decisions):
             recorded = view.decision_values(state)
             if recorded:
                 # Everything reachable keeps the recorded value.
-                assert recorded <= decisions[state]
+                assert recorded <= decided
 
     def test_monotone_along_edges(self, explored):
         # decision set of a state is the union over its successors plus own.
         _, view, _, graph = explored
         decisions = reachable_decision_sets(graph, view)
-        for state, out in graph.edges.items():
-            union = view.decision_values(state)
-            for _, _, successor in out:
+        for index, rows in enumerate(graph.succ):
+            union = view.decision_values(graph.order[index])
+            for _, _, successor in rows:
                 union |= decisions[successor]
-            assert decisions[state] == union
+            assert decisions[index] == union
+
+    def test_hashes_no_state(self):
+        # The passes run on positions: a state's hash is never taken.
+        class Counted:
+            hashes = 0
+
+            def __init__(self, decided):
+                self.decided = decided
+
+            def __hash__(self):
+                Counted.hashes += 1
+                return id(self)
+
+        class AttributeView:
+            def decision_values(self, state):
+                return state.decided
+
+        order = [Counted(frozenset()) for _ in range(5)] + [
+            Counted(frozenset({0})),
+            Counted(frozenset({1})),
+        ]
+        # A cycle 0 -> 1 -> 2 -> 0, with exits 2 -> 5 (decides 0) and
+        # 4 -> 6 (decides 1); 3 is a sink that decides nothing.
+        succ = [[("t", "a", 1)], [("t", "a", 2)], [("t", "a", 0), ("t", "a", 5)]]
+        succ += [[], [("t", "a", 6)], [], []]
+        graph = StateGraph(root=order[0], order=order, succ=succ)
+        decisions = reachable_decision_sets(graph, AttributeView())
+        assert Counted.hashes == 0
+        assert decisions == [
+            frozenset({0}),
+            frozenset({0}),
+            frozenset({0}),
+            frozenset(),
+            frozenset({1}),
+            frozenset({0}),
+            frozenset({1}),
+        ]
 
 
 class TestSearchHelpers:

@@ -7,7 +7,9 @@ report section showing exactly how to re-run that schedule offline —
 seeds never die in CI logs unprinted.
 
 And the ``poison`` fixture, which kills pool workers from the test side
-so the fail-stop path runs against real process deaths.
+so the fail-stop path runs against real process deaths, and the
+``torn_slot`` fixture, which makes the workers' shared visited table
+answer "present" for chosen digests, as a torn slot can.
 """
 
 import os
@@ -78,6 +80,72 @@ def poison(monkeypatch):
         return expand(self, entries, *args)
 
     monkeypatch.setattr(parallel._ChunkExpander, "expand", poisoned)
+    return plan
+
+
+class TornSlot:
+    """Digests the forked workers' shared visited table reads as present.
+
+    A worker that finds such a digest novel never ships its packed
+    bytes, so the coordinator must recover them itself.  ``forged`` maps
+    a digest to the one workers report in its place in their result rows:
+    a digest the parent state cannot produce.
+    """
+
+    def __init__(self) -> None:
+        self.digests: set[bytes] = set()
+        self.forged: dict[bytes, bytes] = {}
+
+    def root_successor(self, view, root) -> bytes:
+        """Hide a successor of ``root``: round 1 discovers it."""
+        from repro.engine import fingerprint
+
+        digest = next(
+            digest
+            for digest in (fingerprint(post) for _, _, post in view.successors(root))
+            if digest != fingerprint(root)
+        )
+        self.digests.add(digest)
+        return digest
+
+
+@pytest.fixture
+def torn_slot(monkeypatch):
+    """Tear visited-table slots in forked pool workers, with no engine hook.
+
+    Wraps ``SharedVisitedTable.test_and_set`` (and, for ``forged``,
+    ``_ChunkExpander.expand``) before any pool forks; only forked
+    children (``os.getpid() != parent``) consult the plan, so in-process
+    expansion is unaffected.
+    """
+    from repro.engine import parallel, visited
+
+    plan = TornSlot()
+    parent = os.getpid()
+    test_and_set = visited.SharedVisitedTable.test_and_set
+    expand = parallel._ChunkExpander.expand
+
+    def torn(self, digest):
+        if os.getpid() != parent and digest in plan.digests:
+            return True
+        return test_and_set(self, digest)
+
+    def forging(self, entries, *args):
+        results, *rest = expand(self, entries, *args)
+        if os.getpid() != parent and plan.forged:
+            results = [
+                row
+                if row == parallel.PRUNED
+                else [
+                    (task, action, plan.forged.get(digest, digest))
+                    for task, action, digest in row
+                ]
+                for row in results
+            ]
+        return (results, *rest)
+
+    monkeypatch.setattr(visited.SharedVisitedTable, "test_and_set", torn)
+    monkeypatch.setattr(parallel._ChunkExpander, "expand", forging)
     return plan
 
 

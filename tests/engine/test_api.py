@@ -299,10 +299,10 @@ class TestCheckpointResume:
     def test_resume_across_format_bump(
         self, instance, sequential_graph, tmp_path, workers
     ):
-        """A v1 (pre-packed) checkpoint file still resumes to the full
-        graph in RAM at one worker; a store-backed run at two refuses
-        it, since a checkpoint resumes only under the configuration
-        that wrote it."""
+        """A v1 (pre-packed) checkpoint file, a pickled Checkpoint object,
+        is refused with the fix named at one worker; a store-backed run
+        at two refuses it too, since a checkpoint resumes only under the
+        configuration that wrote it."""
         import pickle
 
         from repro.engine.checkpoint import (
@@ -338,12 +338,111 @@ class TestCheckpointResume:
             checkpoint_dir=tmp_path,
             resume=True,
         )
-        if workers > 1:
-            with pytest.raises(CheckpointError, match="without store="):
+        match = "without store=" if workers > 1 else "delete the file and rerun"
+        with pytest.raises(CheckpointError, match=match):
+            engine.explore(view, root)
+        if workers == 1:
+            # Deleting the file, as the error says, starts the run over.
+            path.unlink()
+            resumed = engine.explore(view, root)
+            assert resumed.edges == sequential_graph.edges
+
+    @pytest.mark.parametrize("layout", ["parent", "frontier-reordered"])
+    def test_packed_payload_in_the_parent_layout(
+        self, instance, sequential_graph, tmp_path, layout
+    ):
+        """A packed file as engines before the positional graph wrote it
+        — edges re-encoded from a state-keyed dict, an explicit frontier
+        list — resumes to the identical graph; one whose frontier is not
+        the positions m..n-1 is refused."""
+        import pickle
+
+        from repro.engine import Codec
+        from repro.engine.checkpoint import (
+            CHECKPOINT_FORMAT,
+            checkpoint_path,
+            load_checkpoint,
+        )
+        from repro.engine.codec import registered_codec_types
+
+        view, root = instance
+        with pytest.raises(BudgetExhausted):
+            ExplorationEngine(
+                budget=Budget(max_states=60), checkpoint_dir=tmp_path
+            ).explore(view, root)
+        path = checkpoint_path(tmp_path, fingerprint(root))
+        saved = load_checkpoint(path)
+        # The parent writer: positions keyed by packed bytes, then every
+        # edge and frontier state re-encoded to find its position.
+        codec = Codec()
+        packed_order = [codec.encode(state) for state in saved.order]
+        index_of: dict = {}
+        for position, packed in enumerate(packed_order):
+            index_of.setdefault(packed, position)
+        edges_by_state = {
+            saved.order[position]: [
+                (task, action, saved.order[target]) for task, action, target in rows
+            ]
+            for position, rows in enumerate(saved.succ)
+        }
+        frontier_states = saved.order[len(saved.succ) :]
+        tasks: list = []
+        actions: list = []
+
+        def slot(table, item):
+            if item not in table:
+                table.append(item)
+            return table.index(item)
+
+        edges = [
+            (
+                index_of[codec.encode(state)],
+                [
+                    (
+                        slot(tasks, task),
+                        slot(actions, action),
+                        index_of[codec.encode(successor)],
+                    )
+                    for task, action, successor in rows
+                ],
+            )
+            for state, rows in edges_by_state.items()
+        ]
+        frontier = [index_of[codec.encode(state)] for state in frontier_states]
+        assert len(frontier) > 1
+        if layout == "frontier-reordered":
+            frontier.reverse()
+        path.write_bytes(
+            pickle.dumps(
+                {
+                    "format": CHECKPOINT_FORMAT,
+                    "version": 2,
+                    "mode": "packed",
+                    "packed_order": packed_order,
+                    "edges": edges,
+                    "frontier": frontier,
+                    "tasks": tasks,
+                    "actions": actions,
+                    "codec_types": registered_codec_types(),
+                    "root_digest": saved.root_digest,
+                    "digest_size": 16,
+                    "workers": 1,
+                    "transitions": saved.transitions,
+                    "elapsed_seconds": saved.elapsed_seconds,
+                    "meta": {},
+                }
+            )
+        )
+        engine = ExplorationEngine(
+            budget=Budget(), checkpoint_dir=tmp_path, resume=True
+        )
+        if layout == "frontier-reordered":
+            with pytest.raises(CheckpointError, match="m..n-1"):
                 engine.explore(view, root)
             return
         resumed = engine.explore(view, root)
-        assert set(resumed.states) == set(sequential_graph.states)
+        assert resumed.order == sequential_graph.order
+        assert resumed.succ == sequential_graph.succ
         assert resumed.edges == sequential_graph.edges
 
     def test_resume_without_checkpoint_starts_fresh(

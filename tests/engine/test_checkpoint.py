@@ -52,8 +52,7 @@ def _sample(root="root"):
         root=root,
         root_digest=digest,
         order=[root, "a", "b"],
-        edges={root: [("t", "act", "a")]},
-        frontier=["a", "b"],
+        succ=[[("t", "act", 1)]],
         transitions=1,
         elapsed_seconds=0.5,
     )
@@ -66,8 +65,7 @@ class TestRoundTrip:
         assert path == checkpoint_path(tmp_path, checkpoint.root_digest)
         loaded = load_checkpoint(path)
         assert loaded.order == checkpoint.order
-        assert loaded.edges == checkpoint.edges
-        assert loaded.frontier == checkpoint.frontier
+        assert loaded.succ == checkpoint.succ
         assert loaded.transitions == checkpoint.transitions
         assert loaded.root_digest == checkpoint.root_digest
 
@@ -121,24 +119,23 @@ class TestFormatV2:
             root=hub,
             root_digest=fingerprint(hub),
             order=[hub, *spokes],
-            edges={spoke: [("t", "act", hub)] for spoke in spokes},
-            frontier=[hub],
-            transitions=10,
+            succ=[[("t", "act", index) for index in range(1, 11)]]
+            + [[("t", "act", 0)] for _ in spokes],
+            transitions=20,
             elapsed_seconds=0.1,
         )
         payload = pickle.loads(save_checkpoint(tmp_path, checkpoint).read_bytes())
         assert payload["mode"] == "packed"
+        assert len(payload["packed_order"]) == 11
         hub_index = 0
-        assert all(rows == [(0, 0, hub_index)] for _, rows in payload["edges"])
+        assert all(rows == [(0, 0, hub_index)] for _, rows in payload["edges"][1:])
+        assert payload["frontier"] == []
         loaded = load_checkpoint(checkpoint_path(tmp_path, checkpoint.root_digest))
-        assert loaded.edges == checkpoint.edges
-        # Decoded successors are interned: every edge row references the
-        # same hub object, not ten copies.
-        decoded_hubs = {id(rows[0][2]) for rows in loaded.edges.values()}
-        assert len(decoded_hubs) == 1
+        assert loaded.order == checkpoint.order
+        assert loaded.succ == checkpoint.succ
 
     def test_equal_but_digest_distinct_states_keep_their_indices(self, tmp_path):
-        """Regression: ``index_of`` keyed by state equality collapsed
+        """Regression: an index keyed by state equality collapsed
         digest-distinct nodes like ``(1,)``/``(True,)`` (they compare ==)
         to one order index, so saved edges and frontier pointed at the
         wrong node after resume (REVIEW: checkpoint.py _pack_payload)."""
@@ -149,24 +146,23 @@ class TestFormatV2:
             root=root,
             root_digest=fingerprint(root),
             order=[root, true, one],
-            edges={root: [("t", "act", one)]},
-            frontier=[one, true],
+            succ=[[("t", "act", 2)]],
             transitions=1,
             elapsed_seconds=0.0,
         )
         payload = pickle.loads(save_checkpoint(tmp_path, checkpoint).read_bytes())
         assert payload["mode"] == "packed"
         # order[1] is (True, "x"), order[2] is (1, "x"): the edge must
-        # reference index 2 and the frontier [2, 1] — not first-==-wins.
+        # reference index 2 and the frontier is [1, 2].
         assert payload["edges"] == [(0, [(0, 0, 2)])]
-        assert payload["frontier"] == [2, 1]
-        loaded = load_checkpoint(checkpoint_path(tmp_path, checkpoint.root_digest))
+        assert payload["frontier"] == [1, 2]
         assert [digest_of_packed(packed) for packed in payload["packed_order"]] == [
             fingerprint(state) for state in checkpoint.order
         ]
-        assert loaded.frontier[0][0] is not True  # decoded (1, "x"), not (True, "x")
-        assert loaded.frontier[1][0] is True
-        assert loaded.edges[root][0][2][0] is not True
+        loaded = load_checkpoint(checkpoint_path(tmp_path, checkpoint.root_digest))
+        assert loaded.order[1][0] is True
+        assert loaded.order[2][0] is not True  # decoded (1, "x"), not (True, "x")
+        assert loaded.succ == [[("t", "act", 2)]]
 
     def test_dataclass_states_roundtrip_through_registry(self, tmp_path):
         root = Cell("root", 0)
@@ -175,15 +171,13 @@ class TestFormatV2:
             root=root,
             root_digest=fingerprint(root),
             order=[root, child],
-            edges={root: [("t", "act", child)]},
-            frontier=[child],
+            succ=[[("t", "act", 1)]],
             transitions=1,
             elapsed_seconds=0.0,
         )
         loaded = load_checkpoint(save_checkpoint(tmp_path, checkpoint))
         assert loaded.order == checkpoint.order
-        assert loaded.edges == checkpoint.edges
-        assert loaded.frontier == checkpoint.frontier
+        assert loaded.succ == checkpoint.succ
 
     def test_codec_hostile_state_falls_back_to_pickle_mode(self, tmp_path):
         root = Opaque("root")
@@ -192,8 +186,7 @@ class TestFormatV2:
             root=root,
             root_digest=fingerprint(root),
             order=[root, child],
-            edges={root: [("t", "act", child)]},
-            frontier=[child],
+            succ=[[("t", "act", 1)]],
             transitions=1,
             elapsed_seconds=0.0,
         )
@@ -202,13 +195,17 @@ class TestFormatV2:
         assert payload["version"] == 2
         assert payload["mode"] == "pickle"
         assert "packed_order" not in payload
+        # The same index layout as packed mode, with state objects.
+        assert payload["order"] == checkpoint.order
+        assert payload["edges"] == [(0, [(0, 0, 1)])]
+        assert payload["frontier"] == [1]
         loaded = load_checkpoint(path)
         assert loaded.order == checkpoint.order
-        assert loaded.edges == checkpoint.edges
+        assert loaded.succ == checkpoint.succ
 
-    def test_v1_payload_still_loads(self, tmp_path):
-        # Resume-across-the-format-bump: a file written by a pre-v2
-        # engine (whole Checkpoint object, version 1) must keep loading.
+    def test_v1_payload_refused(self, tmp_path):
+        # A file written by a pre-v2 engine (whole Checkpoint object,
+        # version 1) is refused, naming the fix.
         checkpoint = _sample()
         path = checkpoint_path(tmp_path, checkpoint.root_digest)
         path.write_bytes(
@@ -220,9 +217,25 @@ class TestFormatV2:
                 }
             )
         )
-        loaded = load_checkpoint(path)
-        assert loaded.order == checkpoint.order
-        assert loaded.edges == checkpoint.edges
+        with pytest.raises(CheckpointError, match="delete the file and rerun"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda payload: payload.update(frontier=payload["frontier"][::-1]),
+            lambda payload: payload.update(frontier=payload["frontier"][1:]),
+            lambda payload: payload.update(edges=[(1, [])]),
+        ],
+        ids=["frontier-reordered", "frontier-short", "edges-skip-a-position"],
+    )
+    def test_non_positional_layout_refused(self, tmp_path, corrupt):
+        path = save_checkpoint(tmp_path, _sample())
+        payload = pickle.loads(path.read_bytes())
+        corrupt(payload)
+        path.write_bytes(pickle.dumps(payload))
+        with pytest.raises(CheckpointError, match=r"0\.\.m-1"):
+            load_checkpoint(path)
 
 
 class TestValidation:
@@ -259,25 +272,42 @@ class TestDigestWidth:
             load_checkpoint(path)
 
     def test_object_pickle_width_checked(self, tmp_path):
-        # Object pickles written before the width became a constant
-        # carry it as an attribute of the Checkpoint itself.
-        for width, loads in ((16, True), (8, False)):
+        # Object pickles (a whole Checkpoint, which carried its width as
+        # an attribute before the width became a constant) are refused
+        # whatever their width; pickle-mode files in the index layout
+        # record and check the width like packed ones.
+        for width in (16, 8):
             checkpoint = _sample()
             checkpoint.digest_size = width
             path = checkpoint_path(tmp_path, checkpoint.root_digest)
             payload = {
                 "format": CHECKPOINT_FORMAT,
-                "version": 1,
+                "version": 2,
+                "mode": "pickle",
                 "checkpoint": checkpoint,
+                "digest_size": width,
             }
             path.write_bytes(pickle.dumps(payload))
-            if loads:
-                loaded = load_checkpoint(path)
-                assert loaded.order == checkpoint.order
-                assert not hasattr(loaded, "digest_size")
-            else:
-                with pytest.raises(CheckpointError):
-                    load_checkpoint(path)
+            with pytest.raises(CheckpointError, match="delete the file and rerun"):
+                load_checkpoint(path)
+        opaque = Opaque("root")
+        path = save_checkpoint(
+            tmp_path,
+            Checkpoint(
+                root=opaque,
+                root_digest=fingerprint(opaque),
+                order=[opaque],
+                succ=[],
+                transitions=0,
+                elapsed_seconds=0.0,
+            ),
+        )
+        payload = pickle.loads(path.read_bytes())
+        assert payload["mode"] == "pickle" and payload["digest_size"] == 16
+        payload["digest_size"] = 8
+        path.write_bytes(pickle.dumps(payload))
+        with pytest.raises(CheckpointError, match="8-byte digests"):
+            load_checkpoint(path)
 
     def test_segment_with_wrong_width_is_skipped(self, tmp_path):
         digest = fingerprint("root")

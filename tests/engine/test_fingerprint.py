@@ -8,8 +8,8 @@ import pytest
 from repro.engine import (
     DIGEST_SIZE,
     FingerprintCollision,
+    Codec,
     FingerprintIndex,
-    StateIndex,
     canonical_bytes,
     fingerprint,
     shard_of,
@@ -79,30 +79,34 @@ class TestFingerprint:
         assert shards == {0, 1, 2, 3}
 
 
+class _ConstantDigest(Codec):
+    """A codec that forges one digest for every state."""
+
+    def digest(self, state):
+        return bytes(DIGEST_SIZE)
+
+
 class TestIndexes:
-    @pytest.mark.parametrize("index_cls", [FingerprintIndex, StateIndex])
+    @pytest.mark.parametrize("index_cls", [FingerprintIndex, dict])
     def test_check_add_roundtrip(self, index_cls):
+        # The engine's position index protocol: get -> position or None,
+        # then index[state] = position.
         index = index_cls()
-        known, digest = index.check("alpha", None)
-        assert not known
-        index.add("alpha", digest)
+        assert index.get("alpha") is None
+        index["alpha"] = 0
         assert len(index) == 1
-        known, _ = index.check("alpha", None)
-        assert known
+        assert index.get("alpha") == 0
 
     def test_audit_mode_detects_collisions(self):
-        index = FingerprintIndex(audit=True)
-        digest = fingerprint("a")
-        index.add("a", digest)
+        index = FingerprintIndex(audit=True, codec=_ConstantDigest())
+        index["a"] = 0
         with pytest.raises(FingerprintCollision):
-            index.check("b", digest)  # forged digest: same bytes, different state
+            index.get("b")  # forged digest: same bytes, different state
 
     def test_audit_mode_accepts_equal_states(self):
-        index = FingerprintIndex(audit=True)
-        digest = fingerprint("a")
-        index.add("a", digest)
-        known, _ = index.check("a", digest)
-        assert known
+        index = FingerprintIndex(audit=True, codec=_ConstantDigest())
+        index["a"] = 0
+        assert index.get("a") == 0
 
     def test_index_distinguishes_bool_int_states(self):
         """Regression: the codec's shared component cache conflated
@@ -111,11 +115,10 @@ class TestIndexes:
         (REVIEW: codec cache).  Both orders, one warm cache."""
         for states in [((True, "x"), (1, "x")), ((1, "x"), (True, "x"))]:
             index = FingerprintIndex(audit=True)
-            digests = set()
-            for state in states:
-                known, digest = index.check(state, None)
-                assert not known
-                index.add(state, digest)
-                assert digest == fingerprint(state)
-                digests.add(digest)
-            assert len(digests) == 2
+            for position, state in enumerate(states):
+                assert index.get(state) is None
+                index[state] = position
+                assert fingerprint(state) in index
+            for position, state in enumerate(states):
+                assert index.get(state) == position
+            assert len(index) == 2

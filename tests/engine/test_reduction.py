@@ -7,19 +7,19 @@ enough to explore both graphs, the supporting fingerprint changes, and
 the CLI flags.
 """
 
+import copy
+
 import pytest
 
 from repro.__main__ import main
 from repro.analysis import DeterministicSystemView, analyze_valence, find_hook
 from repro.engine import (
     Canonicalizer,
+    ExplorationEngine,
     ReductionConfig,
-    StateIndex,
     audit_reduction,
     build_reduced_view,
     compare_reduction,
-    fingerprint,
-    fingerprint_components,
 )
 from repro.protocols import (
     delegation_consensus_system,
@@ -182,39 +182,22 @@ class TestAnalysisIntegration:
 
 class TestFingerprintSupport:
     def test_state_index_interned_returns_first_seen(self):
-        index = StateIndex()
-        first = (1, ("a", frozenset({2})))
-        duplicate = (1, ("a", frozenset({2})))
-        assert first is not duplicate
-        index.add(first)
-        novel = object()
-        assert index.interned(duplicate, novel) is first
-        assert index.interned(("novel",), novel) is novel
-        # A falsy stored state is still found: the default is a sentinel.
-        index.add(())
-        assert index.interned((), novel) == ()
-
-    def test_fingerprint_components_matches_fingerprint(self):
-        cache: dict = {}
-        states = [
-            (1, "a", frozenset({1, 2})),
-            (1, "a", frozenset({1, 2})),  # cache hit path
-            ((1, 2), {"k": (3,)}, None),
-            (),
-        ]
-        for state in states:
-            assert fingerprint_components(state, cache) == fingerprint(state)
-        assert fingerprint_components("scalar", cache) == fingerprint("scalar")
-
-    def test_fingerprint_components_bool_int_not_conflated(self):
-        """Regression: an ==-keyed cache made (1, ...) digest as (True, ...)
-        once the bool had been cached first (REVIEW: codec cache)."""
-        cache: dict = {}
-        states = [(True, "x"), (1, "x"), (1.0, "x"), ((False,), "y"), ((0,), "y")]
-        digests = [fingerprint_components(state, cache) for state in states]
-        assert len(set(digests)) == len(states)
-        for state, digest in zip(states, digests):
-            assert digest == fingerprint(state)
+        # The classic loop's state index is the graph's position dict:
+        # a state equal to a discovered one resolves to the first-seen
+        # object, and every edge references that object.
+        system = delegation_consensus_system(2, resilience=0)
+        view = DeterministicSystemView(system)
+        graph = ExplorationEngine().explore(view, _root(system))
+        first = graph.order[1]
+        duplicate = copy.deepcopy(first)
+        assert duplicate == first and duplicate is not first
+        assert graph.order[graph.position[duplicate]] is first
+        interned = {id(state) for state in graph.order}
+        assert all(
+            id(successor) in interned
+            for state in graph.order
+            for _, _, successor in graph.successors(state)
+        )
 
 
 class TestCli:

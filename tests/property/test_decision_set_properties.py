@@ -2,8 +2,8 @@
 
 ``reachable_decision_sets`` must give every state the union of the
 decision values recorded anywhere reachable from it — on arbitrary
-digraphs, including self-loops, cycles and states without an edges
-entry (leaves and pruned states).
+positional digraphs, including self-loops, cycles, expanded states
+without edges (pruned) and states without a ``succ`` row (leaves).
 """
 
 from collections import deque
@@ -11,7 +11,7 @@ from collections import deque
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import StateGraph, StateSet, reachable_decision_sets
+from repro.analysis import StateGraph, reachable_decision_sets
 
 
 class _Values:
@@ -42,19 +42,29 @@ def _reachable_union(graph, values, origin):
 def digraphs(draw):
     size = draw(st.integers(1, 25))
     node = st.integers(0, size - 1)
-    arcs = draw(st.lists(st.tuples(node, node), max_size=3 * size))
+    # Positions 0..expanded-1 have a succ row (possibly empty: a pruned
+    # state); the rest are leaves without one, as on a frontier.
+    expanded = draw(st.integers(0, size))
+    arcs = []
+    if expanded:
+        arcs = draw(
+            st.lists(st.tuples(st.integers(0, expanded - 1), node), max_size=3 * size)
+        )
     values = draw(
         st.lists(st.frozensets(st.integers(0, 3), max_size=2), min_size=size, max_size=size)
     )
-    # States are tuples, as composite states are; only some have an
-    # edges entry.
+    # States are tuples, as composite states are.
     states = [("s", index) for index in range(size)]
-    expanded = draw(st.sets(node))
-    edges = {states[index]: [] for index in sorted(expanded)}
+    succ = [[] for _ in range(expanded)]
     for source, target in arcs:
-        out = edges.setdefault(states[source], [])
-        out.append((f"t{len(out)}", "a", states[target]))
-    graph = StateGraph(root=states[0], states=StateSet(states), edges=edges)
+        row = succ[source]
+        row.append((f"t{len(row)}", "a", target))
+    graph = StateGraph(
+        root=states[0],
+        order=states,
+        position={state: index for index, state in enumerate(states)},
+        succ=succ,
+    )
     return graph, dict(zip(states, values))
 
 
@@ -63,6 +73,6 @@ def digraphs(draw):
 def test_fixpoint_equals_union_over_reachable_states(case):
     graph, values = case
     result = reachable_decision_sets(graph, _Values(values))
-    assert list(result) == list(graph.states)
-    for state in graph.states:
-        assert result[state] == _reachable_union(graph, values, state)
+    assert len(result) == len(graph.order)
+    for index, state in enumerate(graph.order):
+        assert result[index] == _reachable_union(graph, values, state)
