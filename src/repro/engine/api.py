@@ -47,6 +47,8 @@ the way out) and never yields a partial graph.
 
 from __future__ import annotations
 
+import gc
+import threading
 import time
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
@@ -107,6 +109,43 @@ ORBIT_CACHE_LIMIT = 20_000
 #: They pin one component object + encoding per distinct component value
 #: ever seen, which grows linearly with states streamed through the run.
 CODEC_CACHE_LIMIT = 100_000
+
+#: Young-generation GC threshold while any exploration runs.  The loops
+#: allocate millions of acyclic tuples and frozen states; at the default
+#: gen0 threshold the cyclic collector keeps rescanning them.
+_GC_GEN0_THRESHOLD = 100_000
+
+#: The GC scope: thresholds are process-global and serve runs jobs on
+#: threads, so the first run to enter saves them, overlapping runs only
+#: count, and the last to leave restores them.
+_gc_lock = threading.Lock()
+_gc_depth = 0
+_gc_saved: tuple[int, ...] = ()
+
+
+def _relax_young_gc() -> None:
+    """Enter the GC scope: raise gen0's threshold, keep gen1 and gen2.
+
+    A threshold of 0 (automatic collection off) or above the constant is
+    left as it is.
+    """
+    global _gc_depth, _gc_saved
+    with _gc_lock:
+        if _gc_depth == 0:
+            _gc_saved = gc.get_threshold()
+            gen0, *older = _gc_saved
+            if 0 < gen0 < _GC_GEN0_THRESHOLD:
+                gc.set_threshold(_GC_GEN0_THRESHOLD, *older)
+        _gc_depth += 1
+
+
+def _restore_young_gc() -> None:
+    """Leave the GC scope; the last run out restores the saved thresholds."""
+    global _gc_depth
+    with _gc_lock:
+        _gc_depth -= 1
+        if _gc_depth == 0:
+            gc.set_threshold(*_gc_saved)
 
 
 class _Exhausted(Exception):
@@ -576,12 +615,13 @@ class ExplorationEngine:
     def _run_scope(self, view, root, prune, tracer, metrics) -> Iterator[_Run]:
         """One exploration's resources, released in reverse on every exit.
 
-        Each resource is registered as it is acquired: the ``engine.run``
-        span first (so a failed setup or resume still ends it, with
-        status ``error``), then the store (closed if the engine opened
-        it, flushed if it is the caller's), the worker pool and the
-        progress reporter.  The checkpoint is discarded only after a
-        clean exit.
+        Each resource is registered as it is acquired: the GC scope
+        (:func:`_relax_young_gc`, entered before the pool forks, so its
+        workers inherit the raised threshold), the ``engine.run`` span (so
+        a failed setup or resume still ends it, with status ``error``),
+        then the store (closed if the engine opened it, flushed if it is
+        the caller's), the worker pool and the progress reporter.  The
+        checkpoint is discarded only after a clean exit.
         """
         run = self._new_run(
             view,
@@ -591,6 +631,8 @@ class ExplorationEngine:
             self.metrics if metrics is None else metrics,
         )
         with ExitStack() as scope:
+            _relax_young_gc()
+            scope.callback(_restore_young_gc)
             attrs = {"workers": self.workers}
             if self.run_id is not None:
                 attrs["run"] = self.run_id

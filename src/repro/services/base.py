@@ -37,7 +37,7 @@ from ..obs.events import FAILURE_INJECTED, SERVICE_INVOCATION
 from ..types.service_type import Endpoint, ResponseMap
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class ServiceState:
     """State of a canonical service.
 
@@ -45,12 +45,38 @@ class ServiceState:
     ``resp_buffers`` hold one FIFO tuple per endpoint (indexed by the
     service's endpoint ordering); ``failed`` is the set of endpoints that
     have received ``fail``.
+
+    As with :class:`~repro.system.process.ProcessState`, the hash is
+    computed once into the ``_hash`` slot (not a dataclass field), equals
+    the generated ``hash((val, inv_buffers, resp_buffers, failed))``, and
+    never crosses a process: pickling and copying rebuild the state from
+    its fields.
     """
+
+    __slots__ = ("val", "inv_buffers", "resp_buffers", "failed", "_hash")
 
     val: Hashable
     inv_buffers: tuple[tuple, ...]
     resp_buffers: tuple[tuple, ...]
     failed: frozenset
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self,
+            "_hash",
+            hash((self.val, self.inv_buffers, self.resp_buffers, self.failed)),
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), (
+            self.val,
+            self.inv_buffers,
+            self.resp_buffers,
+            self.failed,
+        )
 
     def describe(self) -> str:  # pragma: no cover - debugging aid
         return (

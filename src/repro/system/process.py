@@ -36,18 +36,37 @@ from ..ioa.actions import Action, decide, dummy_step
 from ..ioa.automaton import Automaton, State, Task, Transition
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class ProcessState:
     """State of a process automaton.
 
     ``failed`` records receipt of ``fail_i``; ``decision`` is the special
     component holding the first decided value (or ``None``); ``locals``
     is the protocol-defined immutable local state.
+
+    The hash is computed once, at construction, into the ``_hash`` slot
+    (not a dataclass field) and equals the generated one,
+    ``hash((failed, decision, locals))``.  It never crosses a process:
+    ``str`` hashes depend on ``PYTHONHASHSEED``, so pickling and copying
+    rebuild the state from its fields and hash it afresh.
     """
+
+    __slots__ = ("failed", "decision", "locals", "_hash")
 
     failed: bool
     decision: Any
     locals: Hashable
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "_hash", hash((self.failed, self.decision, self.locals))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), (self.failed, self.decision, self.locals)
 
 
 class Process(Automaton):

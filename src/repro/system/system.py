@@ -133,14 +133,16 @@ class DistributedSystem(Composition):
 
     # -- decisions and failures ------------------------------------------------------
 
+    # The processes are the composition's first components, so zipping
+    # ``process_ids`` with the state pairs each endpoint with its state.
+
     def decisions(self, state: State) -> dict[Hashable, Hashable]:
         """The recorded decision of every process that has decided."""
-        result = {}
-        for endpoint in self.process_ids:
-            decision = self.process_state(state, endpoint).decision
-            if decision is not None:
-                result[endpoint] = decision
-        return result
+        return {
+            endpoint: local.decision
+            for endpoint, local in zip(self.process_ids, state)
+            if local.decision is not None
+        }
 
     def decision_values(self, state: State) -> frozenset:
         """The set of values decided so far in ``state``."""
@@ -150,8 +152,8 @@ class DistributedSystem(Composition):
         """The endpoints whose processes have received ``fail``."""
         return frozenset(
             endpoint
-            for endpoint in self.process_ids
-            if self.process_state(state, endpoint).failed
+            for endpoint, local in zip(self.process_ids, state)
+            if local.failed
         )
 
     # -- initializations (Section 3.2) --------------------------------------------------

@@ -2,10 +2,16 @@
 
 import pytest
 
+from repro.analysis import DeterministicSystemView
+from repro.engine import ExplorationEngine
 from repro.ioa import Action, RoundRobinScheduler, fail, init, invoke, run
 from repro.services import CanonicalAtomicObject, CanonicalRegister
 from repro.system import DistributedSystem, IdleProcess, ScriptProcess
-from repro.protocols import DelegationProcess, delegation_consensus_system
+from repro.protocols import (
+    DelegationProcess,
+    delegation_consensus_system,
+    tob_delegation_system,
+)
 from repro.types import binary_consensus_type
 
 
@@ -157,3 +163,58 @@ class TestFailuresAndDecisions:
         assert set(system.process_tasks()) | set(system.service_tasks()) == set(
             system.tasks()
         )
+
+
+def _projected(system, state):
+    """Decisions and failures read through the per-endpoint projection."""
+    locals_by_endpoint = {
+        endpoint: system.process_state(state, endpoint)
+        for endpoint in system.process_ids
+    }
+    decisions = {
+        endpoint: local.decision
+        for endpoint, local in locals_by_endpoint.items()
+        if local.decision is not None
+    }
+    failed = frozenset(
+        endpoint for endpoint, local in locals_by_endpoint.items() if local.failed
+    )
+    return decisions, failed
+
+
+@pytest.mark.parametrize(
+    "build, assignment",
+    [
+        (
+            lambda: delegation_consensus_system(4, resilience=1),
+            {0: 0, 1: 1, 2: 0, 3: 1},
+        ),
+        (
+            lambda: tob_delegation_system(3, resilience=1),
+            {0: 0, 1: 1, 2: 0},
+        ),
+    ],
+    ids=["delegation-4-1", "tob-3-1"],
+)
+def test_positional_decisions_match_the_projection(build, assignment):
+    """``decisions``/``failed_processes`` read process states by position.
+
+    They must equal the per-endpoint projection on every reachable state,
+    and on each of those states with one process failed.
+    """
+    system = build()
+    root = system.initialization(assignment).final_state
+    graph = ExplorationEngine().explore(DeterministicSystemView(system), root)
+    decided = 0
+    for state in graph.order:
+        variants = [state] + [
+            system.apply_input(state, fail(endpoint))
+            for endpoint in system.process_ids
+        ]
+        for variant in variants:
+            decisions, failed = _projected(system, variant)
+            assert system.decisions(variant) == decisions
+            assert system.failed_processes(variant) == failed
+            assert system.decision_values(variant) == frozenset(decisions.values())
+        decided += bool(system.decisions(state))
+    assert decided > 0
