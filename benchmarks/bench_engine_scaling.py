@@ -58,7 +58,7 @@ import os
 import resource
 from time import perf_counter
 
-from conftest import Gen2Collections, report
+from conftest import GcCollections, report
 
 from repro.analysis import DeterministicSystemView, explore
 from repro.engine import Budget, ExplorationEngine, ReductionConfig, build_reduced_view
@@ -136,7 +136,7 @@ def test_engine_scaling_and_equivalence():
         engine = ExplorationEngine(workers=workers, budget=budget, store=store)
         metrics = MetricsRegistry()
         gc.collect()
-        with Gen2Collections() as collections:
+        with GcCollections() as collections:
             started = perf_counter()
             graph = engine.explore(
                 DeterministicSystemView(system), root, metrics=metrics
@@ -169,8 +169,7 @@ def test_engine_scaling_and_equivalence():
                 "worker_rss_kb": list(engine.last_report.worker_rss_kb),
                 "codec_cache_hit_rate": round(cache_rate, 4),
                 "memo_misses": engine.last_report.memo_misses,
-                "gc_gen2_seconds": round(collections.seconds, 3),
-                "gc_gen2_collections": collections.count,
+                **collections.columns(),
                 # Every phase column at every worker count (0.0 when the
                 # phase did not run), so artifact rows stay comparable.
                 **{

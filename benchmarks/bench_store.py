@@ -33,7 +33,7 @@ import textwrap
 from time import perf_counter
 
 import pytest
-from conftest import Gen2Collections, report
+from conftest import GcCollections, report
 
 from repro.analysis import DeterministicSystemView
 from repro.engine import Budget, ExplorationEngine
@@ -69,7 +69,7 @@ def test_backend_comparison(tmp_path):
     budget = Budget(max_states=2_000_000)
 
     engine = ExplorationEngine(workers=1, budget=budget)
-    with Gen2Collections() as collections:
+    with GcCollections() as collections:
         start = perf_counter()
         classic = engine.explore(view, root)
         classic_seconds = perf_counter() - start
@@ -86,7 +86,7 @@ def test_backend_comparison(tmp_path):
             "flush_seconds": round(engine_report.store_flush_seconds, 3),
             "spilled_states": engine_report.spilled_states,
             "memo_misses": engine_report.memo_misses,
-            "gc_gen2_seconds": round(collections.seconds, 3),
+            **collections.columns(),
             "cpu_count": os.cpu_count(),
         }
 
@@ -94,7 +94,7 @@ def test_backend_comparison(tmp_path):
 
     _, view, root = _instance()
     engine = ExplorationEngine(workers=1, budget=budget, store=_store_uri(tmp_path))
-    with Gen2Collections() as collections:
+    with GcCollections() as collections:
         start = perf_counter()
         graph = engine.explore(view, root)
         seconds = perf_counter() - start

@@ -112,17 +112,20 @@ def _ledger_bench_record(title: str, rows, artifact: Path) -> None:
         pass
 
 
-class Gen2Collections:
-    """Wall-clock seconds spent in generation-2 collections (``gc.callbacks``).
+class GcCollections:
+    """Wall-clock seconds and counts of cyclic-GC collections (``gc.callbacks``).
 
     Use as a context manager around a timed run; ``seconds`` and
-    ``count`` hold the totals afterwards.  A cache that keeps many
-    tracked objects alive shows up here as full-collection time.
+    ``counts`` hold per-generation totals afterwards (index = generation).
+    Every generation is timed: a raised gen0 threshold moves collection
+    work between generations, so gen2 alone can read 0 while young
+    collections still cost the run.  A cache that keeps many tracked
+    objects alive shows up as gen2 time.
     """
 
     def __enter__(self):
-        self.seconds = 0.0
-        self.count = 0
+        self.seconds = [0.0, 0.0, 0.0]
+        self.counts = [0, 0, 0]
         self._started = None
         gc.callbacks.append(self._callback)
         return self
@@ -131,14 +134,22 @@ class Gen2Collections:
         gc.callbacks.remove(self._callback)
 
     def _callback(self, phase: str, info: dict) -> None:
-        if info["generation"] != 2:
-            return
         if phase == "start":
             self._started = time.perf_counter()
         elif self._started is not None:
-            self.seconds += time.perf_counter() - self._started
-            self.count += 1
+            generation = info["generation"]
+            self.seconds[generation] += time.perf_counter() - self._started
+            self.counts[generation] += 1
             self._started = None
+
+    def columns(self) -> dict:
+        """The bench-row GC columns: all generations, then gen2 alone."""
+        return {
+            "gc_seconds": round(sum(self.seconds), 3),
+            "gc_collections": list(self.counts),
+            "gc_gen2_seconds": round(self.seconds[2], 3),
+            "gc_gen2_collections": self.counts[2],
+        }
 
 
 def report(title: str, rows, artifact: str | None = None) -> None:

@@ -196,14 +196,9 @@ def refute_candidate(
         reduction = None
         hook_reduction = None
 
-    def stage_deadline():
-        """A fresh per-stage Deadline from the governing budget, or None."""
-        governing = engine.budget if engine is not None else budget
-        if governing.deadline_seconds is None:
-            return None
-        from ..engine import Deadline
-
-        return Deadline(governing.deadline_seconds)
+    # The budget that governs the explorations also bounds each
+    # post-exploration stage, with a fresh deadline per stage.
+    governing = engine.budget if engine is not None else budget
 
     pipeline_span = start_span(tracer, "pipeline", resilience=f)
 
@@ -276,7 +271,7 @@ def refute_candidate(
                 budget=budget,
             )
             outcome, stats = find_hook(
-                analysis, start, tracer=tracer, metrics=metrics, deadline=stage_deadline()
+                analysis, start, tracer=tracer, metrics=metrics, budget=governing
             )
         if isinstance(outcome, FairCycle):
             return done(
@@ -323,7 +318,7 @@ def refute_candidate(
                 failure_aware_services=failure_aware_services,
                 tracer=tracer,
                 metrics=metrics,
-                deadline=stage_deadline(),
+                budget=governing,
             )
         if isinstance(refutation, TerminationViolation):
             mechanism = "similarity-termination"
@@ -459,17 +454,15 @@ def random_decision_probe(
 def bounded_undecided_run(
     system: DistributedSystem,
     start: State,
-    max_steps: int | None = None,
     metrics: MetricsRegistry = NULL_METRICS,
     *,
     budget=None,
 ) -> UndecidedRun:
     """A fair scheduler that postpones decisions as long as it can.
 
-    The step bound comes from ``max_steps`` or, equivalently, from
-    ``budget=Budget(max_transitions=...)`` (each adversary step is one
-    transition).  Exactly one of the two must be given; passing both —
-    or a budget without ``max_transitions`` — is a :class:`TypeError`.
+    The step bound is ``budget=Budget(max_transitions=...)`` (each
+    adversary step is one transition); a missing budget, or one without
+    ``max_transitions``, is a :class:`TypeError`.
 
     Round-robin over tasks, but a task whose unique next action would
     record a decision is skipped whenever any other applicable task
@@ -483,16 +476,11 @@ def bounded_undecided_run(
     this adversary to measure how far decisions can be postponed on
     instances too large for exact valence analysis.
     """
-    if budget is not None:
-        if max_steps is not None:
-            raise TypeError("pass max_steps or budget=, not both")
-        if budget.max_transitions is None:
-            raise TypeError(
-                "bounded_undecided_run needs Budget(max_transitions=...)"
-            )
-        max_steps = budget.max_transitions
-    elif max_steps is None:
-        raise TypeError("pass max_steps or budget=Budget(max_transitions=...)")
+    if budget is None or budget.max_transitions is None:
+        raise TypeError(
+            "bounded_undecided_run needs budget=Budget(max_transitions=...)"
+        )
+    max_steps = budget.max_transitions
     view = DeterministicSystemView(system)
     tasks = view.tasks
     state = start

@@ -250,7 +250,6 @@ def find_hook(
     max_iterations: int = 1_000_000,
     tracer: Tracer = NULL_TRACER,
     metrics: MetricsRegistry = NULL_METRICS,
-    deadline=None,
     *,
     budget=None,
 ) -> tuple[Hook | FairCycle, HookSearchStats]:
@@ -261,20 +260,16 @@ def find_hook(
     termination violation, impossible for systems that truly solve
     consensus, which is exactly the dichotomy of the paper's argument).
 
-    ``deadline`` may be a :class:`repro.engine.Deadline`; it is checked
-    once per outer iteration and raises
-    :class:`~repro.engine.budget.BudgetExhausted` when the wall-clock
-    budget runs out mid-search.  Alternatively pass
-    ``budget=Budget(deadline_seconds=...)`` — a fresh deadline is started
-    from it (passing both is a :class:`TypeError`).
+    ``budget`` may be a :class:`repro.engine.Budget`: its
+    ``deadline_seconds`` starts a fresh wall-clock deadline, checked once
+    per outer iteration, which raises
+    :class:`~repro.engine.budget.BudgetExhausted` when it runs out
+    mid-search.
     """
-    if budget is not None:
-        if deadline is not None:
-            raise TypeError("pass deadline= or budget=, not both")
-        # Lazy: repro.engine imports this package at load time.
-        from ..engine.budget import Deadline
+    # Lazy: repro.engine imports this package at load time.
+    from ..engine.budget import Deadline
 
-        deadline = Deadline(budget.deadline_seconds)
+    deadline = Deadline(None if budget is None else budget.deadline_seconds)
     reduction = getattr(analysis, "reduction", None)
     if reduction is not None and getattr(reduction, "por", False):
         # POR only preserves *reachability* facts (decision sets); the
@@ -296,7 +291,7 @@ def find_hook(
     seen_configs: dict[tuple[State, int], int] = {}
     path_tasks: list[Task] = []
     for _ in range(max_iterations):
-        if deadline is not None and deadline.enabled:
+        if deadline.enabled:
             deadline.check(stats.outer_iterations, stats.inner_bfs_expansions)
         config = (state, cursor)
         if config in seen_configs:

@@ -374,6 +374,16 @@ def silenced_services_for(
     return frozenset(silenced)
 
 
+def _deadline_of(budget):
+    """A fresh :class:`repro.engine.Deadline` from ``budget``, or ``None``."""
+    if budget is None or budget.deadline_seconds is None:
+        return None
+    # Lazy: repro.engine imports this package at load time.
+    from ..engine.budget import Deadline
+
+    return Deadline(budget.deadline_seconds)
+
+
 def refute_from_similarity(
     system: DistributedSystem,
     violation: SimilarityViolation,
@@ -382,7 +392,8 @@ def refute_from_similarity(
     failure_aware_services: Collection[Hashable] = (),
     tracer: Tracer = NULL_TRACER,
     metrics: MetricsRegistry = NULL_METRICS,
-    deadline=None,
+    *,
+    budget=None,
 ) -> RefutationOutcome:
     """Execute the Lemma 6/7 argument from a similar opposite-valence pair.
 
@@ -391,7 +402,9 @@ def refute_from_similarity(
     termination violation (no survivor decision; exact when a cycle is
     found) or replays the deciding task sequence after ``s1`` to exhibit
     the decision contradiction.  ``failure_aware_services`` lists general
-    services to silence outright (the Theorem 10 setting).
+    services to silence outright (the Theorem 10 setting).  ``budget``'s
+    ``deadline_seconds``, if any, bounds the silencing run with a fresh
+    deadline.
     """
     if violation.kind == "process":
         victims = choose_victims_for_process(system, violation.index, resilience)
@@ -410,7 +423,7 @@ def refute_from_similarity(
         horizon,
         tracer=tracer,
         metrics=metrics,
-        deadline=deadline,
+        deadline=_deadline_of(budget),
     )
     survivors = frozenset(system.process_ids) - victims
     if result.decision is None:
@@ -453,7 +466,6 @@ def liveness_attack(
     failure_aware_services: Collection[Hashable] = (),
     tracer: Tracer = NULL_TRACER,
     metrics: MetricsRegistry = NULL_METRICS,
-    deadline=None,
     *,
     budget=None,
 ) -> TerminationViolation | None:
@@ -465,17 +477,9 @@ def liveness_attack(
     silent.  Returns a :class:`TerminationViolation` when they cannot,
     ``None`` when some survivor decided (the attack failed).
 
-    ``deadline`` may be a :class:`repro.engine.Deadline`; alternatively
-    pass ``budget=Budget(deadline_seconds=...)`` to start a fresh
-    deadline from it (passing both is a :class:`TypeError`).
+    ``budget``'s ``deadline_seconds``, if any, bounds the run with a
+    fresh deadline.
     """
-    if budget is not None:
-        if deadline is not None:
-            raise TypeError("pass deadline= or budget=, not both")
-        # Lazy: repro.engine imports this package at load time.
-        from ..engine.budget import Deadline
-
-        deadline = Deadline(budget.deadline_seconds)
     victims = frozenset(victims)
     silenced = silenced_services_for(
         system, victims, also=tuple(failure_aware_services)
@@ -488,7 +492,7 @@ def liveness_attack(
         horizon,
         tracer=tracer,
         metrics=metrics,
-        deadline=deadline,
+        deadline=_deadline_of(budget),
     )
     if result.decision is not None:
         return None

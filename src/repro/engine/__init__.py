@@ -3,13 +3,12 @@
 The engine is the scalable successor of
 :func:`repro.analysis.explorer.explore` (which now delegates here):
 
-* :mod:`repro.engine.codec`       — the canonical packed-bytes state
-  representation (:class:`Codec`): one TLV encoding that is both the
-  fingerprint preimage and the wire/checkpoint format, with a verified
-  decode path and component/string interning;
-* :mod:`repro.engine.fingerprint` — hash-seed-independent state digests
-  (``blake2b`` over the packed bytes); the visited set stores 16-byte
-  digests instead of full states, with an optional collision-audit mode;
+* :mod:`repro.engine.codec`       — the one definition of a state's
+  identity: the canonical packed-bytes representation (:class:`Codec`),
+  one TLV encoding that is both the digest preimage and the
+  wire/checkpoint format, and the hash-seed-independent digest
+  (:func:`fingerprint`, ``blake2b`` over the packed bytes) that
+  store-backed runs dedup and workers shard by;
 * :mod:`repro.engine.visited`     — the lock-free shared-memory visited
   table (:class:`SharedVisitedTable`) forked workers consult before
   shipping successors back to the coordinator;
@@ -50,10 +49,13 @@ from .budget import (
     Deadline,
 )
 from .codec import (
+    DIGEST_SIZE,
     Codec,
     CodecError,
+    canonical_bytes,
     decode_bytes,
     digest_of_packed,
+    fingerprint,
     register_codec_type,
     registered_codec_types,
 )
@@ -75,15 +77,7 @@ from .checkpoint import (
     segment_dir,
 )
 from .errors import EngineError, WorkerLost
-from .fingerprint import (
-    DIGEST_SIZE,
-    FingerprintCollision,
-    FingerprintIndex,
-    canonical_bytes,
-    fingerprint,
-    shard_of,
-)
-from .parallel import WorkerPool, fork_available
+from .parallel import WorkerPool, fork_available, shard_of
 from .store import (
     SQLiteStore,
     StateStore,
@@ -123,8 +117,6 @@ __all__ = [
     "EngineError",
     "EngineReport",
     "ExplorationEngine",
-    "FingerprintCollision",
-    "FingerprintIndex",
     "LocalVisitedFilter",
     "ReducedView",
     "ReductionAuditError",

@@ -2,7 +2,7 @@
 
 The engine supersedes :func:`repro.analysis.explorer.explore` as the
 default way to exhaust failure-free state spaces: same graph, same
-semantics, plus worker-pool parallelism, fingerprint-based visited sets,
+semantics, plus worker-pool parallelism, digest-based visited sets,
 disk checkpoints with resume, and a unified :class:`~repro.engine.budget.Budget`
 (states / transitions / wall-clock deadline) in place of the bare
 ``max_states`` int.  ``explore()`` itself remains as a thin wrapper over
@@ -32,12 +32,11 @@ Parallelism therefore changes *where* ``successors()`` runs, never
 *what* the search sees.  The worker pool runs only on a ``sqlite``
 store (``workers > 1`` without ``store=`` is a ``ValueError``), so the
 one forking loop is also the one digest-native loop, and the classic
-loop stays the in-RAM path.  The only caveat is dedup by digest (used
-by every store-backed run): a fingerprint collision would merge two
-distinct states.  The default 16-byte digests make that probability
-~``n^2/2^129``; collision-audit mode
-(:class:`~repro.engine.fingerprint.FingerprintIndex`, one process, no
-store) upgrades the guarantee to a checked one.  Interrupted runs may
+loop stays the in-RAM path.  The classic loop dedups by ``==``; every
+store-backed run dedups by the digest :mod:`~repro.engine.codec`
+defines, where a collision would merge two distinct states.  The
+16-byte digests make that probability ~``n^2/2^129``, and the tests
+check the paper's instances for distinct digests.  Interrupted runs may
 differ from a sequential interrupt in *which* prefix they explored, but resuming any
 checkpoint converges to the same completed graph.  That includes a run
 that lost a worker: the pool is fail-stop, so the loss raises
@@ -86,7 +85,6 @@ from .checkpoint import (
 )
 from .codec import Codec, digest_of_packed
 from .errors import EngineError, WorkerLost
-from .fingerprint import FingerprintIndex
 from .parallel import PRUNED, WorkerPool
 from .store import (
     DEFAULT_FLUSH_INTERVAL,
@@ -430,12 +428,6 @@ class ExplorationEngine:
         Reporting only — enforcement belongs to the caller (the CLI's
         ``--rss-limit-mb`` installs a ``resource.setrlimit`` address
         -space cap before the run starts).
-    audit:
-        Collision-audit mode: keep full states per digest and raise
-        :class:`~repro.engine.fingerprint.FingerprintCollision` if two
-        unequal states ever hash alike.  Implies digest dedup; runs in
-        one process without a store (``ValueError`` with ``store=`` or
-        ``workers > 1``).
     progress:
         A :class:`~repro.obs.progress.ProgressReporter` for live
         ``states/s`` lines on stderr, handed :meth:`EngineReport.live`
@@ -474,7 +466,6 @@ class ExplorationEngine:
         flush_interval: int | None = None,
         resume: bool = False,
         rss_limit_mb: int | None = None,
-        audit: bool = False,
         tracer: Tracer = NULL_TRACER,
         metrics: MetricsRegistry = NULL_METRICS,
         progress: ProgressReporter | bool | None = None,
@@ -495,12 +486,6 @@ class ExplorationEngine:
             raise ValueError("flush_interval must be >= 1")
         if rss_limit_mb is not None and rss_limit_mb < 1:
             raise ValueError(f"rss_limit_mb must be >= 1, got {rss_limit_mb}")
-        if audit and (self.store is not None or workers > 1):
-            raise ValueError(
-                "audit mode keeps full states in RAM in one process and is "
-                "incompatible with store= and workers > 1; run the "
-                "collision audit at workers=1 without a store"
-            )
         if workers > 1 and self.store is None:
             raise ValueError(
                 f"workers={workers} needs a store: the worker pool runs on a "
@@ -526,7 +511,6 @@ class ExplorationEngine:
         #: Root digest a caller-owned StateStore instance is bound to.
         self._store_bound: bytes | None = None
         self.resume = resume
-        self.audit = audit
         self.tracer = tracer
         self.metrics = metrics
         if progress is None:
@@ -579,12 +563,8 @@ class ExplorationEngine:
             self._drive(run)
             if run.store is not None:
                 return self._materialize_graph(run)
-            position = run.index
-            if type(position) is not dict:
-                # Audit mode: the index maps digests, not states.
-                position = _first_positions(run.order)
             return StateGraph(
-                root=root, order=run.order, position=position, succ=run.succ
+                root=root, order=run.order, position=run.index, succ=run.succ
             )
 
     def scan(
@@ -730,17 +710,6 @@ class ExplorationEngine:
 
     # -- run setup ------------------------------------------------------------
 
-    def _make_index(self, codec: Codec):
-        """The classic loop's position index: state -> discovery position.
-
-        A plain dict (the graph's ``position``, handed over at the end),
-        or in audit mode a digest-keyed :class:`FingerprintIndex` with
-        the same ``get``/``[]=`` protocol.
-        """
-        if self.audit:
-            return FingerprintIndex(audit=True, codec=codec)
-        return {}
-
     def _new_run(self, view, root, prune, tracer, metrics) -> _Run:
         run = _Run()
         run.view = view
@@ -751,7 +720,9 @@ class ExplorationEngine:
         run.tracer = tracer
         run.tracing = tracer.enabled
         run.metrics = metrics
-        run.index = self._make_index(run.codec)
+        # The classic loop's position index, state -> discovery position
+        # (the graph's ``position``, handed over at the end).
+        run.index = {}
         run.transitions = 0
         run.expanded = 0
         run.rounds = 0
@@ -998,13 +969,17 @@ class ExplorationEngine:
         # cost more than the duplicate shipping it avoids.
         packed_of = _StorePackedMap(store)
         cancel = self.cancel
+        # A round is at most one frontier window: rounds are consecutive
+        # prefixes of the FIFO, so the cap bounds the coordinator's
+        # in-RAM frontier without changing the merge order.
+        window = store.config.frontier_window
         while store.frontier_len():
             if cancel is not None and cancel():
                 raise _Exhausted("cancelled", 0.0)
             if run.deadline.expired():
                 raise _Exhausted("deadline", budget.deadline_seconds)
             digests = []
-            while True:
+            while len(digests) < window:
                 digest = store.pop()
                 if digest is None:
                     break

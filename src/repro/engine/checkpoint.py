@@ -92,8 +92,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Hashable
 
-from .codec import Codec, CodecError, register_codec_type, registered_codec_types
-from .fingerprint import DIGEST_SIZE, fingerprint
+from .codec import (
+    DIGEST_SIZE,
+    Codec,
+    CodecError,
+    register_codec_type,
+    registered_codec_types,
+)
 
 CHECKPOINT_FORMAT = "repro-engine-checkpoint"
 CHECKPOINT_VERSION = 2
@@ -128,11 +133,6 @@ class Checkpoint:
     elapsed_seconds: float
     workers: int = 1
     meta: dict = field(default_factory=dict)
-
-
-def root_digest(root: Hashable) -> bytes:
-    """The digest identifying the exploration rooted at ``root``."""
-    return fingerprint(root)
 
 
 def _check_width(path: Path, width) -> None:

@@ -1,19 +1,28 @@
-"""Packed canonical state representation: the TLV codec.
+"""Packed canonical state representation: the TLV codec and the digest.
 
-This module is the single home of the engine's canonical byte encoding.
-It grew out of :mod:`repro.engine.fingerprint`'s ``canonical_bytes`` —
-the tag-length-value scheme whose BLAKE2b digest is the engine's state
-fingerprint — and extends it into a full **codec**: the same bytes that
-are hashed are now also *kept*, shipped across worker pipes, stored in
-checkpoints, and decoded back into states.  Three properties carry the
-design:
+This module is the one place that defines a state's identity for the
+engine.  It holds the canonical tag-length-value encoding
+(:func:`canonical_bytes`), the state digest (:func:`fingerprint`, the
+BLAKE2b hash of that encoding, :data:`DIGEST_SIZE` bytes) and the
+**codec** built on them: the same bytes that are hashed are also
+*kept*, shipped across worker pipes, stored in checkpoints, and decoded
+back into states.  Every store-backed run dedups by digest, so two
+states are one graph vertex exactly when their encodings hash alike.
+Four properties carry the design:
 
+* **canonical** — equal states yield equal bytes no matter how their
+  parts were built.  Python's builtin ``hash`` fails this across
+  *processes* (string hashing is salted per interpreter via
+  ``PYTHONHASHSEED``), and ``pickle`` fails it for ``frozenset`` (dump
+  order follows salted iteration order).  The encoder therefore
+  serializes unordered collections in sorted-encoding order, so the
+  bytes, and the digest, are a pure function of the value: a worker
+  process, the coordinator and a later resume all agree.
 * **digest parity by construction** — :meth:`Codec.encode_digest`
   returns ``(packed, digest)`` from one encoding pass, and ``digest ==
   blake2b(packed) == fingerprint(state)`` because the packed bytes *are*
-  the canonical encoding.  Producing the wire form and the fingerprint
-  used to be two separate serializations (a pickle and a TLV encode);
-  now it is one.
+  the canonical encoding.  Producing the wire form and the digest is
+  one serialization, not two.
 * **verified identity** — ``decode(encode(x)) == x`` for every value
   built from the canonical forms (``None``/``bool``/``int``/``float``/
   ``str``/``bytes``/``tuple``/``frozenset``/``dict``, registered frozen
@@ -30,6 +39,14 @@ design:
   bytes: interning is an encode/decode-time optimization, and the
   packed form stays flat and self-contained, byte-identical across
   processes and interpreter restarts.
+
+Soundness of digest dedup is the hash-compaction argument (Stern &
+Dill, 1995): a collision would merge two distinct states and drop one
+subtree of the graph.  With a 16-byte digest the chance over an
+``n``-state exploration is about ``n^2 / 2^129``, below ``10^-28`` even
+at a billion states.  The tests check it on the paper's instances: the
+digests of a classic (``==``-deduplicated) graph are pairwise distinct,
+and classic and store-backed runs build identical graphs.
 
 Dataclasses and enums encode by qualname (plus field values / member
 name), so decoding needs the class object.  The codec keeps a process
@@ -132,7 +149,7 @@ def registered_codec_types() -> dict[str, type]:
 
 
 # ---------------------------------------------------------------------------
-# Encoding (the canonical bytes; moved here from fingerprint.py)
+# Encoding (the canonical bytes) and the digest
 # ---------------------------------------------------------------------------
 
 
@@ -210,8 +227,8 @@ def _encode(value: Any, out: bytearray) -> None:
             out += item_bytes
         return
     # Fallback for exotic state components: the repr must itself be
-    # canonical for the digest to be (documented contract; audit mode
-    # will catch violations as collisions or misses).  Not decodable.
+    # canonical for the digest to be (documented contract).  Not
+    # decodable.
     payload = repr(value).encode("utf-8")
     out += _REPR
     out += len(payload).to_bytes(4, "big")
@@ -235,6 +252,11 @@ def digest_of_packed(packed: bytes) -> bytes:
     if blake2b is not None:
         return blake2b(packed, digest_size=DIGEST_SIZE).digest()
     return sha256(packed).digest()[:DIGEST_SIZE]  # pragma: no cover
+
+
+def fingerprint(value: Any) -> bytes:
+    """The :data:`DIGEST_SIZE`-byte canonical digest of ``value``."""
+    return digest_of_packed(canonical_bytes(value))
 
 
 # ---------------------------------------------------------------------------

@@ -118,8 +118,13 @@ from ..obs.sinks import NULL_TRACER, Tracer
 from ..obs.spans import WorkerTelemetry, merge_worker_events
 from .codec import Codec
 from .errors import EngineError, WorkerLost
-from .fingerprint import shard_of
 from .visited import LocalVisitedFilter, SharedVisitedTable, shared_memory_available
+
+
+def shard_of(digest: bytes, shards: int) -> int:
+    """The worker shard owning ``digest`` (frontier partitioning)."""
+    return int.from_bytes(digest[:8], "big") % shards
+
 
 #: Marker returned for a pruned state instead of its successor list.
 PRUNED = "__pruned__"

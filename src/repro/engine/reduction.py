@@ -17,7 +17,7 @@ endpoint relabeling via ``supports_endpoint_symmetry`` plus the
 permutations under which the *composition* is invariant, and
 :class:`Canonicalizer` restricts it to the stabilizer of the root (the
 permutations fixing the inputs-so-far) and maps every state to the
-orbit member with the least :func:`~repro.engine.fingerprint.canonical_bytes`
+orbit member with the least :func:`~repro.engine.codec.canonical_bytes`
 encoding.  Because each permutation is a strong bisimulation of the
 task-transition graph that preserves ``decision_values`` (decisions are
 collected endpoint-free), exploring the quotient preserves valence,

@@ -63,7 +63,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Hashable, Iterator
 
-from .fingerprint import DIGEST_SIZE
+from .codec import DIGEST_SIZE
 
 #: Default expansions between store flushes / delta segments.
 DEFAULT_FLUSH_INTERVAL = 50_000

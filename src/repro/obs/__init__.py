@@ -9,8 +9,8 @@ and the adversary pipeline *do* as inspectable data:
   null) behind a :class:`Tracer`, near-zero overhead when disabled;
 * :mod:`repro.obs.metrics` — counters/gauges/histograms registry with a
   ``snapshot()`` dict export;
-* :mod:`repro.obs.profile` — context-manager timers and a ``@profiled``
-  decorator feeding the registry;
+* :mod:`repro.obs.profile` — context-manager timers feeding a
+  registry;
 * :mod:`repro.obs.spans`   — hierarchical spans (wall + CPU time,
   parent links, attributes) layered on the event stream as
   ``span_start``/``span_end`` pairs, plus :class:`WorkerTelemetry`
@@ -85,12 +85,10 @@ from .metrics import (
     MetricsRegistry,
     NULL_METRICS,
     NullMetricsRegistry,
-    default_registry,
     percentile,
     render_metrics_table,
-    set_default_registry,
 )
-from .profile import Timer, profiled, timed
+from .profile import Timer, timed
 from .progress import ProgressReporter, progress_from_env
 from .spans import (
     Span,
@@ -195,7 +193,6 @@ __all__ = [
     "current_span_id",
     "current_tracer",
     "decode_value",
-    "default_registry",
     "diff_runs",
     "diff_span_profiles",
     "encode_value",
@@ -204,7 +201,6 @@ __all__ = [
     "merge_worker_events",
     "new_run_id",
     "percentile",
-    "profiled",
     "progress_from_env",
     "prometheus_textfile",
     "record_span",
@@ -215,7 +211,6 @@ __all__ = [
     "replay",
     "resolve_runs_dir",
     "set_current_tracer",
-    "set_default_registry",
     "snapshot_from_trace",
     "span",
     "start_span",

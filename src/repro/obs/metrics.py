@@ -222,24 +222,6 @@ class NullMetricsRegistry(MetricsRegistry):
 #: The shared disabled registry; instrumentation parameters default to it.
 NULL_METRICS: MetricsRegistry = NullMetricsRegistry()
 
-#: Process-wide default registry used by :func:`repro.obs.profile.profiled`
-#: when no registry is passed explicitly.
-_DEFAULT: MetricsRegistry = MetricsRegistry()
-
-
-def default_registry() -> MetricsRegistry:
-    """The process-wide default registry."""
-    return _DEFAULT
-
-
-def set_default_registry(registry: MetricsRegistry) -> MetricsRegistry:
-    """Replace the process-wide default registry; returns the previous one."""
-    global _DEFAULT
-    previous = _DEFAULT
-    _DEFAULT = registry
-    return previous
-
-
 def render_metrics_table(snapshot: dict) -> str:
     """Render a ``snapshot()`` dict as an aligned text table."""
     rows: list[tuple[str, str, str]] = []

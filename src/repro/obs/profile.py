@@ -1,20 +1,10 @@
 """Timers feeding the metrics registry.
 
-Two idioms cover the profiling needs of the analysis layers:
+:func:`timed` is a context manager observing the elapsed wall time of a
+block into a named histogram of the run's registry::
 
-* :func:`timed` — a context manager observing the elapsed wall time of a
-  block into a named histogram::
-
-      with timed(metrics, "refute.seconds"):
-          verdict = refute_candidate(system, metrics=metrics)
-
-* :func:`profiled` — a decorator doing the same per call, defaulting the
-  histogram name to the function's qualified name and the registry to
-  the process-wide default (:func:`repro.obs.metrics.default_registry`),
-  resolved at call time so tests can swap registries::
-
-      @profiled("explore.seconds")
-      def explore(...): ...
+    with timed(metrics, "refute.seconds"):
+        verdict = refute_candidate(system, metrics=metrics)
 
 Elapsed time is observed even when the block raises, so budget-exhausted
 runs still report how long they ran — the property the CLI's
@@ -23,12 +13,9 @@ budget-exhaustion path relies on.
 
 from __future__ import annotations
 
-import contextlib
-import functools
 from time import perf_counter
-from typing import Callable
 
-from .metrics import Histogram, MetricsRegistry, default_registry
+from .metrics import Histogram, MetricsRegistry
 
 
 class Timer:
@@ -60,29 +47,3 @@ def timed(metrics: MetricsRegistry, name: str) -> Timer:
     """A timer observing into ``metrics.histogram(name)`` on block exit."""
     return Timer(metrics.histogram(name))
 
-
-def profiled(
-    name: str | None = None, metrics: MetricsRegistry | None = None
-) -> Callable:
-    """Decorator: observe each call's wall time into a histogram.
-
-    ``name`` defaults to the wrapped function's qualified name; when
-    ``metrics`` is ``None`` the process-wide default registry is looked
-    up at **call** time.
-    """
-
-    def decorate(function: Callable) -> Callable:
-        histogram_name = name if name is not None else function.__qualname__
-
-        @functools.wraps(function)
-        def wrapper(*args, **kwargs):
-            registry = metrics if metrics is not None else default_registry()
-            started = perf_counter()
-            try:
-                return function(*args, **kwargs)
-            finally:
-                registry.histogram(histogram_name).observe(perf_counter() - started)
-
-        return wrapper
-
-    return decorate

@@ -13,7 +13,7 @@ root's stabilizer as the PR-3 :class:`~repro.engine.reduction.Canonicalizer`
 uses during exploration).  Symmetry-equivalent submissions — e.g. the
 same candidate with relabeled proposals — therefore collapse onto one
 entry, while the blake2b fingerprint from
-:mod:`repro.engine.fingerprint` keeps the key canonical across
+:mod:`repro.engine.codec` keeps the key canonical across
 processes and restarts.  Candidate shape (name, ``n``, ``f``) and the
 reduction mode are mixed into the key too: the root state alone cannot
 distinguish analysis modes that explore different graphs.
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..engine.budget import Budget
-from ..engine.fingerprint import canonical_bytes, fingerprint
+from ..engine.codec import canonical_bytes, fingerprint
 from ..engine.reduction import _symmetry_permutations
 from ..obs.metrics import NULL_METRICS, MetricsRegistry
 from .wire import JobSpec

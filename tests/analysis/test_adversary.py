@@ -75,7 +75,9 @@ class TestBoundedAdversary:
         # forever; indefinite stalling needs the failure-based attacks.
         system = delegation_consensus_system(3, resilience=1)
         root = system.initialization({0: 0, 1: 1, 2: 0}).final_state
-        run = bounded_undecided_run(system, root, max_steps=2_000)
+        run = bounded_undecided_run(
+            system, root, budget=Budget(max_transitions=2_000)
+        )
         assert run.decided
         assert 0 < run.steps < 2_000
 
@@ -91,6 +93,8 @@ class TestBoundedAdversary:
             start=root,
             stop=lambda e: bool(system.decisions(e.final_state)),
         )
-        adversarial = bounded_undecided_run(system, root, max_steps=500)
+        adversarial = bounded_undecided_run(
+            system, root, budget=Budget(max_transitions=500)
+        )
         assert adversarial.steps >= len(eager)
         assert adversarial.visited_states >= 1

@@ -20,7 +20,7 @@ from repro.protocols import (
     min_register_consensus_system,
     tob_delegation_system,
 )
-from repro.engine import Budget
+from repro.engine import Budget, BudgetExhausted
 
 
 class TestVictimSelection:
@@ -127,6 +127,26 @@ class TestRefuteFromSimilarity:
         assert outcome.exact
         assert len(outcome.victims) == 1
         assert outcome.survivors
+
+    def test_budget_deadline_bounds_each_stage(self):
+        """The post-exploration stages each start a fresh deadline from
+        ``budget=``, as ``refute_candidate`` hands them its own."""
+        system = delegation_consensus_system(2, resilience=0)
+        root = system.initialization({0: 0, 1: 1}).final_state
+        analysis = analyze_valence(system, root)
+        violation = self.refutable_violation(system, {0: 0, 1: 1})
+        expired = Budget(deadline_seconds=1e-9)
+        stages = [
+            lambda: find_hook(analysis, root, budget=expired),
+            lambda: refute_from_similarity(
+                system, violation, resilience=0, budget=expired
+            ),
+            lambda: liveness_attack(system, root, victims=[1], budget=expired),
+        ]
+        for stage in stages:
+            with pytest.raises(BudgetExhausted) as info:
+                stage()
+            assert info.value.resource == "deadline"
 
     def test_tob_refuted_by_termination(self):
         system = tob_delegation_system(2, resilience=0)

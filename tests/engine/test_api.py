@@ -23,7 +23,6 @@ from repro.engine import (
     BudgetExhausted,
     CheckpointError,
     ExplorationEngine,
-    FingerprintIndex,
     StoreConfig,
     find_checkpoint,
     fingerprint,
@@ -60,12 +59,6 @@ class TestSequentialEquivalence:
         graph = ExplorationEngine(workers=1, budget=Budget()).explore(view, root)
         assert list(graph.states) == list(sequential_graph.states)
         assert graph.edges == sequential_graph.edges
-
-    def test_audit_mode_clean_run(self, instance, sequential_graph):
-        view, root = instance
-        engine = ExplorationEngine(workers=1, budget=Budget(), audit=True)
-        graph = engine.explore(view, root)
-        assert graph.states == sequential_graph.states
 
 
 class TestParallelEquivalence:

@@ -1,20 +1,24 @@
-"""Unit tests for canonical state fingerprinting."""
+"""Unit tests for the canonical state digest (:mod:`repro.engine.codec`)."""
 
 import enum
 from dataclasses import dataclass
 
 import pytest
 
+from repro.analysis import DeterministicSystemView, explore
 from repro.engine import (
     DIGEST_SIZE,
-    FingerprintCollision,
+    Budget,
     Codec,
-    FingerprintIndex,
     canonical_bytes,
     fingerprint,
     shard_of,
 )
-from repro.protocols import delegation_consensus_system
+from repro.protocols import (
+    arbiter_consensus_system,
+    delegation_consensus_system,
+    tob_delegation_system,
+)
 
 
 class Color(enum.Enum):
@@ -79,46 +83,39 @@ class TestFingerprint:
         assert shards == {0, 1, 2, 3}
 
 
-class _ConstantDigest(Codec):
-    """A codec that forges one digest for every state."""
-
-    def digest(self, state):
-        return bytes(DIGEST_SIZE)
-
-
 class TestIndexes:
-    @pytest.mark.parametrize("index_cls", [FingerprintIndex, dict])
-    def test_check_add_roundtrip(self, index_cls):
-        # The engine's position index protocol: get -> position or None,
-        # then index[state] = position.
-        index = index_cls()
-        assert index.get("alpha") is None
-        index["alpha"] = 0
-        assert len(index) == 1
-        assert index.get("alpha") == 0
-
-    def test_audit_mode_detects_collisions(self):
-        index = FingerprintIndex(audit=True, codec=_ConstantDigest())
-        index["a"] = 0
-        with pytest.raises(FingerprintCollision):
-            index.get("b")  # forged digest: same bytes, different state
-
-    def test_audit_mode_accepts_equal_states(self):
-        index = FingerprintIndex(audit=True, codec=_ConstantDigest())
-        index["a"] = 0
-        assert index.get("a") == 0
-
     def test_index_distinguishes_bool_int_states(self):
         """Regression: the codec's shared component cache conflated
-        (True, ...) and (1, ...) into one digest whichever was checked
-        first, which audit mode then surfaced as a FingerprintCollision
-        (REVIEW: codec cache).  Both orders, one warm cache."""
+        (True, ...) and (1, ...) into one digest whichever was encoded
+        first, which merged the two states in a digest-keyed index.
+        Both orders, one warm cache each."""
         for states in [((True, "x"), (1, "x")), ((1, "x"), (True, "x"))]:
-            index = FingerprintIndex(audit=True)
+            codec = Codec()
+            index = {}
             for position, state in enumerate(states):
-                assert index.get(state) is None
-                index[state] = position
-                assert fingerprint(state) in index
-            for position, state in enumerate(states):
-                assert index.get(state) == position
-            assert len(index) == 2
+                assert index.setdefault(codec.digest(state), position) == position
+            assert [index[fingerprint(state)] for state in states] == [0, 1]
+
+
+INSTANCES = {
+    "arbiter-4-1": lambda: arbiter_consensus_system(4, resilience=1),
+    "delegation-5-1": lambda: delegation_consensus_system(5, resilience=1),
+    "tob-3-1": lambda: tob_delegation_system(3, resilience=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_digests_pairwise_distinct_on_classic_graph(name):
+    """Digest dedup is sound on the paper's instances: the classic loop
+    dedups by ``==``, and no two of its states share a digest, so a
+    store-backed run, which dedups by digest, merges none of them."""
+    system = INSTANCES[name]()
+    proposals = {
+        endpoint: index % 2 for index, endpoint in enumerate(system.process_ids)
+    }
+    root = system.initialization(proposals).final_state
+    graph = explore(
+        DeterministicSystemView(system), root, budget=Budget(max_states=500_000)
+    )
+    codec = Codec()
+    assert len({codec.digest(state) for state in graph.order}) == len(graph.order)

@@ -15,7 +15,13 @@ checkpoint gives that graph too.
 import pytest
 
 from repro.analysis import DeterministicSystemView, explore
-from repro.engine import Budget, ExplorationEngine, WorkerLost, fork_available
+from repro.engine import (
+    Budget,
+    ExplorationEngine,
+    WorkerLost,
+    WorkerPool,
+    fork_available,
+)
 from repro.protocols import delegation_consensus_system, tob_delegation_system
 
 FACTORIES = {
@@ -84,8 +90,24 @@ def test_workers_2_kill_and_resume_identical_graph(name, tmp_path, poison):
     assert_same_graph(engine.explore(view, root), sequential)
 
 
-def test_workers_2_audit_mode_rejected():
-    """Collision-audit mode keeps full states in one process: asking for
-    it with workers is refused up front, like audit with a store."""
-    with pytest.raises(ValueError, match="audit"):
-        ExplorationEngine(workers=2, budget=Budget(), audit=True)
+def test_workers_2_rounds_capped_at_frontier_window(tmp_path, monkeypatch):
+    """Each parallel round takes at most one frontier window of digests,
+    so the store's window bounds the coordinator at any worker count;
+    rounds stay consecutive FIFO prefixes, so the graph is unchanged."""
+    view, root, sequential = _instance("delegation-5-1")
+    rounds = []
+    run_round = WorkerPool.run_round
+
+    def spy(self, round_index, digests, *args, **kwargs):
+        rounds.append(len(digests))
+        return run_round(self, round_index, digests, *args, **kwargs)
+
+    monkeypatch.setattr(WorkerPool, "run_round", spy)
+    engine = ExplorationEngine(
+        workers=2, budget=Budget(), store=f"sqlite:{tmp_path / 'store'}?window=64"
+    )
+    graph = engine.explore(view, root)
+    assert rounds and max(rounds) <= 64
+    assert engine.last_report.spilled_states > 0
+    assert graph.order == sequential.order
+    assert graph.succ == sequential.succ

@@ -477,10 +477,6 @@ class TestComposability:
         )
         assert verdict.refuted
 
-    def test_audit_mode_rejects_store(self):
-        with pytest.raises(ValueError, match="audit"):
-            ExplorationEngine(store="sqlite", audit=True)
-
     def test_store_instance_bound_to_one_root(self, small_instance, tmp_path):
         view, root = small_instance
         with open_store(StoreConfig(path=str(tmp_path / "s"))) as store:

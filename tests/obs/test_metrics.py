@@ -9,10 +9,7 @@ from repro.obs import (
     MetricsRegistry,
     NullMetricsRegistry,
     Timer,
-    default_registry,
-    profiled,
     render_metrics_table,
-    set_default_registry,
     timed,
 )
 
@@ -212,32 +209,3 @@ class TestProfiling:
             pass
         assert isinstance(timer, Timer)
         assert timer.elapsed >= 0.0
-
-    def test_profiled_decorator_records_calls(self):
-        registry = MetricsRegistry()
-        previous = set_default_registry(registry)
-        try:
-
-            @profiled("work")
-            def work(x):
-                return x + 1
-
-            assert work(1) == 2
-            assert work(2) == 3
-            assert default_registry() is registry
-        finally:
-            set_default_registry(previous)
-        assert registry.snapshot()["histograms"]["work"]["count"] == 2
-
-    def test_profiled_explicit_registry_and_default_name(self):
-        registry = MetricsRegistry()
-
-        @profiled(metrics=registry)
-        def named():
-            return 1
-
-        named()
-        histograms = registry.snapshot()["histograms"]
-        assert len(histograms) == 1
-        (name,) = histograms
-        assert "named" in name

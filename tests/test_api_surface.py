@@ -163,7 +163,6 @@ class TestHeadlineSignatures:
             "flush_interval",
             "resume",
             "rss_limit_mb",
-            "audit",
             "tracer",
             "metrics",
             "progress",
