@@ -103,9 +103,11 @@ _DEADLINE_STRIDE = 512
 #: coordinator's working-set RSS between flushes.
 ORBIT_CACHE_LIMIT = 20_000
 
-#: Store-mode cap on the codec's interning caches (combined entries).
-#: They pin one component object + encoding per distinct component value
-#: ever seen, which grows linearly with states streamed through the run.
+#: Store-mode cap on the codec: on its intern table plus queued vectors,
+#: and separately on its vector->digest map (see ``Codec.trim``).  The
+#: table pins one component object + encoding per distinct component
+#: value ever seen, and the map holds one vector per resolved state:
+#: both grow linearly with the states streamed through the run.
 CODEC_CACHE_LIMIT = 100_000
 
 #: Young-generation GC threshold while any exploration runs.  The loops
@@ -835,7 +837,7 @@ class ExplorationEngine:
         return True
 
     def _materialize_graph(self, run: _Run) -> StateGraph:
-        """Decode the store back into a classic :class:`StateGraph`.
+        """Rebuild the store's graph as a classic :class:`StateGraph`.
 
         Successor indices are resolved by digest, never by ``==`` — two
         ==-equal states with distinct encodings are distinct graph
@@ -847,9 +849,17 @@ class ExplorationEngine:
         codec = run.codec
         order: list = []
         index_of: dict[bytes, int] = {}
+        # A state this process resolved rebuilds from its vector; only the
+        # rest (states a resumed run inherited, or whose vectors a trim
+        # dropped) are decoded.
+        resolved = codec.resolved()
         for packed in store.iter_packed():
-            index_of[digest_of_packed(packed)] = len(order)
-            order.append(codec.decode(packed))
+            digest = digest_of_packed(packed)
+            index_of[digest] = len(order)
+            state = resolved.get(digest)
+            if state is None:
+                state = codec.decode(packed)
+            order.append(state)
         tasks = run.view.tasks
         actions = store.actions()
         succ: list = []
@@ -907,13 +917,18 @@ class ExplorationEngine:
 
     # -- store-backed (digest-native) drivers ---------------------------------
     #
-    # These mirror _drive_sequential with one structural difference: no
-    # decoded state outlives its own expansion.  The frontier, visited
-    # set, and edges live in the StateStore keyed by digest; a state is
-    # decoded exactly when it is expanded (or, in parallel runs, inside a
-    # worker) and dropped immediately after, so RSS is bounded by the
-    # frontier window instead of the state count.  Discovery still
-    # happens in exact frontier order — same BFS, same graph.
+    # These mirror _drive_sequential with one structural difference: the
+    # frontier, visited set and edges live in the StateStore keyed by
+    # digest, so RSS is bounded by the codec's capped tables and the
+    # frontier window instead of the state count.  The sequential driver
+    # keeps no state object of its own: it resolves each successor by
+    # its component-id vector in the codec's vector->digest map, encodes
+    # and hashes a state once, when first seen, and rebuilds a state it
+    # discovered from that vector when expanding it; only a state loaded
+    # by a resume, or one queued before a trim cleared the table, is
+    # decoded from the store.  The parallel driver decodes inside the workers.
+    # Discovery still happens in exact frontier order — same BFS, same
+    # graph.
 
     def _drive_store_sequential(self, run: _Run) -> None:
         budget = self.budget
@@ -922,11 +937,12 @@ class ExplorationEngine:
         codec = run.codec
         view = run.view
         prune = run.prune
-        task_slot = run.task_slot
         deadline_enabled = run.deadline.enabled
         polling = deadline_enabled or cancel is not None
         timing = run.metrics.enabled
         ticking = self._ticking()
+        if not run.resumed:
+            codec.remember(codec.vector(run.root), run.root_digest, queued=True)
         while store.frontier_len():
             if polling and run.expanded % _DEADLINE_STRIDE == 0:
                 if cancel is not None and cancel():
@@ -936,7 +952,9 @@ class ExplorationEngine:
             if ticking and run.expanded % 256 == 0:
                 self._tick(run)
             digest = store.pop()
-            state = codec.decode(store.get(digest))
+            state = codec.take(digest)
+            if state is None:
+                state = codec.decode(store.get(digest))
             if prune is not None and prune(state):
                 self._commit_external_empty(run, digest)
             else:
@@ -948,11 +966,7 @@ class ExplorationEngine:
                     ) + (time.perf_counter() - before)
                 else:
                     out = view.successors(state)
-                rows = []
-                for task, action, successor in out:
-                    packed, succ_digest = codec.encode_digest(successor)
-                    rows.append((task_slot[task], action, succ_digest, packed))
-                self._commit_external(run, digest, rows)
+                self._commit_vectors(run, digest, out)
             self._maybe_checkpoint(run)
 
     def _drive_store_parallel(self, run: _Run) -> None:
@@ -1057,47 +1071,93 @@ class ExplorationEngine:
         if run.tracing:
             run.tracer.emit(STATE_EXPLORED, edges=0, pruned=True)
 
-    def _commit_external(self, run: _Run, digest: bytes, out) -> None:
-        """The store-backed merge step: discover successors, log the expansion.
+    def _check_transitions(self, run: _Run, digest: bytes, edges: int) -> None:
+        """Re-queue ``digest`` and signal if ``edges`` more breach the budget."""
+        limit = self.budget.max_transitions
+        if limit is not None and run.transitions + edges > limit:
+            run.store.push_front(digest)
+            raise _Exhausted("transitions", limit)
 
-        ``out`` rows are ``(task_slot, action, succ_digest, packed)``.
-        Budget breaches leave the identical checkpoint-consistent shape
-        the classic :meth:`_commit` documents: the offending state back
-        at the frontier's head (expansion record withheld) with any
+    def _discover_external(
+        self, run: _Run, parent: bytes, digest: bytes, packed: bytes
+    ) -> None:
+        """Add a state the store does not hold and queue it.
+
+        A states-budget breach leaves the identical checkpoint-consistent
+        shape the classic :meth:`_commit` documents: ``parent`` back at
+        the frontier's head (expansion record withheld) with any
         successors discovered before the breach already in the store and
         queued behind it.
         """
-        budget = self.budget
         store = run.store
-        if (
-            budget.max_transitions is not None
-            and run.transitions + len(out) > budget.max_transitions
-        ):
-            store.push_front(digest)
-            raise _Exhausted("transitions", budget.max_transitions)
-        rows = []
-        for task_slot, action, succ_digest, packed in out:
-            if succ_digest not in store:
-                if budget.max_states is not None and len(store) >= budget.max_states:
-                    store.push_front(digest)
-                    raise _Exhausted("states", budget.max_states)
-                store.add(succ_digest, packed)
-                store.push(succ_digest)
-            rows.append(
-                (
-                    task_slot,
-                    store.action_slot(action),
-                    succ_digest,
-                )
-            )
+        max_states = self.budget.max_states
+        if max_states is not None and len(store) >= max_states:
+            store.push_front(parent)
+            raise _Exhausted("states", max_states)
+        store.add(digest, packed)
+        store.push(digest)
+
+    def _log_expansion(self, run: _Run, digest: bytes, rows: list) -> None:
+        """Record one committed store-backed expansion and count it."""
+        store = run.store
         store.append_expansion(digest, rows)
-        run.transitions += len(out)
+        run.transitions += len(rows)
         run.expanded += 1
         run.since_checkpoint += 1
         if run.tracing:
             run.tracer.emit(
-                STATE_EXPLORED, edges=len(out), frontier=store.frontier_len()
+                STATE_EXPLORED, edges=len(rows), frontier=store.frontier_len()
             )
+
+    def _commit_external(self, run: _Run, digest: bytes, out) -> None:
+        """The pool's merge step: discover successors, log the expansion.
+
+        ``out`` rows are ``(task_slot, action, succ_digest, packed)``.
+        """
+        self._check_transitions(run, digest, len(out))
+        store = run.store
+        rows = []
+        for task_slot, action, succ_digest, packed in out:
+            if succ_digest not in store:
+                self._discover_external(run, digest, succ_digest, packed)
+            rows.append((task_slot, store.action_slot(action), succ_digest))
+        self._log_expansion(run, digest, rows)
+
+    def _commit_vectors(self, run: _Run, digest: bytes, out) -> None:
+        """The sequential store merge: resolve successors by vector.
+
+        ``out`` is the expansion of ``digest``.  A successor whose
+        component-id vector the codec's index holds costs one lookup;
+        only a miss reaches :meth:`_discover_vector`.
+        """
+        self._check_transitions(run, digest, len(out))
+        lookup = run.codec.lookup
+        task_slot = run.task_slot
+        action_slot = run.store.action_slot
+        rows = []
+        for task, action, successor in out:
+            vector, succ_digest = lookup(successor)
+            if succ_digest is None:
+                succ_digest = self._discover_vector(run, digest, successor, vector)
+            rows.append((task_slot[task], action_slot(action), succ_digest))
+        self._log_expansion(run, digest, rows)
+
+    def _discover_vector(
+        self, run: _Run, parent: bytes, successor, vector: tuple
+    ) -> bytes:
+        """Encode and hash a successor the index lacks; add it if novel.
+
+        Without a trim this runs once per discovered state; a state the
+        store already holds got here because a trim, or a resume, emptied
+        the index.  A novel state keeps its vector for its expansion.
+        """
+        codec = run.codec
+        packed, digest = codec.encode_digest(successor)
+        novel = digest not in run.store
+        if novel:
+            self._discover_external(run, parent, digest, packed)
+        codec.remember(vector, digest, queued=novel)
+        return digest
 
     def _recover_packed_external(
         self, run: _Run, parent_digest: bytes, digest: bytes, packed_of
@@ -1255,9 +1315,10 @@ class ExplorationEngine:
             # cap them by entry count on every expansion; a dropped
             # entry costs one recompute.
             run.view.trim_caches(ORBIT_CACHE_LIMIT)
-            # Same story for the codec's interning caches: they pin
-            # every distinct component object ever encoded or decoded,
-            # which for a streaming run is the whole history.
+            # Same story for the codec: its intern table pins every
+            # distinct component object ever encoded or decoded, and its
+            # vector map holds every state resolved, which for a
+            # streaming run is the whole history.
             run.codec.trim(CODEC_CACHE_LIMIT)
         if run.since_checkpoint < self.flush_interval:
             return

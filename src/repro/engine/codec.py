@@ -31,14 +31,24 @@ Four properties carry the design:
   ``set`` → ``frozenset``, ``bytearray`` → ``bytes``) — states are
   hashable, so real states only ever contain the canonical forms.
 * **interning** — composite states share components massively (one
-  transition changes one or two of them), so the codec caches component
-  encodings on the way out (the encode of an unchanged component is a
-  dict hit) and memoizes component objects on the way in (equal
-  components decode to the *same* object, so a decoded graph holds one
-  object per distinct component value).  The caches never change the
-  bytes: interning is an encode/decode-time optimization, and the
+  transition changes one or two of them; the 29,314 states of
+  delegation(6,1) hold 1,475 distinct component values), so each codec
+  keeps one intern table that gives every distinct component value a
+  small-int **component id**, assigned by its canonical bytes in
+  first-seen order.  A component is encoded once, equal components
+  decode to the *same* object, and a store-backed run keys each state
+  by its component-id vector instead of encoding it.  The vector key is
+  exact: ids are assigned by bytes, so two states have equal vectors
+  exactly when their components have pairwise equal encodings; a
+  packed state is the tuple header followed by those encodings, and the
+  tag-length-value encoding is prefix-free, so that holds exactly when
+  the packed states, and hence the digests, are equal.  Deduplicating
+  by vector is deduplicating by packed bytes, with the same vertices,
+  digests and discovery order.  The table never changes the bytes: the
   packed form stays flat and self-contained, byte-identical across
-  processes and interpreter restarts.
+  processes and interpreter restarts, and ids, which depend only on the
+  order components are met (never on ``PYTHONHASHSEED``), never leave
+  the process.
 
 Soundness of digest dedup is the hash-compaction argument (Stern &
 Dill, 1995): a collision would merge two distinct states and drop one
@@ -383,104 +393,210 @@ def decode_bytes(packed: bytes) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# The component-encode cache
+# The component intern table
 # ---------------------------------------------------------------------------
 #
-# The cache must NOT be keyed by plain equality: ``True == 1 == 1.0`` and
+# Every component a codec meets gets a **component id**: a small int
+# assigned by canonical bytes, in first-seen order — the component's
+# *representative* (the first object seen, or decoded, with those
+# bytes) takes the next free id, and every later component with equal
+# bytes gets the same id.  One dict maps three key spaces that cannot
+# collide (``int``, ``bytes``, ``tuple``) to ids:
+#
+# * **identity** — ``id(component)``, the hot path: successors share
+#   unchanged component *objects* with their parents.  Exact because
+#   every identity-keyed object stays pinned (as a representative, or in
+#   the alias pins) while its key lives, so its id cannot be recycled.
+# * **bytes** — the canonical encoding; this tier assigns the ids and is
+#   the decode memo, so equal components decode to the representative.
+# * **scalar equality** — ``(type, value)`` for ``int``, ``str`` and
+#   ``bytes``, where equality within the exact type implies encoding
+#   equality; it lets an equal-but-distinct scalar skip its encode.
+#
+# The table must NOT be keyed by plain equality: ``True == 1 == 1.0`` and
 # ``(0,) == (False,)`` while their canonical encodings differ, so an
 # ==-keyed dict would return whichever encoding was cached first and the
-# "canonical, stable" digest guarantee would become encounter-order
-# dependent.  Two tiers, both strict:
+# digest would become encounter-order dependent.  ``bool`` is excluded
+# from the scalar tier by the exact-type check (its singletons make the
+# identity tier exact); ``float`` because ``-0.0 == 0.0`` yet they encode
+# with different sign bits; containers and dataclasses because their
+# ``==`` ignores the bool/int distinction of nested members.
 #
-# * **identity** — keyed by ``id(component)`` with the component pinned
-#   inside the entry (the pin keeps the id from being recycled).  Always
-#   correct for any value, and the common case on the hot path:
-#   successors share unchanged component *objects* with their parents.
-# * **equality** — keyed by ``(type, value)``, restricted to the scalar
-#   types where equality within the exact type implies encoding
-#   equality: ``int``, ``str``, ``bytes``.  ``bool`` is excluded by the
-#   exact-type check (and its singletons make the identity tier exact);
-#   ``float`` is excluded because ``-0.0 == 0.0`` yet they encode with
-#   different sign bits; containers and dataclasses are excluded because
-#   their ``==`` ignores the bool/int distinction of nested members.
-#
-# Values that fit neither tier (unhashable components) encode uncached.
+# Unhashable components (mutable by convention) are never interned:
+# pinning one could serve stale bytes after a mutation, so it re-encodes
+# every time and has no component id.
 
 _EQ_CACHEABLE = (int, str, bytes)
 
 
-def _cached_bytes(cache: dict, component: Any) -> tuple[bytes, bool]:
-    """``(canonical_bytes(component), cache_hit)`` through ``cache``.
-
-    ``cache`` holds both tiers: ``id(component) -> (component, bytes)``
-    pins and ``(type, value) -> bytes`` scalar entries (the key spaces
-    cannot collide — one is ``int``, the other ``tuple``).
-    """
-    entry = cache.get(id(component))
-    if entry is not None and entry[0] is component:
-        return entry[1], True
-    kind = type(component)
-    if kind in _EQ_CACHEABLE:
-        key = (kind, component)
-        encoded = cache.get(key)
-        if encoded is not None:
-            cache[id(component)] = (component, encoded)
-            return encoded, True
-        encoded = canonical_bytes(component)
-        cache[key] = encoded
-        cache[id(component)] = (component, encoded)
-        return encoded, False
-    encoded = canonical_bytes(component)
-    try:
-        hash(component)
-    except TypeError:
-        # Unhashable means mutable by convention: pinning it could serve
-        # stale bytes after a mutation, so it re-encodes every time.
-        return encoded, False
-    cache[id(component)] = (component, encoded)
-    return encoded, False
-
-
-# ---------------------------------------------------------------------------
-# The interning codec
-# ---------------------------------------------------------------------------
-
-
 class Codec:
-    """A per-run packed-state encoder/decoder with component interning.
+    """A per-run packed-state encoder/decoder over a component intern table.
 
     One instance serves one exploration participant (the coordinator, or
-    one worker process); the caches are plain dicts, not shared state.
-    ``hits``/``misses`` count component-encode cache outcomes — the
-    number the scaling benchmark asserts on, since a healthy hot path
-    re-encodes almost nothing (expanding a transition changes one or two
-    components of a composite state).
+    one worker process); its tables are plain containers, not shared
+    state.  ``hits``/``misses`` count intern-table outcomes — a miss is
+    one component encode — the number the scaling benchmark asserts on,
+    since a healthy hot path re-encodes almost nothing (expanding a
+    transition changes one or two components of a composite state).
+
+    A store-backed run also keeps its state index here, behind
+    :meth:`lookup`, :meth:`remember`, :meth:`take` and :meth:`resolved`,
+    because the index is only as valid as the table's ids.  It holds
+    two maps:
+
+    * the *component-id vector* (:meth:`vector`) of each state the run
+      has resolved, to the state's digest;
+    * the digest of each state the run discovered and has not expanded
+      yet, to its vector, from which :meth:`take` rebuilds the state
+      without decoding.
+
+    The ids make a vector an exact state key (see the module docstring).
     """
 
-    __slots__ = ("hits", "misses", "_encode_cache", "_decode_memo")
+    __slots__ = (
+        "hits",
+        "misses",
+        "_ids",
+        "_reps",
+        "_parts",
+        "_pins",
+        "_vectors",
+        "_queued",
+    )
 
     def __init__(self) -> None:
         self.hits = 0
         self.misses = 0
-        self._encode_cache: dict[Any, bytes] = {}
-        self._decode_memo: dict[bytes, Any] = {}
+        self._ids: dict[Any, int] = {}
+        self._reps: list = []
+        self._parts: list[bytes] = []
+        self._pins: list = []
+        self._vectors: dict[tuple, bytes] = {}
+        self._queued: dict[bytes, tuple] = {}
 
-    # -- encoding -----------------------------------------------------------
+    # -- the intern table ---------------------------------------------------
+
+    def _adopt(self, component: Any, encoded: bytes) -> int:
+        """Make ``component`` the representative of ``encoded``; its id."""
+        cid = len(self._reps)
+        self._reps.append(component)
+        self._parts.append(encoded)
+        self._ids[encoded] = cid
+        self._ids[id(component)] = cid
+        return cid
+
+    def _intern(self, component: Any) -> int | None:
+        """The id of a component the identity tier does not know.
+
+        ``None`` for an unhashable component, which is never interned.
+        """
+        try:
+            hash(component)
+        except TypeError:
+            return None
+        ids = self._ids
+        kind = type(component)
+        if kind in _EQ_CACHEABLE:
+            cid = ids.get((kind, component))
+            if cid is not None:
+                self.hits += 1
+                ids[id(component)] = cid
+                self._pins.append(component)
+                return cid
+        encoded = canonical_bytes(component)
+        self.misses += 1
+        cid = ids.get(encoded)
+        if cid is None:
+            cid = self._adopt(component, encoded)
+        else:
+            ids[id(component)] = cid
+            self._pins.append(component)
+        if kind in _EQ_CACHEABLE:
+            ids[(kind, component)] = cid
+        return cid
 
     def component_bytes(self, component: Any) -> bytes:
-        """Cached :func:`canonical_bytes` of one state component.
+        """The canonical bytes of one state component, through the table.
 
-        The cache is strictly keyed (see :func:`_cached_bytes`): values
-        that merely compare equal across types — ``True``/``1``/``1.0``,
-        ``(0,)``/``(False,)`` — never share an entry, so the returned
-        bytes are always the component's own canonical encoding.
+        The table is strictly keyed (see the notes above :class:`Codec`):
+        values that merely compare equal across types — ``True``/``1``/
+        ``1.0``, ``(0,)``/``(False,)`` — never share an entry, so the
+        returned bytes are always the component's own canonical encoding.
         """
-        encoded, hit = _cached_bytes(self._encode_cache, component)
-        if hit:
-            self.hits += 1
+        cid = self._ids.get(id(component))
+        if cid is None:
+            cid = self._intern(component)
+            if cid is None:
+                self.misses += 1
+                return canonical_bytes(component)
         else:
-            self.misses += 1
-        return encoded
+            self.hits += 1
+        return self._parts[cid]
+
+    def vector(self, state: tuple) -> tuple:
+        """The component-id vector of a tuple ``state``, interning it.
+
+        A state whose components the table holds resolves at C level,
+        with no per-component Python step.  Raises :class:`CodecError`
+        for a non-tuple state or an unhashable component, neither of
+        which has a vector.
+        """
+        if type(state) is not tuple:
+            raise CodecError(
+                f"vectors cover tuple states, got {type(state).__name__}"
+            )
+        try:
+            return tuple(map(self._ids.__getitem__, map(id, state)))
+        except KeyError:
+            pass
+        ids = self._ids
+        vector = []
+        for component in state:
+            cid = ids.get(id(component))
+            if cid is None:
+                cid = self._intern(component)
+                if cid is None:
+                    raise CodecError(
+                        f"state component {component!r} is unhashable and "
+                        "has no component id"
+                    )
+            vector.append(cid)
+        return tuple(vector)
+
+    def state_of(self, vector: tuple) -> tuple:
+        """The state a component-id vector names, built from representatives."""
+        return tuple(map(self._reps.__getitem__, vector))
+
+    # -- the state index ----------------------------------------------------
+
+    def lookup(self, state: tuple) -> tuple[tuple, bytes | None]:
+        """``(vector, digest)`` of ``state``; ``digest`` is ``None`` when
+        the index does not hold the vector."""
+        vector = self.vector(state)
+        return vector, self._vectors.get(vector)
+
+    def remember(self, vector: tuple, digest: bytes, queued: bool) -> None:
+        """Index ``vector`` as ``digest``; ``queued`` keeps it for :meth:`take`."""
+        self._vectors[vector] = digest
+        if queued:
+            self._queued[digest] = vector
+
+    def take(self, digest: bytes) -> tuple | None:
+        """The queued state ``digest`` names, rebuilt from its vector.
+
+        Removes it from the queued map; ``None`` if it is not there (a
+        state a resume loaded, or one a trim dropped), and the caller
+        decodes it instead.
+        """
+        vector = self._queued.pop(digest, None)
+        return None if vector is None else self.state_of(vector)
+
+    def resolved(self) -> dict[bytes, tuple]:
+        """``digest -> state`` for every state the index holds."""
+        state_of = self.state_of
+        return {digest: state_of(vector) for vector, digest in self._vectors.items()}
+
+    # -- encoding -----------------------------------------------------------
 
     def encode(self, state: Any) -> bytes:
         """The packed (canonical) bytes of ``state``, component-cached."""
@@ -520,24 +636,32 @@ class Codec:
     def decode(self, packed: bytes) -> Any:
         """Decode packed bytes, interning components.
 
-        Equal components decode to the *same* object across every decode
-        this codec performs, so a decoded state graph holds one object
-        per distinct component value — matching the interning the
-        sequential engine gets from its state-keyed visited set.
+        Equal components decode to the *same* object — the
+        representative the table holds for their bytes — across every
+        encode and decode this codec performs, so a decoded state graph
+        holds one object per distinct component value, matching the
+        interning the sequential engine gets from its state-keyed
+        visited set.
         """
         if not packed or packed[0] != _T_TUPLE:
             return decode_bytes(packed)
         count, offset = _read_length(packed, 1)
-        memo = self._decode_memo
+        ids = self._ids
+        reps = self._reps
         components = []
         for _ in range(count):
             value, end = _decode(packed, offset)
-            key = packed[offset:end]
-            canonical = memo.get(key)
-            if canonical is None:
-                memo[key] = value
+            encoded = packed[offset:end]
+            cid = ids.get(encoded)
+            if cid is not None:
+                value = reps[cid]
             else:
-                value = canonical
+                try:
+                    hash(value)
+                except TypeError:
+                    pass
+                else:
+                    self._adopt(value, encoded)
             components.append(value)
             offset = end
         if offset != len(packed):
@@ -546,29 +670,47 @@ class Codec:
             )
         return tuple(components)
 
-    # -- cache bounding -----------------------------------------------------
+    # -- bounding -----------------------------------------------------------
 
     def trim(self, limit: int | None = None) -> int:
-        """Clear the interning caches; returns the entries freed.
+        """Clear what exceeds ``limit``; returns the entries freed.
 
-        With ``limit``, clears only once the combined entry count
-        exceeds it — an O(1) check, so callers can cap the codec on a
-        hot path.  The caches pin every distinct component object (and
-        its bytes) ever seen, which is the point for in-RAM runs — the
-        live graph shares those objects — but is unbounded growth for
-        disk-backed runs that stream millions of states through one
-        codec.  Clearing never changes encodings or decodings, only
-        cache hit rates and object sharing between decodes.
+        Without ``limit``, clears everything.  With it, the checks are
+        O(1), so callers can cap the codec on a hot path:
+
+        * once the table and the queued vectors together exceed
+          ``limit``, clears the table with the whole index, because
+          every vector names the table's ids;
+        * otherwise, once the resolved vectors alone exceed ``limit``,
+          clears only those: the table stays valid without them, and
+          queued states still rebuild from their vectors.
+
+        The table pins every distinct component object ever seen, which
+        is the point for in-RAM runs — the live graph shares those
+        objects — but is unbounded growth for disk-backed runs that
+        stream millions of states through one codec.  Clearing never
+        changes encodings or decodings, only hit rates and object
+        sharing: a state whose vector is gone is encoded again when next
+        met, and, if it was queued, decoded from the store when expanded.
         """
-        size = len(self._encode_cache) + len(self._decode_memo)
-        if limit is not None and size <= limit:
-            return 0
-        self._encode_cache.clear()
-        self._decode_memo.clear()
-        return size
+        table = len(self._ids) + len(self._queued)
+        if limit is None or table > limit:
+            freed = table + len(self._vectors)
+            self._ids.clear()
+            self._reps.clear()
+            self._parts.clear()
+            self._pins.clear()
+            self._vectors.clear()
+            self._queued.clear()
+            return freed
+        if len(self._vectors) > limit:
+            freed = len(self._vectors)
+            self._vectors.clear()
+            return freed
+        return 0
 
     # -- stats --------------------------------------------------------------
 
     def stats(self) -> tuple[int, int]:
-        """``(hits, misses)`` of the component-encode cache."""
+        """``(hits, misses)`` of the intern table."""
         return self.hits, self.misses
