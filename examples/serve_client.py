@@ -40,7 +40,6 @@ def main(argv=None):
     parser.add_argument("-f", "--resilience", type=int, default=1)
     parser.add_argument("--max-states", type=int, default=None)
     parser.add_argument("--deadline", type=float, default=None)
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--reduction", default="none")
     parser.add_argument("--tenant", default=None)
     parser.add_argument("--url", default="http://127.0.0.1:8765")
@@ -56,7 +55,6 @@ def main(argv=None):
         "candidate": args.candidate,
         "n": args.n,
         "f": args.resilience,
-        "workers": args.workers,
         "reduction": args.reduction,
     }
     budget = {}

@@ -22,9 +22,9 @@ Layering (bottom to top):
   construction, similarity, the constructive refutation engine, and the
   end-to-end boosting adversary (Sections 3, 5.3, 6.3); re-exported as
   :mod:`repro.core`;
-* :mod:`repro.engine`    — the parallel exploration engine behind the
-  analysis layer: state fingerprinting, frontier-partitioned worker
-  pools, checkpoints with resume, and unified budgets;
+* :mod:`repro.engine`    — the exploration engine behind the analysis
+  layer: state fingerprinting, a disk-backed state store, checkpoints
+  with resume, and unified budgets;
 * :mod:`repro.obs`       — tracing, metrics, profiling, and trace replay
   for every layer above (disabled by default, zero-overhead when off);
 * :mod:`repro.protocols` — the Section 4 and Section 6.3 possibility

@@ -43,18 +43,15 @@ refuted, 1 when it was not, 2 when the exploration budget
 (``--max-states`` / ``--deadline``) was exhausted before the pipeline
 finished — in which case the checkpoint path and the exact resume
 command are printed, so the run is continuable, not just dead.  An
-engine failure (a lost pool worker, a checkpoint the run cannot use) is
-an error on stderr, with the checkpoint and resume command when the
-engine wrote one, and exit 1.
+engine failure (a checkpoint the run cannot use, a store error) is an
+error on stderr and exit 1.
 
 The pipeline commands drive :class:`repro.engine.ExplorationEngine`
-directly: ``--workers N`` parallelizes the explorations (on a
-``--store``: without one, ``--workers`` above 1 is a usage error),
-``--deadline SECONDS`` bounds each stage's wall clock, and
-``--checkpoint DIR`` / ``--resume DIR`` snapshot interrupted
-explorations and continue them on the next invocation instead of
-starting over (under the same ``--store``, which must then name a
-path: a scratch ``--store sqlite`` is a usage error).  ``--store URI`` keeps
+directly, in one process: ``--deadline SECONDS`` bounds each stage's
+wall clock, and ``--checkpoint DIR`` / ``--resume DIR`` snapshot
+interrupted explorations and continue them on the next invocation
+instead of starting over (under the same ``--store``, which must then
+name a path: a scratch ``--store sqlite`` is a usage error).  ``--store URI`` keeps
 packed states in a disk-backed :class:`~repro.engine.StateStore`
 (``sqlite:/path``; default from ``$REPRO_ENGINE_STORE``, else no store)
 with streaming delta checkpoints, and
@@ -142,7 +139,6 @@ def _open_run_handle(
     *,
     budget: dict | None = None,
     store: str | None = None,
-    workers: int = 1,
     artifacts: dict | None = None,
 ):
     """Mint a run-ledger record for this invocation, or ``None``.
@@ -163,7 +159,6 @@ def _open_run_handle(
             instance,
             budget=budget,
             store=store,
-            workers=workers,
             artifacts=artifacts,
         )
     except OSError as error:
@@ -214,7 +209,7 @@ def _run_pipeline(args: argparse.Namespace, tracer, metrics, run_artifacts=None)
     (``repro runs show <id>``), threads it through the tracer into every
     trace event, and appends a terminal record — ``completed``,
     ``exhausted`` or ``failed`` (an :class:`~repro.engine.EngineError`
-    such as a lost worker, or a checkpoint that cannot be resumed: its
+    such as a store error, or a checkpoint that cannot be resumed: its
     message goes to stderr and the process exits 1) — when the pipeline
     ends; a crash leaves the record non-terminal, which readers derive
     as ``interrupted``.
@@ -260,7 +255,6 @@ def _run_pipeline(args: argparse.Namespace, tracer, metrics, run_artifacts=None)
         f"{args.candidate}(n={args.n},f={args.resilience})",
         budget=budget.to_json(),
         store=store,
-        workers=args.workers,
         artifacts=artifacts,
     )
     if run is not None:
@@ -270,7 +264,6 @@ def _run_pipeline(args: argparse.Namespace, tracer, metrics, run_artifacts=None)
             tracer.run_id = run.run_id
         say(f"Run id: {run.run_id}")
     engine = ExplorationEngine(
-        workers=args.workers,
         budget=budget,
         store=store,
         checkpoint_dir=checkpoint_dir,
@@ -354,17 +347,9 @@ def _run_pipeline(args: argparse.Namespace, tracer, metrics, run_artifacts=None)
         except ExplorationBudget as error:
             stopped = error
         except (CheckpointError, EngineError) as error:
-            lines = [str(error)]
-            checkpoint = getattr(error, "checkpoint", None)
-            resume_command = getattr(error, "resume_command", None)
-            if checkpoint is not None:
-                lines.append(f"Checkpoint: {checkpoint}")
-                lines.append(f"Resume:     {resume_command}")
             if run is not None:
-                if resume_command is not None:
-                    run.add_artifact("resume", resume_command)
                 _finish_run(run, "failed", _ledger_counters(metrics), error=str(error))
-            raise SystemExit("\n".join(lines)) from None
+            raise SystemExit(str(error)) from None
     if stopped is not None:
         # After the block: the timer sets its elapsed time on exit.
         return exhausted(stopped, timer.elapsed)
@@ -674,7 +659,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         fleet=args.fleet,
-        max_engine_workers=args.engine_workers,
         data_dir=args.data_dir,
         cache_capacity=args.cache_size,
         max_queue_depth=args.max_queue_depth,
@@ -973,7 +957,7 @@ def cmd_runs_show(args: argparse.Namespace) -> int:
     print(
         "Started:  "
         + time.strftime("%Y-%m-%d %H:%M:%S", time.localtime(record.started_at))
-        + f"  (pid {record.pid}, {record.workers} worker(s))"
+        + f"  (pid {record.pid})"
     )
     if record.finished_at is not None:
         print(f"Wall:     {_format_wall(record)}")
@@ -1143,13 +1127,6 @@ def main(argv: list[str] | None = None) -> int:
             help="also run a seeded random-fair decision probe first",
         )
         subparser.add_argument(
-            "--workers",
-            type=int,
-            default=int(os.environ.get("REPRO_ENGINE_WORKERS", "1")),
-            help="parallel exploration workers (1 = in-process; more "
-            "than 1 needs --store; default from $REPRO_ENGINE_WORKERS)",
-        )
-        subparser.add_argument(
             "--store",
             type=_store_uri,
             default=os.environ.get("REPRO_ENGINE_STORE") or None,
@@ -1159,7 +1136,7 @@ def main(argv: list[str] | None = None) -> int:
             "fastest); 'sqlite:/path' holds packed states on disk for "
             "10^6+-state runs under a bounded RSS ('sqlite' alone: a "
             "scratch directory, deleted when the run ends, so it cannot "
-            "be checkpointed); --workers N>1 runs on it",
+            "be checkpointed)",
         )
         subparser.add_argument(
             "--rss-limit-mb",
@@ -1332,14 +1309,6 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=2,
         help="concurrent analysis jobs (0 = accept-only; jobs queue but never run)",
-    )
-    serve.add_argument(
-        "--engine-workers",
-        type=int,
-        default=2,
-        metavar="N",
-        help="cap on exploration workers per job (a job's own `workers` "
-        "request is clamped to this; a job without a `store` runs at 1)",
     )
     serve.add_argument(
         "--data-dir",
@@ -1581,11 +1550,6 @@ def main(argv: list[str] | None = None) -> int:
     lister.set_defaults(handler=cmd_list)
 
     args = parser.parse_args(argv)
-    if getattr(args, "workers", 1) > 1 and getattr(args, "store", None) is None:
-        parser.error(
-            f"--workers {args.workers} needs --store sqlite:DIR (the worker "
-            "pool runs on a state store); without a store use --workers 1"
-        )
     store = getattr(args, "store", None)
     checkpoint = getattr(args, "resume", None) or getattr(args, "checkpoint", None)
     if checkpoint is not None and store is not None:

@@ -150,7 +150,7 @@ def refute_candidate(
     ``engine`` may be a preconfigured
     :class:`repro.engine.ExplorationEngine`; every exploration of the
     pipeline (the Lemma 4 chain and the hook-search graph) then runs
-    through it, gaining its workers, checkpointing, and resume behavior.
+    through it, gaining its store, checkpointing, and resume behavior.
     When the engine's budget carries a deadline it also bounds the
     post-exploration stages (hook search, silencing runs): each stage
     gets a fresh wall-clock allowance of ``deadline_seconds``, matching
@@ -161,9 +161,8 @@ def refute_candidate(
     question, so symmetry and POR are both sound there); the hook-search
     exploration strips POR — the Fig. 3 walk needs every single-step
     edge, which ample sets drop — keeping only the symmetry quotient.
-    Reduction composes with a parallel and/or store-backed engine: the
-    reduced view is what the engine (and its workers) expand, whatever
-    holds the visited set.
+    Reduction composes with a store-backed engine: the reduced view is
+    what the engine expands, whatever holds the visited set.
 
     ``store`` selects a :mod:`repro.engine.store` backend (URI string,
     :class:`repro.engine.StoreConfig`, or
@@ -184,7 +183,7 @@ def refute_candidate(
             )
         from ..engine import ExplorationEngine
 
-        engine = ExplorationEngine(workers=1, budget=budget, store=store)
+        engine = ExplorationEngine(budget=budget, store=store)
     f = default_resilience(system) if resilience is None else resilience
     if reduction is not None and reduction.enabled:
         import dataclasses as _dataclasses

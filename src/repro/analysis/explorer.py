@@ -24,9 +24,9 @@ signal to switch to the bounded adversary of
 :mod:`repro.analysis.adversary`.
 
 :func:`explore` is now a thin compatibility wrapper over
-:class:`repro.engine.ExplorationEngine` (one worker) — the engine
-adds worker-pool parallelism, fingerprint visited sets, checkpoints,
-and deadlines behind the same semantics, and its
+:class:`repro.engine.ExplorationEngine` — the engine adds a
+disk-backed store, fingerprint visited sets, checkpoints, and
+deadlines behind the same semantics, and its
 budget error :class:`~repro.engine.budget.BudgetExhausted` subclasses
 :class:`ExplorationBudget`, so existing handlers keep working while the
 message now reports the progress made before exhaustion.
@@ -149,14 +149,14 @@ def explore(
     failures still report how much work was done.
 
     This is a compatibility wrapper: the actual search lives in
-    :class:`repro.engine.ExplorationEngine`, driven here with one worker.
-    Callers needing parallelism, checkpoints, or resume should construct
+    :class:`repro.engine.ExplorationEngine`.  Callers needing
+    checkpoints or resume should construct
     an engine directly.
     """
     # Imported lazily: repro.engine imports this module at load time.
     from ..engine import ExplorationEngine
 
-    engine = ExplorationEngine(workers=1, budget=budget, store=store)
+    engine = ExplorationEngine(budget=budget, store=store)
     return engine.explore(view, root, prune=prune, tracer=tracer, metrics=metrics)
 
 

@@ -178,7 +178,7 @@ def analyze_valence(
     exploration (``None`` means ``Budget(max_states=200_000)``).
 
     ``engine`` may be a preconfigured
-    :class:`repro.engine.ExplorationEngine` (workers, deadline,
+    :class:`repro.engine.ExplorationEngine` (store, deadline,
     checkpointing); its own budget then governs the exploration, and the
     ``budget`` argument here is ignored.
 

@@ -120,8 +120,7 @@ class DeterministicSystemView:
         """Clear the composition's transition memo once it exceeds ``limit``.
 
         Returns the entries freed.  The store-backed engine calls this on
-        every expansion and each pool worker before every batch, so a
-        disk-backed run keeps no unbounded cache of decoded components.
+        every expansion, so a disk-backed run keeps no unbounded cache of decoded components.
         """
         return self.system.trim_memo(limit)
 

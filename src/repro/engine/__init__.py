@@ -1,4 +1,4 @@
-"""repro.engine — parallel state-space exploration with budgets and resume.
+"""repro.engine — state-space exploration with budgets and resume.
 
 The engine is the scalable successor of
 :func:`repro.analysis.explorer.explore` (which now delegates here):
@@ -8,10 +8,7 @@ The engine is the scalable successor of
   one TLV encoding that is both the digest preimage and the
   wire/checkpoint format, and the hash-seed-independent digest
   (:func:`fingerprint`, ``blake2b`` over the packed bytes) that
-  store-backed runs dedup and workers shard by;
-* :mod:`repro.engine.visited`     — the lock-free shared-memory visited
-  table (:class:`SharedVisitedTable`) forked workers consult before
-  shipping successors back to the coordinator;
+  store-backed runs dedup by;
 * :mod:`repro.engine.budget`      — the unified :class:`Budget`
   (``max_states`` / ``max_transitions`` / ``deadline_seconds``) and the
   structured :class:`BudgetExhausted` carrying partial-progress stats;
@@ -24,17 +21,11 @@ The engine is the scalable successor of
   digest-keyed state storage, an in-memory digest visited set, and a
   spillable FIFO frontier, so 10^6+-state runs hold packed bytes on disk
   instead of decoded states in RAM;
-* :mod:`repro.engine.parallel`    — the fork-based worker pool doing
-  frontier-partitioned parallel BFS (states sharded by digest) for the
-  engine's store-backed round loop (``workers > 1`` needs a store),
-  with an in-process fallback when
-  fork is unavailable; a lost worker stops the run;
 * :mod:`repro.engine.api`         — the :class:`ExplorationEngine`
   facade the analysis layer and the CLI drive, with a documented
-  guarantee that the produced graph is identical to the sequential one;
+  guarantee that a store-backed run produces the classic run's graph;
 * :mod:`repro.engine.errors`      — the structured :class:`EngineError`
-  base and :class:`WorkerLost`, which a fail-stop pool raises when a
-  worker dies (the run resumes from its checkpoint);
+  base;
 * :mod:`repro.engine.reduction`   — symmetry (orbit-quotient) and
   ample-set partial-order reduction, shrinking the explored graph while
   preserving the queries the analysis layer asks (see
@@ -76,8 +67,7 @@ from .checkpoint import (
     save_segment,
     segment_dir,
 )
-from .errors import EngineError, WorkerLost
-from .parallel import WorkerPool, fork_available, shard_of
+from .errors import EngineError
 from .store import (
     SQLiteStore,
     StateStore,
@@ -86,11 +76,6 @@ from .store import (
     StoreStats,
     open_store,
     resolve_store,
-)
-from .visited import (
-    LocalVisitedFilter,
-    SharedVisitedTable,
-    shared_memory_available,
 )
 from .reduction import (
     Canonicalizer,
@@ -117,20 +102,16 @@ __all__ = [
     "EngineError",
     "EngineReport",
     "ExplorationEngine",
-    "LocalVisitedFilter",
     "ReducedView",
     "ReductionAuditError",
     "ReductionComparison",
     "ReductionConfig",
     "SQLiteStore",
     "Segment",
-    "SharedVisitedTable",
     "StateStore",
     "StoreConfig",
     "StoreError",
     "StoreStats",
-    "WorkerLost",
-    "WorkerPool",
     "audit_reduction",
     "build_reduced_view",
     "canonical_bytes",
@@ -143,7 +124,6 @@ __all__ = [
     "discard_checkpoint",
     "find_checkpoint",
     "fingerprint",
-    "fork_available",
     "list_checkpoints",
     "load_checkpoint",
     "load_segment",
@@ -155,6 +135,4 @@ __all__ = [
     "save_checkpoint",
     "save_segment",
     "segment_dir",
-    "shard_of",
-    "shared_memory_available",
 ]

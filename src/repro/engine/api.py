@@ -2,46 +2,35 @@
 
 The engine supersedes :func:`repro.analysis.explorer.explore` as the
 default way to exhaust failure-free state spaces: same graph, same
-semantics, plus worker-pool parallelism, digest-based visited sets,
-disk checkpoints with resume, and a unified :class:`~repro.engine.budget.Budget`
+semantics, plus digest-based visited sets on a disk-backed store, disk
+checkpoints with resume, and a unified :class:`~repro.engine.budget.Budget`
 (states / transitions / wall-clock deadline) in place of the bare
 ``max_states`` int.  ``explore()`` itself remains as a thin wrapper over
-a one-worker engine, so nothing downstream had to change.
+the engine, so nothing downstream had to change.  Every exploration
+runs in the calling process.
 
 Identical-graph guarantee
 -------------------------
 
-For a run that completes (no budget raise), the engine returns a
-:class:`~repro.analysis.explorer.StateGraph` **identical to the
-sequential one, including discovery order**, at every worker count.
-Why: breadth-first search over a deterministic view is a pure function
-of the root once three choices are fixed — the expansion order of the
-frontier, the successor order within an expansion, and the dedup
-relation.  The engine fixes all three identically in its three loops
-(classic sequential, store sequential, store parallel):
+For a run that completes (no budget raise), a store-backed run returns
+a :class:`~repro.analysis.explorer.StateGraph` **identical to the
+classic in-RAM one, including discovery order**.  Why: breadth-first
+search over a deterministic view is a pure function of the root once
+three choices are fixed — the expansion order of the frontier, the
+successor order within an expansion, and the dedup relation.  The
+engine fixes all three identically in its two loops (classic, store):
 
-* the frontier is FIFO, and the parallel loop *merges* worker results
-  in exact frontier order (workers only precompute expansions; the
-  single-threaded merge loop is the one that discovers states), so the
-  concatenation of rounds replays the sequential queue;
+* the frontier is FIFO;
 * successor order is ``view.successors`` order, computed per state
   either way;
-* dedup is "first discovery wins", applied in merge order.
+* dedup is "first discovery wins".
 
-Parallelism therefore changes *where* ``successors()`` runs, never
-*what* the search sees.  The worker pool runs only on a ``sqlite``
-store (``workers > 1`` without ``store=`` is a ``ValueError``), so the
-one forking loop is also the one digest-native loop, and the classic
-loop stays the in-RAM path.  The classic loop dedups by ``==``; every
-store-backed run dedups by the digest :mod:`~repro.engine.codec`
-defines, where a collision would merge two distinct states.  The
-16-byte digests make that probability ~``n^2/2^129``, and the tests
-check the paper's instances for distinct digests.  Interrupted runs may
-differ from a sequential interrupt in *which* prefix they explored, but resuming any
-checkpoint converges to the same completed graph.  That includes a run
-that lost a worker: the pool is fail-stop, so the loss raises
-:class:`~repro.engine.errors.WorkerLost` (with the checkpoint written on
-the way out) and never yields a partial graph.
+The classic loop dedups by ``==``; every store-backed run dedups by the
+digest :mod:`~repro.engine.codec` defines, where a collision would merge
+two distinct states.  The 16-byte digests make that probability
+~``n^2/2^129``, and the tests check the paper's instances for distinct
+digests.  Interrupted runs stop at some prefix of that search, and
+resuming any checkpoint converges to the same completed graph.
 """
 
 from __future__ import annotations
@@ -62,7 +51,7 @@ except ImportError:  # pragma: no cover - non-POSIX
 
 from ..analysis.explorer import StateGraph
 from ..analysis.view import DeterministicSystemView
-from ..obs.events import CHECKPOINT_SAVED, STATE_EXPLORED, WORKER_ROUND
+from ..obs.events import CHECKPOINT_SAVED, STATE_EXPLORED
 from ..obs.metrics import NULL_METRICS, MetricsRegistry
 from ..obs.progress import ProgressReporter, progress_from_env
 from ..obs.sinks import NULL_TRACER, Tracer
@@ -84,8 +73,7 @@ from .checkpoint import (
     segment_dir,
 )
 from .codec import Codec, digest_of_packed
-from .errors import EngineError, WorkerLost
-from .parallel import PRUNED, WorkerPool
+from .errors import EngineError
 from .store import (
     DEFAULT_FLUSH_INTERVAL,
     StateStore,
@@ -173,17 +161,12 @@ class _Run:
         "succ",
         "transitions",
         "expanded",
-        "rounds",
         "since_checkpoint",
         "resumed",
-        "recovered",
         "started",
         "elapsed_prior",
         "deadline",
         "phase",
-        "orbit_hits",
-        "pruned_tasks",
-        "pool",
         "store",
         "task_slot",
         "segment_seq",
@@ -205,37 +188,6 @@ class _Run:
         return self.store.frontier_len()
 
 
-class _StorePackedMap:
-    """``packed_of`` for parallel rounds.
-
-    The :class:`~repro.engine.parallel.WorkerPool` wire protocol reads
-    and writes one digest-keyed mapping of canonical bytes; this adapter
-    answers from the store for every discovered digest and stages the
-    novel bytes worker replies deliver in ``pending`` until the merge
-    loop commits them (or the round ends — uncommitted novel bytes are
-    recomputed on resume).
-    """
-
-    __slots__ = ("store", "pending")
-
-    def __init__(self, store: StateStore) -> None:
-        self.store = store
-        self.pending: dict[bytes, bytes] = {}
-
-    def get(self, digest: bytes) -> bytes | None:
-        packed = self.pending.get(digest)
-        if packed is None:
-            packed = self.store.get(digest)
-        return packed
-
-    def setdefault(self, digest: bytes, packed: bytes) -> bytes:
-        existing = self.get(digest)
-        if existing is not None:
-            return existing
-        self.pending[digest] = packed
-        return packed
-
-
 @dataclass(frozen=True)
 class EngineReport:
     """Progress snapshot of one exploration.
@@ -250,27 +202,12 @@ class EngineReport:
     :class:`~repro.engine.budget.BudgetExhausted`; ``None`` after one
     that failed before exploring, e.g. an unusable resume).  It covers that one
     exploration: a refutation runs several, and its run-ledger record
-    sums them from the metrics registry instead.  ``degraded`` is
-    true when the run finished on in-process expanders despite multiple
-    workers being requested, because fork was unavailable.
+    sums them from the metrics registry instead.
     """
 
     states: int
     transitions: int
-    rounds: int
     elapsed_seconds: float
-    workers: int
-    degraded: bool
-    #: Peak RSS per worker slot in KiB, as self-reported over the reply
-    #: pipe (forked pools only; empty for in-process runs).  The honest
-    #: memory number for a parallel run is the coordinator's own
-    #: ``ru_maxrss`` *plus* the sum of these — ``RUSAGE_CHILDREN`` only
-    #: folds in children that already exited.
-    worker_rss_kb: tuple = ()
-    #: Successors whose packed bytes were recomputed coordinator-side
-    #: because a torn visited-table slot suppressed their shipment (see
-    #: the engine's missing-bytes recovery).
-    recovered_states: int = 0
     #: Which :mod:`~repro.engine.store` backend held the run's states:
     #: ``"sqlite"``, or ``"memory"`` for a classic in-RAM run.
     store_backend: str = "memory"
@@ -280,21 +217,18 @@ class EngineReport:
     store_flushes: int = 0
     #: Wall-clock seconds spent inside store flushes.
     store_flush_seconds: float = 0.0
-    #: The coordinator's own peak RSS in KiB (``ru_maxrss``; add
-    #: ``worker_rss_kb`` for the whole-run number, as documented there).
+    #: The process's peak RSS in KiB (``ru_maxrss``).
     peak_rss_kb: int = 0
     #: The RSS ceiling the run was asked to respect (reporting only; the
     #: CLI enforces it with ``resource.setrlimit`` before the run).
     rss_limit_mb: int | None = None
-    #: Wall-clock seconds per internal phase (``expand_seconds``,
-    #: ``merge_seconds``, worker-side serialization, ...) — the same
+    #: Wall-clock seconds per internal phase (``expand_seconds``) — the same
     #: breakdown the ``engine.phase.*`` counters publish, carried on the
     #: report so run-ledger records and ``repro runs diff`` can compare
     #: phase histograms without a metrics registry attached.
     phase_seconds: dict = field(default_factory=dict)
     #: Transition-memo misses during the run and the entries the memo
-    #: held at its end (:class:`~repro.ioa.composition.Composition`),
-    #: counted in this process: forked workers' copies are not included.
+    #: held at its end (:class:`~repro.ioa.composition.Composition`).
     memo_misses: int = 0
     memo_entries: int = 0
     #: States discovered but not yet expanded.
@@ -313,8 +247,6 @@ class EngineReport:
             "states": self.states,
             "transitions": self.transitions,
             "frontier": self.frontier,
-            "workers": self.workers,
-            "rounds": self.rounds,
             "elapsed": round(self.elapsed_seconds, 3),
             "phases": dict(self.phase_seconds),
         }
@@ -329,11 +261,7 @@ class EngineReport:
         line = (
             f"engine: {self.states} states / {self.transitions} transitions"
             f" in {self.elapsed_seconds:.3f}s"
-            f" ({self.workers} worker{'s' if self.workers != 1 else ''}"
-            f", {self.rounds} rounds)"
         )
-        if self.degraded:
-            line += "; degraded to in-process expansion"
         if self.store_backend != "memory":
             line += (
                 f"; store={self.store_backend}"
@@ -352,12 +280,7 @@ class EngineReport:
         return {
             "states": self.states,
             "transitions": self.transitions,
-            "rounds": self.rounds,
             "elapsed_seconds": self.elapsed_seconds,
-            "workers": self.workers,
-            "degraded": self.degraded,
-            "worker_rss_kb": list(self.worker_rss_kb),
-            "recovered_states": self.recovered_states,
             "store_backend": self.store_backend,
             "spilled_states": self.spilled_states,
             "store_flushes": self.store_flushes,
@@ -373,17 +296,14 @@ class EngineReport:
 
 
 class ExplorationEngine:
-    """Parallel, checkpointed, budgeted exploration of failure-free graphs.
+    """Checkpointed, budgeted exploration of failure-free graphs.
 
     Parameters
     ----------
     workers:
-        Expansion processes.  ``1`` (the default) runs in-process.  More
-        than one needs a ``store`` (``ValueError`` without one) and
-        explores through it with forked workers — or in-process
-        expanders when the platform lacks the ``fork`` start method (the
-        system under analysis is not picklable, so workers must inherit
-        it — see :mod:`repro.engine.parallel`).
+        Kept for callers written against the removed worker pool: ``1``
+        (the default) is the only accepted value, and every exploration
+        runs in the calling process.
     budget:
         The :class:`Budget`; defaults to the explorer's historical
         ``Budget(max_states=200_000)``.
@@ -433,8 +353,7 @@ class ExplorationEngine:
     progress:
         A :class:`~repro.obs.progress.ProgressReporter` for live
         ``states/s`` lines on stderr, handed :meth:`EngineReport.live`
-        per round in parallel runs and every 256 expansions
-        sequentially.  ``None`` (the default) consults the
+        every 256 expansions.  ``None`` (the default) consults the
         ``REPRO_PROGRESS`` environment variable; pass ``False`` to force
         it off regardless of the environment.
     cancel:
@@ -474,8 +393,11 @@ class ExplorationEngine:
         cancel=None,
         run=None,
     ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
+        if workers != 1:
+            raise ValueError(
+                f"workers={workers}: the worker pool was removed and every "
+                "exploration runs in one process; pass workers=1 or omit it"
+            )
         self.store = resolve_store(store)
         if flush_interval is None:
             config = getattr(self.store, "config", self.store)
@@ -488,12 +410,6 @@ class ExplorationEngine:
             raise ValueError("flush_interval must be >= 1")
         if rss_limit_mb is not None and rss_limit_mb < 1:
             raise ValueError(f"rss_limit_mb must be >= 1, got {rss_limit_mb}")
-        if workers > 1 and self.store is None:
-            raise ValueError(
-                f"workers={workers} needs a store: the worker pool runs on a "
-                "sqlite store; use workers=1 (the in-RAM loop, the fastest "
-                "without a store) or pass store='sqlite:/path'"
-            )
         if (
             checkpoint_dir is not None
             and isinstance(self.store, StoreConfig)
@@ -505,7 +421,6 @@ class ExplorationEngine:
                 "exploration ends, so its delta segments could never resume; "
                 "pass store='sqlite:/path' or no store"
             )
-        self.workers = workers
         self.budget = DEFAULT_BUDGET if budget is None else budget
         self.checkpoint_dir = None if checkpoint_dir is None else Path(checkpoint_dir)
         self.flush_interval = flush_interval
@@ -549,12 +464,9 @@ class ExplorationEngine:
         Raises :class:`~repro.engine.budget.BudgetExhausted` (an
         :class:`~repro.analysis.explorer.ExplorationBudget`) when a
         budget limit is hit, with progress stats and — when
-        checkpointing is on — the snapshot to resume from; raises
-        :class:`~repro.engine.errors.WorkerLost`, with the same
-        checkpoint fields, when a pool worker dies.
+        checkpointing is on — the snapshot to resume from.
 
-        Store-backed runs (``store=``, which every run with more than
-        one worker needs) materialize the returned
+        Store-backed runs (``store=``) materialize the returned
         :class:`~repro.analysis.explorer.StateGraph` from the store at
         the end — which decodes every state back into RAM; a classic
         run returns the graph it built in RAM.  For runs
@@ -598,11 +510,10 @@ class ExplorationEngine:
         """One exploration's resources, released in reverse on every exit.
 
         Each resource is registered as it is acquired: the GC scope
-        (:func:`_relax_young_gc`, entered before the pool forks, so its
-        workers inherit the raised threshold), the ``engine.run`` span (so
-        a failed setup or resume still ends it, with status ``error``),
-        then the store (closed if the engine opened it, flushed if it is
-        the caller's), the worker pool and the progress reporter.  The
+        (:func:`_relax_young_gc`), the ``engine.run`` span (so a failed
+        setup or resume still ends it, with status ``error``), then the
+        store (closed if the engine opened it, flushed if it is the
+        caller's) and the progress reporter.  The
         checkpoint is discarded only after a clean exit.
         """
         run = self._new_run(
@@ -615,9 +526,7 @@ class ExplorationEngine:
         with ExitStack() as scope:
             _relax_young_gc()
             scope.callback(_restore_young_gc)
-            attrs = {"workers": self.workers}
-            if self.run_id is not None:
-                attrs["run"] = self.run_id
+            attrs = {} if self.run_id is None else {"run": self.run_id}
             span = start_span(run.tracer, "engine.run", **attrs)
             scope.push(partial(self._end_run, run, span))
             if self.store is None:
@@ -634,16 +543,6 @@ class ExplorationEngine:
             run.deadline = Deadline(
                 self.budget.deadline_seconds, already_elapsed=run.elapsed_prior
             )
-            if self.workers > 1:
-                run.pool = WorkerPool(
-                    self.workers,
-                    view,
-                    prune,
-                    expected_states=self.budget.max_states,
-                    tracer=run.tracer,
-                    metrics=run.metrics,
-                ).start()
-                scope.callback(run.pool.stop)
             if self.progress is not None:
                 scope.callback(self.progress.finish)
             yield run
@@ -657,8 +556,8 @@ class ExplorationEngine:
         elif issubclass(exc_type, BudgetExhausted):
             status = "exhausted"
         else:
-            # A lost worker, a store or checkpoint error, a raising
-            # cancel hook, KeyboardInterrupt: the run did not finish.
+            # A store or checkpoint error, a raising cancel hook,
+            # KeyboardInterrupt: the run did not finish.
             status = "error"
         report = run.report
         live = {} if report is None else report.live()
@@ -671,9 +570,7 @@ class ExplorationEngine:
     def _drive(self, run: _Run) -> None:
         """Run the exploration loop; its end is the run's final snapshot."""
         try:
-            if self.workers > 1:
-                self._drive_store_parallel(run)
-            elif run.store is not None:
+            if run.store is not None:
                 self._drive_store_sequential(run)
             else:
                 self._drive_sequential(run)
@@ -688,17 +585,6 @@ class ExplorationEngine:
                 states=run.states_count(),
                 transitions=run.transitions,
                 elapsed_seconds=run.elapsed(),
-                checkpoint=path,
-                resume_command=None if path is None else self._resume_hint(),
-            ) from None
-        except WorkerLost as lost:
-            # The pool is stopped and the lost round's frontier is back
-            # at its head: checkpoint that and hand the resume path to
-            # the caller.
-            path = self._write_checkpoint(run)
-            raise WorkerLost(
-                lost.worker,
-                lost.round_index,
                 checkpoint=path,
                 resume_command=None if path is None else self._resume_hint(),
             ) from None
@@ -727,15 +613,10 @@ class ExplorationEngine:
         run.index = {}
         run.transitions = 0
         run.expanded = 0
-        run.rounds = 0
         run.since_checkpoint = 0
         run.resumed = False
-        run.recovered = 0
         run.elapsed_prior = 0.0
         run.phase = {}
-        run.orbit_hits = 0
-        run.pruned_tasks = 0
-        run.pool = None
         run.store = None
         run.task_slot = None
         run.segment_seq = 0
@@ -915,20 +796,19 @@ class ExplorationEngine:
                 self._commit(run, run.view.successors(state))
             self._maybe_checkpoint(run)
 
-    # -- store-backed (digest-native) drivers ---------------------------------
+    # -- the store-backed (digest-native) driver -----------------------------
     #
-    # These mirror _drive_sequential with one structural difference: the
+    # It mirrors _drive_sequential with one structural difference: the
     # frontier, visited set and edges live in the StateStore keyed by
     # digest, so RSS is bounded by the codec's capped tables and the
-    # frontier window instead of the state count.  The sequential driver
-    # keeps no state object of its own: it resolves each successor by
-    # its component-id vector in the codec's vector->digest map, encodes
-    # and hashes a state once, when first seen, and rebuilds a state it
-    # discovered from that vector when expanding it; only a state loaded
-    # by a resume, or one queued before a trim cleared the table, is
-    # decoded from the store.  The parallel driver decodes inside the workers.
-    # Discovery still happens in exact frontier order — same BFS, same
-    # graph.
+    # frontier window instead of the state count.  It keeps no state
+    # object of its own: it resolves each successor by its component-id
+    # vector in the codec's vector->digest map, encodes and hashes a
+    # state once, when first seen, and rebuilds a state it discovered
+    # from that vector when expanding it; only a state loaded by a
+    # resume, or one queued before a trim cleared the table, is decoded
+    # from the store.  Discovery still happens in exact frontier order —
+    # same BFS, same graph.
 
     def _drive_store_sequential(self, run: _Run) -> None:
         budget = self.budget
@@ -967,100 +847,6 @@ class ExplorationEngine:
                 else:
                     out = view.successors(state)
                 self._commit_vectors(run, digest, out)
-            self._maybe_checkpoint(run)
-
-    def _drive_store_parallel(self, run: _Run) -> None:
-        budget = self.budget
-        store = run.store
-        pool = run.pool
-        # The wire protocol's packed_of table, backed by the store: the
-        # store serves every already-discovered digest; novel bytes from
-        # worker replies stage in an in-RAM overlay for the duration of
-        # one round's merge (they must transit RAM anyway — the reply
-        # pipe just delivered them) and reach the store via _commit.
-        # The shared visited filter starts cold on purpose: it is a
-        # filter, never truth, and re-seeding it with 10^7 digests would
-        # cost more than the duplicate shipping it avoids.
-        packed_of = _StorePackedMap(store)
-        cancel = self.cancel
-        # A round is at most one frontier window: rounds are consecutive
-        # prefixes of the FIFO, so the cap bounds the coordinator's
-        # in-RAM frontier without changing the merge order.
-        window = store.config.frontier_window
-        while store.frontier_len():
-            if cancel is not None and cancel():
-                raise _Exhausted("cancelled", 0.0)
-            if run.deadline.expired():
-                raise _Exhausted("deadline", budget.deadline_seconds)
-            digests = []
-            while len(digests) < window:
-                digest = store.pop()
-                if digest is None:
-                    break
-                digests.append(digest)
-            round_span = start_span(
-                run.tracer, "round", round=run.rounds + 1, states=len(digests)
-            )
-            try:
-                results = pool.run_round(
-                    run.rounds + 1,
-                    digests,
-                    packed_of,
-                    run.phase,
-                    round_span_id=(
-                        None if round_span is None else round_span.span_id
-                    ),
-                )
-            except WorkerLost:
-                # Nothing of the round was merged: put its whole
-                # frontier back at the head, in order.
-                for digest in reversed(digests):
-                    store.push_front(digest)
-                end_span(run.tracer, round_span, status="error")
-                raise
-            merge_started = time.perf_counter()
-            position = 0
-            try:
-                for position, digest in enumerate(digests):
-                    result = results[position]
-                    if result == PRUNED:
-                        self._commit_external_empty(run, digest)
-                        continue
-                    rows = []
-                    for task_index, action, succ_digest in result:
-                        packed = packed_of.get(succ_digest)
-                        if packed is None:
-                            packed = self._recover_packed_external(
-                                run, digest, succ_digest, packed_of
-                            )
-                        rows.append((task_index, action, succ_digest, packed))
-                    self._commit_external(run, digest, rows)
-            except _Exhausted:
-                # _commit_external re-queued the offending digest at
-                # the head; slot the round's unmerged tail right
-                # after it to preserve BFS order.
-                state_digest = store.pop()
-                for tail_digest in reversed(digests[position + 1 :]):
-                    store.push_front(tail_digest)
-                store.push_front(state_digest)
-                end_span(run.tracer, round_span, status="exhausted")
-                raise
-            finally:
-                packed_of.pending.clear()
-                run.phase["merge_seconds"] = run.phase.get(
-                    "merge_seconds", 0.0
-                ) + (time.perf_counter() - merge_started)
-            run.rounds += 1
-            if run.tracing:
-                run.tracer.emit(
-                    WORKER_ROUND,
-                    round=run.rounds,
-                    expanded=len(digests),
-                    shards=pool.last_round_producers,
-                    frontier=store.frontier_len(),
-                )
-            end_span(run.tracer, round_span, frontier=store.frontier_len())
-            self._tick(run)
             self._maybe_checkpoint(run)
 
     def _commit_external_empty(self, run: _Run, digest: bytes) -> None:
@@ -1109,20 +895,6 @@ class ExplorationEngine:
                 STATE_EXPLORED, edges=len(rows), frontier=store.frontier_len()
             )
 
-    def _commit_external(self, run: _Run, digest: bytes, out) -> None:
-        """The pool's merge step: discover successors, log the expansion.
-
-        ``out`` rows are ``(task_slot, action, succ_digest, packed)``.
-        """
-        self._check_transitions(run, digest, len(out))
-        store = run.store
-        rows = []
-        for task_slot, action, succ_digest, packed in out:
-            if succ_digest not in store:
-                self._discover_external(run, digest, succ_digest, packed)
-            rows.append((task_slot, store.action_slot(action), succ_digest))
-        self._log_expansion(run, digest, rows)
-
     def _commit_vectors(self, run: _Run, digest: bytes, out) -> None:
         """The sequential store merge: resolve successors by vector.
 
@@ -1158,35 +930,6 @@ class ExplorationEngine:
             self._discover_external(run, parent, digest, packed)
         codec.remember(vector, digest, queued=novel)
         return digest
-
-    def _recover_packed_external(
-        self, run: _Run, parent_digest: bytes, digest: bytes, packed_of
-    ) -> bytes:
-        """Re-derive packed bytes a worker reply referenced but never shipped.
-
-        One rare path gets here: a torn shared visited-table slot
-        answered "present" to a digest nobody shipped.  The parent is in
-        the store and the view is deterministic, so re-expanding it
-        in-process reproduces the exact successor — the identical-graph
-        guarantee never rests on the table.
-        """
-        parent = run.codec.decode(run.store.get(parent_digest))
-        recovered = None
-        for _task, _action, post in run.view.successors(parent):
-            packed, post_digest = run.codec.encode_digest(post)
-            packed_of.setdefault(post_digest, packed)
-            if post_digest == digest:
-                recovered = packed
-        if recovered is None:
-            raise EngineError(
-                f"worker reply referenced digest {digest.hex()} that is not "
-                "a successor of its parent state; the exploration is "
-                "corrupt (please report this)"
-            )
-        run.recovered += 1
-        if run.metrics.enabled:
-            run.metrics.counter("engine.recovered_states").inc()
-        return recovered
 
     # -- the single merge step ------------------------------------------------
 
@@ -1290,9 +1033,6 @@ class ExplorationEngine:
         the end-of-run publication never double-count.
         """
         hits, misses = run.codec.stats()
-        if run.pool is not None:
-            hits += run.pool.cache_hits
-            misses += run.pool.cache_misses
         published_hits, published_misses = run.cache_published
         metrics = run.metrics
         if hits > published_hits:
@@ -1353,7 +1093,7 @@ class ExplorationEngine:
                     succ=run.succ,
                     transitions=run.transitions,
                     elapsed_seconds=run.elapsed(),
-                    workers=self.workers,
+                    workers=1,
                     meta=self._checkpoint_meta(run),
                 ),
                 codec=run.codec,
@@ -1380,7 +1120,7 @@ class ExplorationEngine:
                 states=len(store),
                 transitions=run.transitions,
                 elapsed_seconds=run.elapsed(),
-                workers=self.workers,
+                workers=1,
                 marks=store.marks(),
                 frontier_blob=store.frontier_snapshot(),
                 store_uri=store.config.to_uri(),
@@ -1394,7 +1134,6 @@ class ExplorationEngine:
 
     def _build_report(self, run: _Run) -> EngineReport:
         """The one snapshot of a run, live or final (see :meth:`_tick`)."""
-        pool = run.pool
         stats = None if run.store is None else run.store.stats()
         flush_ms = run.last_flush_ms
         if flush_ms is None and stats is not None and stats.flushes:
@@ -1410,19 +1149,7 @@ class ExplorationEngine:
         return EngineReport(
             states=run.states_count(),
             transitions=run.transitions,
-            rounds=run.rounds,
             elapsed_seconds=run.elapsed(),
-            workers=self.workers,
-            degraded=bool(pool is not None and pool.local and self.workers > 1),
-            worker_rss_kb=(
-                ()
-                if pool is None
-                else tuple(
-                    pool.worker_rss_kb.get(worker, 0)
-                    for worker in range(pool.workers)
-                )
-            ),
-            recovered_states=run.recovered,
             store_backend="memory" if stats is None else "sqlite",
             spilled_states=0 if stats is None else stats.spilled_states,
             store_flushes=0 if stats is None else stats.flushes,
@@ -1442,12 +1169,6 @@ class ExplorationEngine:
 
     def _publish(self, run: _Run, report: EngineReport) -> None:
         """Fold the run into the metrics registry, from its final report."""
-        # Reduction stats gathered by the pool (worker replies) belong to
-        # the run, metrics or not.
-        if run.pool is not None:
-            run.orbit_hits += run.pool.orbit_hits
-            run.pruned_tasks += run.pool.pruned_tasks
-            run.pool.orbit_hits = run.pool.pruned_tasks = 0
         metrics = run.metrics
         if not metrics.enabled:
             return
@@ -1457,21 +1178,13 @@ class ExplorationEngine:
         metrics.gauge("explore.last_run_states").set(report.states)
         metrics.counter("engine.runs").inc()
         metrics.counter("engine.expanded").inc(run.expanded)
-        metrics.gauge("engine.workers").set(self.workers)
-        # Codec component-cache effectiveness, coordinator + workers
-        # combined (the scaling bench asserts on the hit rate).  Delta
-        # published: live store flushes already pushed a prefix.
+        # Codec component-cache effectiveness.  Delta published: live
+        # store flushes already pushed a prefix.
         self._publish_cache_counters(run)
-        # The transition memo's, this process only (see EngineReport).
+        # The transition memo's (see EngineReport).
         if report.memo_misses:
             metrics.counter("engine.memo.misses").inc(report.memo_misses)
         metrics.gauge("engine.memo.entries").set(report.memo_entries)
-        if run.pool is not None and run.pool.visited_overflows:
-            metrics.counter("engine.visited.overflows").inc(
-                run.pool.visited_overflows
-            )
-        if run.rounds:
-            metrics.counter("engine.rounds").inc(run.rounds)
         if run.resumed:
             metrics.gauge("engine.resumed_states").set(report.states)
         if run.store is not None:
@@ -1481,20 +1194,18 @@ class ExplorationEngine:
         for name, seconds in run.phase.items():
             if seconds:
                 metrics.counter(f"engine.phase.{name}").inc(seconds)
-        # Sequential runs accumulate reduction stats inside the view
-        # itself; drain them here.  (The drain is inside the
-        # metrics-enabled guard on purpose: engines running with
-        # NULL_METRICS — e.g. the audit/compare helpers — must leave the
-        # view's counters for their caller to read.)
+        # A reduced view accumulates its stats itself; drain them here.
+        # (The drain is inside the metrics-enabled guard on purpose:
+        # engines running with NULL_METRICS — e.g. the audit/compare
+        # helpers — must leave the view's counters for their caller to
+        # read.)
         drain = getattr(run.view, "drain_stats", None)
         if drain is not None:
             orbit_hits, pruned_tasks = drain()
-            run.orbit_hits += orbit_hits
-            run.pruned_tasks += pruned_tasks
-        if run.orbit_hits:
-            metrics.counter("engine.reduction.orbit_hits").inc(run.orbit_hits)
-        if run.pruned_tasks:
-            metrics.counter("engine.reduction.pruned_tasks").inc(run.pruned_tasks)
+            if orbit_hits:
+                metrics.counter("engine.reduction.orbit_hits").inc(orbit_hits)
+            if pruned_tasks:
+                metrics.counter("engine.reduction.pruned_tasks").inc(pruned_tasks)
 
 
 def _first_positions(order: list) -> dict:

@@ -122,7 +122,9 @@ class Checkpoint:
     """One resumable snapshot of an in-progress exploration.
 
     ``order`` and ``succ`` are the run's graph tables (see the module
-    docstring); the frontier is ``order[len(succ):]``.
+    docstring); the frontier is ``order[len(succ):]``.  ``workers`` is
+    informational: the engine writes 1, and a file from a multi-worker
+    run of an earlier engine resumes in one process all the same.
     """
 
     root: Hashable
@@ -342,7 +344,8 @@ class Segment:
     :meth:`~repro.engine.store.StateStore.marks` at the flush this
     segment followed; ``frontier_blob`` is the concatenated frontier
     digests in pop order.  ``store_uri`` records the configuration the
-    segment was written under, purely as a resume sanity hint.
+    segment was written under, purely as a resume sanity hint, and
+    ``workers`` is informational, as on :class:`Checkpoint`.
     """
 
     root_digest: bytes

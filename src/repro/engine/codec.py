@@ -5,7 +5,7 @@ engine.  It holds the canonical tag-length-value encoding
 (:func:`canonical_bytes`), the state digest (:func:`fingerprint`, the
 BLAKE2b hash of that encoding, :data:`DIGEST_SIZE` bytes) and the
 **codec** built on them: the same bytes that are hashed are also
-*kept*, shipped across worker pipes, stored in checkpoints, and decoded
+*kept*, stored in the state store and in checkpoints, and decoded
 back into states.  Every store-backed run dedups by digest, so two
 states are one graph vertex exactly when their encodings hash alike.
 Four properties carry the design:
@@ -16,8 +16,8 @@ Four properties carry the design:
   ``PYTHONHASHSEED``), and ``pickle`` fails it for ``frozenset`` (dump
   order follows salted iteration order).  The encoder therefore
   serializes unordered collections in sorted-encoding order, so the
-  bytes, and the digest, are a pure function of the value: a worker
-  process, the coordinator and a later resume all agree.
+  bytes, and the digest, are a pure function of the value: a run and
+  its later resume in a fresh interpreter agree.
 * **digest parity by construction** — :meth:`Codec.encode_digest`
   returns ``(packed, digest)`` from one encoding pass, and ``digest ==
   blake2b(packed) == fingerprint(state)`` because the packed bytes *are*
@@ -61,8 +61,7 @@ and classic and store-backed runs build identical graphs.
 Dataclasses and enums encode by qualname (plus field values / member
 name), so decoding needs the class object.  The codec keeps a process
 global registry: encoding a dataclass or enum registers its type
-automatically, forked workers inherit the parent's registrations, and
-checkpoints persist the classes they used (by reference) so a fresh
+automatically, and checkpoints persist the classes they used (by reference) so a fresh
 process can resume.  Decoding an unregistered qualname raises
 :class:`CodecError` naming :func:`register_codec_type` — it never
 guesses.  The one lossy encoding is the ``repr`` fallback for exotic
@@ -432,9 +431,8 @@ _EQ_CACHEABLE = (int, str, bytes)
 class Codec:
     """A per-run packed-state encoder/decoder over a component intern table.
 
-    One instance serves one exploration participant (the coordinator, or
-    one worker process); its tables are plain containers, not shared
-    state.  ``hits``/``misses`` count intern-table outcomes — a miss is
+    One instance serves one exploration; its tables are plain
+    containers, not shared state.  ``hits``/``misses`` count intern-table outcomes — a miss is
     one component encode — the number the scaling benchmark asserts on,
     since a healthy hot path re-encodes almost nothing (expanding a
     transition changes one or two components of a composite state).

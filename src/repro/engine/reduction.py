@@ -213,8 +213,8 @@ class Canonicalizer:
     every state of the quotient graph is reachable from the same root by
     a permuted task sequence.  The representative is the orbit member
     with the least componentwise ``canonical_bytes`` key — a pure
-    function of the orbit, so coordinator and forked workers always
-    agree.  (Component states repeat across vast numbers of composite
+    function of the orbit, so a run and its resume always agree.
+    (Component states repeat across vast numbers of composite
     states, so the key is assembled from a
     :class:`~repro.engine.codec.Codec` per-component encoding cache
     rather than re-encoding whole composites.)
@@ -331,8 +331,8 @@ class ReducedView:
     refutation engine) work unchanged.
 
     ``tasks`` is aliased to the base view's tuple: reduced successor
-    triples carry base tasks, and the parallel wire protocol indexes
-    into this shared tuple.
+    triples carry base tasks, and the store's task slots index into
+    this shared tuple.
     """
 
     def __init__(self, base, canonicalizer=None, por: bool = False) -> None:
@@ -351,8 +351,7 @@ class ReducedView:
         """Clear the orbit cache and the transition memo, each once over ``limit``.
 
         Returns the number of entries freed.  The store-backed engine
-        calls this on every expansion and each pool worker before every
-        batch, so a reduced disk-backed run keeps the same RSS ceiling
+        calls this on every expansion, so a reduced disk-backed run keeps the same RSS ceiling
         as a raw one: each orbit entry holds a full decoded state, one
         per orbit image.
         """
@@ -523,7 +522,7 @@ class ReductionComparison:
 def _run_both(system, root, config, budget):
     from .api import ExplorationEngine
 
-    engine = ExplorationEngine(workers=1, budget=budget)
+    engine = ExplorationEngine(budget=budget)
     view = DeterministicSystemView(system)
     view.check_failure_free(root)
     full_graph = engine.explore(view, root)

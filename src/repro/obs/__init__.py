@@ -13,9 +13,7 @@ and the adversary pipeline *do* as inspectable data:
   registry;
 * :mod:`repro.obs.spans`   — hierarchical spans (wall + CPU time,
   parent links, attributes) layered on the event stream as
-  ``span_start``/``span_end`` pairs, plus :class:`WorkerTelemetry`
-  (worker-side buffering) and :func:`merge_worker_events` (ordered
-  merge into the coordinator's trace), and offline tooling: assembly,
+  ``span_start``/``span_end`` pairs, and offline tooling: assembly,
   latency profiles, folded flamegraph stacks, trace diffing;
 * :mod:`repro.obs.progress` — throttled, TTY-aware live progress lines
   on stderr (``REPRO_PROGRESS=1`` or ``ExplorationEngine(progress=…)``);
@@ -59,7 +57,6 @@ from .events import (
     STATE_EXPLORED,
     TASK_CHOSEN,
     VALENCE_VERDICT,
-    WORKER_ROUND,
     TraceEvent,
     decode_value,
     encode_value,
@@ -93,13 +90,11 @@ from .progress import ProgressReporter, progress_from_env
 from .spans import (
     Span,
     SpanRecord,
-    WorkerTelemetry,
     assemble_spans,
     current_span_id,
     diff_span_profiles,
     end_span,
     folded_stacks,
-    merge_worker_events,
     record_span,
     render_folded_stacks,
     render_span_diff,
@@ -186,8 +181,6 @@ __all__ = [
     "TraceEvent",
     "Tracer",
     "VALENCE_VERDICT",
-    "WORKER_ROUND",
-    "WorkerTelemetry",
     "assemble_spans",
     "chrome_trace",
     "current_span_id",
@@ -198,7 +191,6 @@ __all__ = [
     "encode_value",
     "end_span",
     "folded_stacks",
-    "merge_worker_events",
     "new_run_id",
     "percentile",
     "progress_from_env",

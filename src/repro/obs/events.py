@@ -45,9 +45,7 @@ FAILURE_INJECTED = "failure_injected"
 VALENCE_VERDICT = "valence_verdict"
 HOOK_VERDICT = "hook_verdict"
 PHASE = "phase"
-WORKER_ROUND = "worker_round"  # one frontier-exchange round of the parallel engine
 CHECKPOINT_SAVED = "checkpoint_saved"  # the engine snapshotted its progress to disk
-WORKER_LOST = "worker_lost"  # a pool worker died; the run ends with WorkerLost
 SPAN_START = "span_start"  # a hierarchical span opened (see repro.obs.spans)
 SPAN_END = "span_end"  # a span closed, carrying wall/CPU time and status
 SIM_RUN = "sim_run"  # one seeded simulation finished (see repro.sim.harness)
@@ -68,9 +66,7 @@ KINDS = frozenset(
         VALENCE_VERDICT,
         HOOK_VERDICT,
         PHASE,
-        WORKER_ROUND,
         CHECKPOINT_SAVED,
-        WORKER_LOST,
         SPAN_START,
         SPAN_END,
         SIM_RUN,

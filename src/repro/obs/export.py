@@ -13,11 +13,11 @@ Two one-way bridges out of the observability subsystem:
 * :func:`chrome_trace` converts the span events of any trace (see
   :mod:`repro.obs.spans`) into the Chrome ``trace_event`` JSON object
   format, loadable in ``chrome://tracing`` and Perfetto.  Each emitting
-  process (coordinator, each worker incarnation) becomes a track;
+  process becomes a track (one for a run today; traces recorded with
+  the removed worker pool also hold one per worker);
   timestamps are each track's own ``perf_counter`` values, normalized so
   the earliest span in the trace sits at zero.  Cross-track alignment is
-  therefore approximate (different processes, different clock origins —
-  worker tracks are additionally pinned to the first merge point), which
+  therefore approximate (different processes, different clock origins), which
   is fine for the intended use: seeing where the time went, per track.
 
 * :func:`snapshot_from_trace` builds a metrics-style snapshot from a raw

@@ -104,6 +104,9 @@ class RunRecord:
     resume command); ``links`` holds cross-system identity (``job_id``,
     campaign descriptions); ``counters``/``phases`` are the final metric
     counters and phase-seconds breakdown a terminal record carries.
+    :meth:`from_json` ignores keys it does not know, such as the
+    ``workers`` count that records written before the worker pool was
+    removed still carry.
     """
 
     run_id: str
@@ -113,7 +116,6 @@ class RunRecord:
     started_at: float = 0.0
     finished_at: float | None = None
     pid: int = 0
-    workers: int = 1
     budget: dict | None = None
     store: str | None = None
     verdict: dict | None = None
@@ -134,7 +136,6 @@ class RunRecord:
             "started_at": self.started_at,
             "finished_at": self.finished_at,
             "pid": self.pid,
-            "workers": self.workers,
             "budget": self.budget,
             "store": self.store,
             "verdict": self.verdict,
@@ -157,7 +158,6 @@ class RunRecord:
             started_at=document.get("started_at", 0.0),
             finished_at=document.get("finished_at"),
             pid=document.get("pid", 0),
-            workers=document.get("workers", 1),
             budget=document.get("budget"),
             store=document.get("store"),
             verdict=document.get("verdict"),
@@ -196,7 +196,6 @@ class RunLedger:
         *,
         budget: dict | None = None,
         store: str | None = None,
-        workers: int = 1,
         artifacts: dict | None = None,
         links: dict | None = None,
         heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
@@ -210,7 +209,6 @@ class RunLedger:
             status=RUNNING,
             started_at=time.time(),
             pid=os.getpid(),
-            workers=workers,
             budget=budget,
             store=store,
             artifacts=dict(artifacts or {}),

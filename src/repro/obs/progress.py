@@ -1,7 +1,7 @@
 """Live exploration progress on stderr.
 
 A :class:`ProgressReporter` renders one-line status updates —
-``states/s``, frontier size, worker count, and ETA against the run's
+``states/s``, frontier size, and ETA against the run's
 :class:`~repro.engine.budget.Budget` — while an exploration runs.  On a
 TTY the line is redrawn in place (carriage return, no scrollback spam);
 on a pipe it degrades to one plain line per report interval, so CI logs
@@ -15,8 +15,7 @@ here and the live line of ``repro runs tail``/``runs show`` from a
 heartbeat document.
 
 The reporter throttles itself (``interval_seconds`` between renders)
-and is driven by the engine's drivers: per round in parallel runs, every
-256 expansions sequentially.  Subclasses present a snapshot somewhere
+and is driven by the engine's loops every 256 expansions.  Subclasses present a snapshot somewhere
 else by overriding :meth:`ProgressReporter.render`.
 
 Enable it per run (``ExplorationEngine(progress=ProgressReporter())``),
@@ -89,7 +88,7 @@ class ProgressReporter:
 def format_line(snapshot: dict, budget=None) -> str:
     """One human line from a live snapshot or a heartbeat document.
 
-    States and their rate, frontier, workers, and the store columns
+    States and their rate, frontier, and the store columns
     (``spilled``, ``flush_ms``) when present; the counters a fuzz
     heartbeat carries instead; then the ETA against ``budget``.
     """
@@ -102,7 +101,6 @@ def format_line(snapshot: dict, budget=None) -> str:
         parts += [f"{states} states", f"{rate:,.0f} st/s"]
     for key, template in (
         ("frontier", "frontier {}"),
-        ("workers", "workers {}"),
         ("spilled", "spilled {}"),
         ("flush_ms", "flush {:.1f}ms"),
         ("campaigns", "campaigns {}"),

@@ -79,13 +79,9 @@ class JsonlSink(Sink):
     emitted through this sink instance.
 
     The stream is line-buffered and each event is a single complete
-    write, so the OS-level buffer is empty between appends.  That makes
-    the sink fork-safe: a forked pool worker inheriting the open file
-    has nothing buffered to re-flush at exit (a block-buffered stream
-    here produced duplicated partial lines — corrupt JSONL — whenever a
-    worker process exited while the coordinator's buffer was dirty).
-    It also means a crashed run keeps every event emitted before the
-    crash.
+    write, so the OS-level buffer is empty between appends: a forked
+    child inheriting the open file has nothing buffered to re-flush at
+    exit, and a crashed run keeps every event emitted before the crash.
     """
 
     def __init__(self, path, mode: str = "w") -> None:
@@ -124,9 +120,7 @@ class Tracer:
 
     ``run_id`` is the run ledger identity (see :mod:`repro.obs.ledger`):
     when set, every event stamped by this tracer carries it in its
-    ``run`` field — including worker telemetry re-emitted through
-    :func:`~repro.obs.spans.merge_worker_events`, which goes through
-    this same ``emit``.
+    ``run`` field.
     """
 
     __slots__ = (

@@ -15,31 +15,16 @@ so existing sinks, replay segmentation, and the JSONL codec all apply
 unchanged.  Parent links come from a per-tracer stack
 (:attr:`~repro.obs.sinks.Tracer.span_stack`): every layer that shares a
 tracer shares one hierarchy, which is how the engine pipeline composes
-``engine.run > round[k] > partition[w] > expand/fingerprint`` across
-modules without threading span objects through call signatures.
-
-Worker-side spans
------------------
-
-Worker subprocesses cannot emit into the parent tracer, so they buffer
-into a :class:`WorkerTelemetry` — a miniature tracer plus counter map —
-whose batches ride the existing result pipe and are merged into the
-parent tracer by :func:`merge_worker_events` in the coordinator's
-single-threaded ingest loop.  The merge guarantee (documented in
-``docs/observability.md``): parent ``seq`` stays monotonic, each
-worker's buffer order is preserved, and per-process Lamport tags are
-re-stamped by the parent tracer, so the merged trace is seq/lamport
-consistent even though workers raced in real time.  Worker span ids are
-namespaced by pid (``w<pid>:<n>``) so worker spans can never collide
-with the parent's ``s<n>`` ids or each other.
+``pipeline > lemma4 > engine.run > checkpoint`` across modules without
+threading span objects through call signatures.
 
 Assembly
 --------
 
 :func:`assemble_spans` folds any event iterable back into
 :class:`SpanRecord` values (a started-but-never-ended span becomes
-``status="open"`` — the trace completeness tests assert a merged trace
-contains none, also for a run that lost a worker).  On top of records
+``status="open"`` — the trace completeness tests assert a finished
+trace contains none).  On top of records
 sit :func:`summarize_spans` (per-name latency profile with
 p50/p95/p99), :func:`folded_stacks` (flamegraph.pl input, self-time
 weighted), and :func:`diff_span_profiles` (A/B comparison).
@@ -50,7 +35,7 @@ from __future__ import annotations
 import contextlib
 import time
 from dataclasses import dataclass, field
-from typing import Any, Hashable, Iterable, Mapping
+from typing import Hashable, Iterable, Mapping
 
 from .events import SPAN_END, SPAN_START, TraceEvent
 from .metrics import percentile
@@ -156,8 +141,8 @@ def record_span(
 ) -> None:
     """Emit an already-measured span as a matched start/end pair.
 
-    For work whose duration was accumulated elsewhere (per-phase worker
-    timings, a partition that died with the worker): the start ``t`` is
+    For work whose duration was accumulated elsewhere (a phase timed
+    by hand): the start ``t`` is
     back-computed as ``now - wall_seconds`` so exporters still get a
     plausible interval.  The span never joins the open stack.
     """
@@ -186,154 +171,6 @@ def record_span(
         t=now,
         **attrs,
     )
-
-
-# ---------------------------------------------------------------------------
-# Worker-side telemetry
-# ---------------------------------------------------------------------------
-
-
-class WorkerTelemetry:
-    """Event/counter buffer for one worker subprocess.
-
-    Mirrors the tracer's span API but appends ``(kind, process, data)``
-    triples to an in-memory batch instead of a sink; :meth:`flush`
-    hands the batch to the reply pipe and resets.  Span ids are
-    ``<label>:<n>`` with ``label`` unique per worker (pid-based by
-    default), so merged ids never collide across workers.
-    """
-
-    __slots__ = ("label", "events", "counters", "_stack", "_ids")
-
-    def __init__(self, label: str) -> None:
-        self.label = label
-        self.events: list = []
-        self.counters: dict[str, float] = {}
-        self._stack: list[str] = []
-        self._ids = 0
-
-    def emit(self, kind: str, process: Hashable = None, **data) -> None:
-        self.events.append((kind, process, data))
-
-    def inc(self, name: str, amount: float = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + amount
-
-    def start_span(self, name: str, **attrs) -> Span:
-        self._ids += 1
-        parent = self._stack[-1] if self._stack else None
-        span = Span(f"{self.label}:{self._ids}", name, parent, process=self.label)
-        self._stack.append(span.span_id)
-        self.emit(
-            SPAN_START,
-            process=self.label,
-            span=span.span_id,
-            parent=parent,
-            name=name,
-            t=span._wall0,
-            **attrs,
-        )
-        return span
-
-    def end_span(self, span: Span, status: str = "ok", **attrs) -> None:
-        now = time.perf_counter()
-        if self._stack and self._stack[-1] == span.span_id:
-            self._stack.pop()
-        self.emit(
-            SPAN_END,
-            process=self.label,
-            span=span.span_id,
-            name=span.name,
-            status=status,
-            wall_seconds=now - span._wall0,
-            cpu_seconds=time.process_time() - span._cpu0,
-            t=now,
-            **attrs,
-        )
-
-    def record_span(
-        self,
-        name: str,
-        wall_seconds: float,
-        cpu_seconds: float = 0.0,
-        *,
-        parent: Span | None = None,
-        **attrs,
-    ) -> None:
-        """A pre-measured child span (phase timings inside a partition)."""
-        self._ids += 1
-        span_id = f"{self.label}:{self._ids}"
-        parent_id = (
-            parent.span_id
-            if parent is not None
-            else (self._stack[-1] if self._stack else None)
-        )
-        now = time.perf_counter()
-        self.emit(
-            SPAN_START,
-            process=self.label,
-            span=span_id,
-            parent=parent_id,
-            name=name,
-            t=now - wall_seconds,
-            **attrs,
-        )
-        self.emit(
-            SPAN_END,
-            process=self.label,
-            span=span_id,
-            name=name,
-            status="ok",
-            wall_seconds=wall_seconds,
-            cpu_seconds=cpu_seconds,
-            t=now,
-            **attrs,
-        )
-
-    def flush(self):
-        """The buffered ``(events, counters)`` batch, or ``None`` if empty.
-
-        Open spans are *not* flushed half-way: a span started in this
-        batch window is always closed before the reply is sent (the
-        worker loop brackets each chunk), so every batch is
-        self-contained — the property that makes a dead worker's last
-        flushed batch directly mergeable.
-        """
-        if not self.events and not self.counters:
-            return None
-        batch = (self.events, self.counters)
-        self.events = []
-        self.counters = {}
-        return batch
-
-
-def merge_worker_events(
-    tracer: Tracer,
-    events: Iterable[tuple],
-    *,
-    parent_id: str | None = None,
-    attach: Mapping[str, Any] | None = None,
-) -> int:
-    """Re-emit one worker batch through the parent tracer, in batch order.
-
-    Top-level worker spans (``parent is None``) are re-parented under
-    ``parent_id`` (the coordinator's current round span), and ``attach``
-    entries (e.g. ``worker``/``round``) are folded into every
-    ``span_start`` payload.  The parent tracer re-stamps ``seq`` and
-    per-process ``lamport``, giving the merged stream one consistent
-    order.  Returns the number of events merged.
-    """
-    if not tracer.enabled:
-        return 0
-    merged = 0
-    for kind, process, data in events:
-        if kind == SPAN_START:
-            if data.get("parent") is None and parent_id is not None:
-                data = {**data, "parent": parent_id}
-            if attach:
-                data = {**attach, **data}
-        tracer.emit(kind, process=process, **data)
-        merged += 1
-    return merged
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +300,9 @@ def folded_stacks(records: Iterable[SpanRecord]) -> dict[str, int]:
     The format flamegraph.pl (and speedscope) consume: one
     ``root;child;leaf <count>`` line per distinct stack.  Self time is a
     span's wall time minus its children's, floored at zero (children
-    overlapping their parent — merged worker spans under a round —
-    cannot push a parent negative).
+    overlapping their parent — recorded spans, or worker spans in a
+    trace from the removed worker pool — cannot push a parent
+    negative).
     """
     records = list(records)
     by_id = {record.span_id: record for record in records}

@@ -26,9 +26,9 @@ independent requests, and closing per request keeps the server free of
 keep-alive state machines.  The event stream writes SSE frames until
 the job reaches a terminal state.
 
-Fault tolerance composes with the layers below: a worker-pool crash
-inside a job fails that job and leaves its checkpoint, so running the
-job again resumes it; a fleet thread can never die of a job exception
+Fault tolerance composes with the layers below: an engine error inside
+a job fails that job and leaves its checkpoint, so running the job
+again resumes it; a fleet thread can never die of a job exception
 (:func:`~repro.serve.runner.execute_job` folds everything into the
 outcome), and a killed *server* resumes in-flight jobs on restart from
 the journal plus the engine's root-digest checkpoints.
@@ -90,7 +90,6 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 8765
     fleet: int = 2
-    max_engine_workers: int = 2
     data_dir: str | Path | None = None
     cache_capacity: int = 1024
     max_queue_depth: int = 64
@@ -222,7 +221,6 @@ class VerdictServer:
                 f"{spec.candidate}(n={spec.n},f={spec.resilience})",
                 budget=spec.budget.to_json(),
                 store=spec.store,
-                workers=spec.engine_workers(self.config.max_engine_workers),
                 artifacts=artifacts,
                 links={"job_id": job.id, "tenant": spec.tenant, "key": job.key.hex()},
                 heartbeat_interval=self.config.progress_interval_seconds,
@@ -250,7 +248,6 @@ class VerdictServer:
                     publish=publish,
                     metrics=self.metrics,
                     tracer=self.tracer,
-                    max_engine_workers=self.config.max_engine_workers,
                     checkpoint_interval=self.config.checkpoint_interval,
                     max_rss_limit_mb=self.config.max_rss_limit_mb,
                     run=run,

@@ -3,7 +3,7 @@
 :func:`execute_job` runs synchronously inside a fleet worker thread and
 reuses the repo's machinery end to end rather than duplicating any of
 it: the candidate is built from the registry, the exploration runs
-through :class:`~repro.engine.ExplorationEngine` (worker pool and
+through :class:`~repro.engine.ExplorationEngine` (state store and
 checkpoint/resume included), progress flows through the
 :class:`~repro.obs.progress.ProgressReporter` plumbing via
 :class:`JobProgressReporter`, and the verdict comes from
@@ -20,17 +20,12 @@ the configuration that wrote it, so a key's two store modes checkpoint
 into separate directories: a resubmission under the other mode starts
 fresh instead of failing on the other mode's snapshot, and its verdict
 removes both.
-A job whose engine loses a pool worker ends ``failed`` (the engine is
-fail-stop and raises :class:`~repro.engine.WorkerLost`), and keeps its
-checkpoint, so resubmitting it resumes where the loss stopped it.
 
 Jobs requesting a disk-backed state store (``"store": "sqlite"`` in
 the spec — a backend name only, never a client path) get a
 per-cache-key store directory next to the checkpoints; it is likewise
 removed at a terminal verdict, and a restarted server resumes from the
-store's delta segments.  Only such a job runs the worker pool: without
-a store a job runs the in-RAM loop at one worker, whatever its
-``workers``.  A spec's ``rss_limit_mb`` is clamped to the
+store's delta segments.  A spec's ``rss_limit_mb`` is clamped to the
 server's ``max_rss_limit_mb`` and recorded in the engine report — the
 server does *not* setrlimit (jobs share the server process); enforcement
 is the operator's, via ``repro refute --rss-limit-mb`` or the service
@@ -124,7 +119,6 @@ def execute_job(
     publish: Callable[[dict], None],
     metrics: MetricsRegistry = NULL_METRICS,
     tracer: Tracer = NULL_TRACER,
-    max_engine_workers: int = 1,
     checkpoint_interval: int = 50_000,
     max_rss_limit_mb: int | None = None,
     run=None,
@@ -159,7 +153,6 @@ def execute_job(
         if rss_limit_mb is not None and max_rss_limit_mb is not None:
             rss_limit_mb = min(rss_limit_mb, max_rss_limit_mb)
         engine = ExplorationEngine(
-            workers=spec.engine_workers(max_engine_workers),
             budget=spec.budget,
             store=_job_store(spec, data_dir, job.key, checkpoint_interval),
             checkpoint_dir=checkpoint_dir,

@@ -13,7 +13,7 @@ A job request is one JSON object::
       "n": 3,                      // processes (default 3)
       "f": 1,                      // service resilience (default 1)
       "budget": {"max_states": 200000, "deadline_seconds": 60},
-      "workers": 1,                // engine workers (server-clamped; 1 without a store)
+      "workers": 1,                // accepted (an integer >= 1) and ignored
       "reduction": "none",         // none | symmetry | por | full
       "store": "sqlite",           // sqlite (backend name only)
       "rss_limit_mb": 1024,        // RSS ceiling hint (server-clamped)
@@ -24,9 +24,9 @@ A job request is one JSON object::
 ``store`` names a :mod:`repro.engine.store` *backend*, never a path —
 clients do not get to choose where the server writes; disk-backed
 stores live under the server's own data directory.  ``rss_limit_mb``
-is clamped to the server's ``max_rss_limit_mb`` the same way
-``workers`` is clamped to ``max_engine_workers``; a job without a store
-runs at one worker, because the worker pool runs on a store.
+is clamped to the server's ``max_rss_limit_mb``.  Every job explores in
+one process: ``workers`` is still validated, so requests and journal
+lines written for earlier servers keep working, and then ignored.
 
 ``tenant`` may instead arrive as an ``X-Repro-Tenant`` header; the body
 wins when both are present.  ``proposals`` only influences the cache
@@ -214,17 +214,11 @@ class JobSpec:
     n: int = 3
     resilience: int = 1
     budget: Budget = DEFAULT_BUDGET
-    workers: int = 1
     reduction: str = "none"
     store: str | None = None  # backend name from STORES; None = in-RAM loop
     rss_limit_mb: int | None = None  # server-clamped ceiling hint
     proposals: tuple = ()  # sorted ((endpoint, value), ...) or () = balanced
     tenant: str = DEFAULT_TENANT
-
-    def engine_workers(self, cap: int) -> int:
-        """The engine's worker count: ``workers`` clamped to ``cap``, and
-        to 1 without a store (the worker pool runs on a store)."""
-        return 1 if self.store is None else min(self.workers, cap)
 
     def build(self):
         """The candidate :class:`~repro.system.DistributedSystem`."""
@@ -253,7 +247,6 @@ class JobSpec:
             "n": self.n,
             "f": self.resilience,
             "budget": self.budget.to_json(),
-            "workers": self.workers,
             "reduction": self.reduction,
             "store": self.store,
             "rss_limit_mb": self.rss_limit_mb,
@@ -300,7 +293,9 @@ class JobSpec:
             default=1,
             minimum=0,
         )
-        workers = _int_field(document, "workers", default=1, minimum=1)
+        # Validated for the requests and journal lines of earlier
+        # servers, then ignored: every job explores in one process.
+        _int_field(document, "workers", default=1, minimum=1)
         reduction = document.get("reduction", "none")
         if reduction not in REDUCTIONS:
             raise WireError(
@@ -345,7 +340,6 @@ class JobSpec:
             n=n,
             resilience=resilience,
             budget=budget,
-            workers=workers,
             reduction=reduction,
             store=store,
             rss_limit_mb=rss_limit_mb,

@@ -9,7 +9,7 @@ subsystem closes that gap in three layers:
   partition/heal as **explicit, explorable transitions** with per-link
   :class:`FaultBudget` budgets.  Each fault instance is its own
   deterministic task, so exhaustive exploration, reduction, and the
-  parallel engine compose unchanged; the zero budget is state-for-state
+  store-backed engine compose unchanged; the zero budget is state-for-state
   the benign network.
 * :mod:`repro.sim.harness` — FoundationDB-style deterministic
   simulation: :func:`simulate` drives any system plus fault schedule

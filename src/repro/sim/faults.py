@@ -5,7 +5,7 @@ adversary also loses, duplicates, reorders, and partitions messages
 ("Time is not a Healer" models exactly these message adversaries).  This
 module makes each such fault a first-class transition of a service
 automaton, so the whole analysis stack — exhaustive exploration,
-valence, the hook search, reduction, the parallel engine — composes
+valence, the hook search, reduction, the store-backed engine — composes
 with a faulty network *unchanged*:
 
 * :class:`FaultyNetwork` wraps the asynchronous reliable FIFO network

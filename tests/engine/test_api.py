@@ -2,9 +2,9 @@
 
 The load-bearing guarantees under test:
 
-* at any worker count (more than one runs on a sqlite store), a
-  completed run produces a StateGraph identical to the sequential
-  explorer's — same states *in the same discovery order*, same edges;
+* with or without a sqlite store, a completed run produces a
+  StateGraph identical to the sequential explorer's — same states *in
+  the same discovery order*, same edges;
 * budget exhaustion raises BudgetExhausted with the exact legacy
   semantics (`len(states) == max_states` at raise time) plus progress;
 * an interrupted checkpointed run resumes to the same completed graph
@@ -48,9 +48,9 @@ def sequential_graph(instance):
     return explore(view, root, budget=Budget(max_states=50_000))
 
 
-def pool_store(tmp_path, workers):
-    """The engine ``store=`` for ``workers``: the pool runs on sqlite."""
-    return None if workers == 1 else f"sqlite:{tmp_path / 'store'}"
+def store_for(tmp_path, store):
+    """The engine ``store=`` for a test's ``store`` parameter."""
+    return None if store == "classic" else f"sqlite:{tmp_path / 'store'}"
 
 
 class TestSequentialEquivalence:
@@ -61,65 +61,74 @@ class TestSequentialEquivalence:
         assert graph.edges == sequential_graph.edges
 
 
-class TestParallelEquivalence:
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_identical_graph_including_order(
-        self, instance, sequential_graph, workers, tmp_path
-    ):
-        view, root = instance
-        graph = ExplorationEngine(
-            workers=workers, budget=Budget(), store=pool_store(tmp_path, workers)
-        ).explore(view, root)
-        assert list(graph.states) == list(sequential_graph.states)
-        assert graph.edges == sequential_graph.edges
-        assert graph.edge_count() == sequential_graph.edge_count()
-
-    def test_prune_respected_in_parallel(self, instance, tmp_path):
+class TestStoreEquivalence:
+    def test_prune_respected_through_a_store(self, instance, tmp_path):
         view, root = instance
 
         def decided(state):
             return bool(view.decisions(state))
 
         sequential = explore(view, root, budget=Budget(max_states=50_000), prune=decided)
-        parallel = ExplorationEngine(
-            workers=2, budget=Budget(), store=pool_store(tmp_path, 2)
+        stored = ExplorationEngine(
+            budget=Budget(), store=store_for(tmp_path, "sqlite")
         ).explore(view, root, prune=decided)
-        assert list(parallel.states) == list(sequential.states)
-        assert parallel.edges == sequential.edges
+        assert list(stored.states) == list(sequential.states)
+        assert stored.edges == sequential.edges
 
-    def test_worker_metrics_published(self, instance, tmp_path):
+    def test_run_metrics_published(self, instance, tmp_path):
         view, root = instance
         metrics = MetricsRegistry()
         ExplorationEngine(
-            workers=2, budget=Budget(), metrics=metrics, store=pool_store(tmp_path, 2)
+            budget=Budget(), metrics=metrics, store=store_for(tmp_path, "sqlite")
         ).explore(view, root)
         counters = metrics.snapshot()["counters"]
         assert counters["engine.runs"] == 1
         assert counters["explore.states"] == counters["engine.expanded"]
-        per_worker = [
-            value
-            for name, value in counters.items()
-            if name.startswith("engine.worker") and name.endswith(".expanded")
-        ]
-        assert sum(per_worker) == counters["engine.expanded"]
 
 
-class TestWorkersNeedAStore:
-    def test_pool_without_store_is_refused(self):
-        """The worker pool runs on a sqlite store; without one the
-        engine refuses workers > 1 up front and names both ways out."""
-        with pytest.raises(ValueError, match="workers=2 needs a store") as info:
-            ExplorationEngine(workers=2, budget=Budget())
+class TestOneWorker:
+    @pytest.mark.parametrize("store", ["classic", "sqlite"])
+    def test_more_than_one_worker_is_refused(self, tmp_path, store):
+        """The worker pool is gone: any count but one raises, with or
+        without a store, and says so."""
+        with pytest.raises(ValueError, match="worker pool was removed") as info:
+            ExplorationEngine(workers=2, store=store_for(tmp_path, store))
         assert "workers=1" in str(info.value)
-        assert "sqlite:" in str(info.value)
 
-    def test_one_worker_or_a_store_is_accepted(self, tmp_path):
-        """One worker needs no store, and a pool with a sqlite store
-        constructs without a warning."""
+    def test_one_worker_is_accepted(self, tmp_path):
+        """``workers=1``, the value existing callers still pass, constructs
+        without a warning, with or without a store."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ExplorationEngine(workers=1)
-            ExplorationEngine(workers=2, store=pool_store(tmp_path, 2))
+            ExplorationEngine(workers=1, store=store_for(tmp_path, "sqlite"))
+
+
+class TestEngineReport:
+    def test_report_to_json_round_trips(self, instance):
+        """The report's JSON form survives a JSON round trip and carries
+        none of the removed worker-pool keys."""
+        import json
+
+        view, root = instance
+        engine = ExplorationEngine(budget=Budget())
+        engine.explore(view, root)
+        report = engine.last_report
+        payload = json.loads(json.dumps(report.to_json()))
+        assert payload["states"] == report.states
+        assert payload["store_backend"] == "memory"
+        for removed in (
+            "workers",
+            "rounds",
+            "degraded",
+            "worker_rss_kb",
+            "recovered_states",
+            "worker_failures",
+            "worker_respawns",
+            "quarantined",
+        ):
+            assert removed not in payload
+        assert {"workers", "rounds"}.isdisjoint(report.live())
 
 
 class TestCheckpointNeedsADurableStore:
@@ -260,16 +269,15 @@ class TestFlushInterval:
 
 
 class TestCheckpointResume:
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("store", ["classic", "sqlite"])
     def test_interrupt_then_resume_reaches_full_graph(
-        self, instance, sequential_graph, tmp_path, workers
+        self, instance, sequential_graph, tmp_path, store
     ):
         view, root = instance
-        directory = tmp_path / f"ckpt-{workers}"
-        store = pool_store(tmp_path, workers)
+        directory = tmp_path / f"ckpt-{store}"
+        store = store_for(tmp_path, store)
         with pytest.raises(BudgetExhausted) as info:
             ExplorationEngine(
-                workers=workers,
                 budget=Budget(max_states=60),
                 store=store,
                 checkpoint_dir=directory,
@@ -277,7 +285,6 @@ class TestCheckpointResume:
         assert info.value.checkpoint is not None
         assert find_checkpoint(directory, fingerprint(root)) is not None
         resumed = ExplorationEngine(
-            workers=workers,
             budget=Budget(),
             store=store,
             checkpoint_dir=directory,
@@ -288,13 +295,13 @@ class TestCheckpointResume:
         # The completed exploration retires its checkpoint.
         assert find_checkpoint(directory, fingerprint(root)) is None
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("store", ["classic", "sqlite"])
     def test_resume_across_format_bump(
-        self, instance, sequential_graph, tmp_path, workers
+        self, instance, sequential_graph, tmp_path, store
     ):
         """A v1 (pre-packed) checkpoint file, a pickled Checkpoint object,
-        is refused with the fix named at one worker; a store-backed run
-        at two refuses it too, since a checkpoint resumes only under the
+        is refused with the fix named without a store; a store-backed
+        run refuses it too, since a checkpoint resumes only under the
         configuration that wrote it."""
         import pickle
 
@@ -325,16 +332,15 @@ class TestCheckpointResume:
             )
         )
         engine = ExplorationEngine(
-            workers=workers,
             budget=Budget(),
-            store=pool_store(tmp_path, workers),
+            store=store_for(tmp_path, store),
             checkpoint_dir=tmp_path,
             resume=True,
         )
-        match = "without store=" if workers > 1 else "delete the file and rerun"
+        match = "without store=" if store == "sqlite" else "delete the file and rerun"
         with pytest.raises(CheckpointError, match=match):
             engine.explore(view, root)
-        if workers == 1:
+        if store == "classic":
             # Deleting the file, as the error says, starts the run over.
             path.unlink()
             resumed = engine.explore(view, root)

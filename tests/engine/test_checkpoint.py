@@ -333,3 +333,68 @@ class TestDigestWidth:
         payload["digest_size"] = 8
         newest.write_bytes(pickle.dumps(payload))
         assert load_segment(tmp_path, digest).seq == 0
+
+
+class TestMultiWorkerFiles:
+    """Files written by multi-worker runs of earlier engines, which
+    recorded ``workers: 2``, resume in one process to the identical graph:
+    the field is informational and the formats are unchanged."""
+
+    @pytest.fixture(scope="class")
+    def instance(self):
+        from repro.analysis import DeterministicSystemView
+        from repro.engine import Budget, ExplorationEngine
+        from repro.protocols import delegation_consensus_system
+
+        system = delegation_consensus_system(3, resilience=1)
+        view = DeterministicSystemView(system)
+        root = system.initialization({0: 0, 1: 1, 2: 0}).final_state
+        return view, root, ExplorationEngine(budget=Budget()).explore(view, root)
+
+    def _resume(self, view, root, checkpoint_dir, store=None):
+        from repro.engine import Budget, ExplorationEngine
+
+        return ExplorationEngine(
+            budget=Budget(), store=store, checkpoint_dir=checkpoint_dir, resume=True
+        ).explore(view, root)
+
+    def test_v2_checkpoint_from_two_workers_resumes(self, instance, tmp_path):
+        from repro.engine import Budget, BudgetExhausted, ExplorationEngine
+
+        view, root, classic = instance
+        with pytest.raises(BudgetExhausted):
+            ExplorationEngine(
+                budget=Budget(max_states=60), checkpoint_dir=tmp_path
+            ).explore(view, root)
+        path = checkpoint_path(tmp_path, fingerprint(root))
+        save_checkpoint(
+            tmp_path, dataclasses.replace(load_checkpoint(path), workers=2)
+        )
+        payload = pickle.loads(path.read_bytes())
+        assert (payload["version"], payload["mode"]) == (2, "packed")
+        assert payload["workers"] == 2
+        graph = self._resume(view, root, tmp_path)
+        assert list(graph.states) == list(classic.states)
+        assert graph.edges == classic.edges
+
+    def test_delta_segment_from_two_workers_resumes(self, instance, tmp_path):
+        from repro.engine import Budget, BudgetExhausted, ExplorationEngine
+
+        view, root, classic = instance
+        store = f"sqlite:{tmp_path / 'store'}"
+        checkpoint_dir = tmp_path / "ck"
+        with pytest.raises(BudgetExhausted):
+            ExplorationEngine(
+                budget=Budget(max_states=60),
+                store=store,
+                checkpoint_dir=checkpoint_dir,
+                flush_interval=25,
+            ).explore(view, root)
+        digest = fingerprint(root)
+        segment = load_segment(checkpoint_dir, digest)
+        path = save_segment(checkpoint_dir, dataclasses.replace(segment, workers=2))
+        assert pickle.loads(path.read_bytes())["workers"] == 2
+        assert load_segment(checkpoint_dir, digest).workers == 2
+        graph = self._resume(view, root, checkpoint_dir, store=store)
+        assert list(graph.states) == list(classic.states)
+        assert graph.edges == classic.edges

@@ -12,7 +12,6 @@ from repro.engine import (
     Codec,
     canonical_bytes,
     fingerprint,
-    shard_of,
 )
 from repro.protocols import (
     arbiter_consensus_system,
@@ -77,10 +76,6 @@ class TestFingerprint:
         b = system.initialization({0: 1, 1: 0}).final_state
         assert fingerprint(a) != fingerprint(b)
         assert fingerprint(a) == fingerprint(a)
-
-    def test_shard_of_covers_range(self):
-        shards = {shard_of(fingerprint(i), 4) for i in range(256)}
-        assert shards == {0, 1, 2, 3}
 
 
 class TestIndexes:

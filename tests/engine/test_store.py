@@ -6,8 +6,7 @@ Three layers of guarantees:
   invariant across its head/spill-file/tail windows, and the backend
   contract (add/get/contains, expansion log order, truncate-to-marks,
   clear, reopen) for the ``sqlite`` backend;
-* equivalence: a store-backed exploration — sequential or parallel —
-  produces the *identical* graph (state order and edge dict) to the
+* equivalence: a store-backed exploration produces the *identical* graph (state order and edge dict) to the
   classic in-RAM engine, on tob(3,1) and delegation(5,1);
 * durability: streaming delta segments let a SIGKILLed run resume to
   the identical graph, segment directories are first-class citizens of
@@ -326,23 +325,19 @@ class TestBackendContract:
 class TestIdenticalGraph:
     """The headline guarantee: same graph as classic, byte for byte."""
 
-    @pytest.mark.parametrize("workers", (1, 2))
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_store_graph_matches_classic(
-        self, backend, workers, instances, tmp_path
-    ):
+    def test_store_graph_matches_classic(self, backend, instances, tmp_path):
         for name, view, root, classic in instances:
             engine = ExplorationEngine(
-                workers=workers,
                 budget=Budget(max_states=2_000_000),
-                store=store_uri(backend, tmp_path, suffix=f"-{name}-{workers}"),
+                store=store_uri(backend, tmp_path, suffix=f"-{name}"),
             )
             graph = engine.explore(view, root)
             assert list(graph.states) == list(classic.states), (
-                f"{backend} workers={workers} {name}: state order diverged"
+                f"{backend} {name}: state order diverged"
             )
             assert graph.edges == classic.edges, (
-                f"{backend} workers={workers} {name}: edges diverged"
+                f"{backend} {name}: edges diverged"
             )
             report = engine.last_report
             assert report.store_backend == backend
@@ -462,14 +457,13 @@ class TestComposability:
                 store="sqlite",
             )
 
-    def test_reduction_parallel_store_compose(self, tmp_path):
-        """Reduction + parallelism + disk store in one run."""
+    def test_reduction_store_compose(self, tmp_path):
+        """Reduction + disk store in one run."""
         system = delegation_consensus_system(3, resilience=1)
         verdict = refute_candidate(
             system,
             budget=Budget(max_states=100_000),
             engine=ExplorationEngine(
-                workers=2,
                 budget=Budget(max_states=100_000),
                 store=f"sqlite:{tmp_path / 'store'}",
             ),
@@ -487,12 +481,11 @@ class TestComposability:
 
 
 class TestSegmentCheckpoints:
-    def exhaust(self, view, root, tmp_path, backend="sqlite", workers=1):
+    def exhaust(self, view, root, tmp_path, backend="sqlite"):
         checkpoint_dir = tmp_path / "ck"
         uri = store_uri(backend, tmp_path)
         with pytest.raises(BudgetExhausted) as info:
             ExplorationEngine(
-                workers=workers,
                 budget=Budget(max_states=60),
                 store=uri,
                 checkpoint_dir=checkpoint_dir,
@@ -597,24 +590,6 @@ class TestSegmentCheckpoints:
         graph = ExplorationEngine(
             workers=1,
             budget=Budget(max_states=100_000),
-            checkpoint_dir=checkpoint_dir,
-            resume=True,
-        ).explore(view, root)
-        assert list(graph.states) == list(classic.states)
-        assert graph.edges == classic.edges
-
-    def test_parallel_exhaust_resumes_identically(
-        self, small_instance, tmp_path
-    ):
-        view, root = small_instance
-        classic = ExplorationEngine(workers=1).explore(view, root)
-        checkpoint_dir, uri, _ = self.exhaust(
-            view, root, tmp_path, workers=2
-        )
-        graph = ExplorationEngine(
-            workers=2,
-            budget=Budget(max_states=100_000),
-            store=uri,
             checkpoint_dir=checkpoint_dir,
             resume=True,
         ).explore(view, root)

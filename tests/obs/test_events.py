@@ -80,9 +80,9 @@ class TestTraceEvent:
     def test_kinds_registry_contains_all_constants(self):
         assert RUN_START in KINDS
         assert STATE_EXPLORED in KINDS
-        assert "worker_round" in KINDS
         assert "checkpoint_saved" in KINDS
-        assert "worker_lost" in KINDS
+        assert "worker_round" not in KINDS
+        assert "worker_lost" not in KINDS
         assert "worker_respawned" not in KINDS
         assert "state_quarantined" not in KINDS
         assert "span_start" in KINDS
@@ -91,7 +91,18 @@ class TestTraceEvent:
         assert "fault_fired" in KINDS
         assert "fuzz_candidate" in KINDS
         assert "shrink_step" in KINDS
-        assert len(KINDS) == 20
+        assert len(KINDS) == 18
+
+    def test_kinds_of_removed_emitters_still_load(self):
+        """A trace written while the engine had a worker pool holds
+        ``worker_round`` events; ``KINDS`` is not enforced on read."""
+        line = (
+            '{"data":{"expanded":40,"round":2},"kind":"worker_round",'
+            '"lamport":3,"process":null,"seq":3}'
+        )
+        event = TraceEvent.from_json(line)
+        assert (event.kind, event.data) == ("worker_round", {"expanded": 40, "round": 2})
+        assert event.to_json() == line
 
 
 class TestTracerStamping:

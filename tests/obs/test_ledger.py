@@ -67,7 +67,6 @@ class TestRunRecord:
             started_at=10.0,
             finished_at=12.5,
             pid=42,
-            workers=2,
             budget={"max_states": 1000},
             store="sqlite:/tmp/s",
             verdict={"refuted": True},
@@ -86,6 +85,15 @@ class TestRunRecord:
         assert record.status == RUNNING
         assert record.counters == {} and record.artifacts == {}
 
+    def test_from_json_ignores_the_workers_field(self):
+        """Records written while the engine had a worker pool carry a
+        ``workers`` count; they still parse, and the field is dropped."""
+        record = RunRecord.from_json(
+            {"run_id": "refute-1-a", "kind": "refute", "pid": 42, "workers": 2}
+        )
+        assert (record.run_id, record.kind, record.pid) == ("refute-1-a", "refute", 42)
+        assert "workers" not in record.to_json()
+
 
 class TestLifecycle:
     def test_open_then_finish_latest_wins(self, tmp_path):
@@ -95,7 +103,6 @@ class TestLifecycle:
             "tob(n=3,f=1)",
             budget={"max_states": 10},
             store="sqlite:/tmp/s",
-            workers=2,
             artifacts={"resume": "repro refute tob --resume ck"},
         )
         opening = ledger.find(run.run_id)

@@ -15,11 +15,9 @@ class FakeClock:
         return self.now
 
 
-def snapshot(states, frontier, workers, elapsed, **store):
+def snapshot(states, frontier, elapsed, **store):
     """Live fields as the engine hands them over (``EngineReport.live``)."""
-    return dict(
-        states=states, frontier=frontier, workers=workers, elapsed=elapsed, **store
-    )
+    return dict(states=states, frontier=frontier, elapsed=elapsed, **store)
 
 
 def reporter(stream=None, **kwargs):
@@ -31,55 +29,55 @@ def reporter(stream=None, **kwargs):
 class TestThrottle:
     def test_first_update_renders_then_throttles(self):
         progress, stream, clock = reporter(interval_seconds=0.25)
-        assert progress.update(snapshot(10, 5, 2, 1.0))
-        assert not progress.update(snapshot(11, 5, 2, 1.1))
+        assert progress.update(snapshot(10, 5, 1.0))
+        assert not progress.update(snapshot(11, 5, 1.1))
         clock.now += 0.3
-        assert progress.update(snapshot(12, 5, 2, 1.4))
+        assert progress.update(snapshot(12, 5, 1.4))
         assert progress.renders == 2
 
     def test_force_bypasses_throttle(self):
         progress, stream, clock = reporter()
-        progress.update(snapshot(1, 1, 1, 0.1))
-        assert progress.update(snapshot(2, 1, 1, 0.2), force=True)
+        progress.update(snapshot(1, 1, 0.1))
+        assert progress.update(snapshot(2, 1, 0.2), force=True)
 
 
 class TestFormatting:
-    def test_line_contains_rate_frontier_workers(self):
-        line = format_line(snapshot(1000, 50, 4, 2.0))
+    def test_line_contains_rate_frontier(self):
+        line = format_line(snapshot(1000, 50, 2.0))
         assert "1000 states" in line
         assert "500 st/s" in line
         assert "frontier 50" in line
-        assert "workers 4" in line
+        assert "workers" not in line
 
     def test_eta_against_max_states(self):
-        line = format_line(snapshot(500, 10, 1, 1.0), Budget(max_states=1000))
+        line = format_line(snapshot(500, 10, 1.0), Budget(max_states=1000))
         assert "50% of 1000 states" in line
         assert "~1s to cap" in line
 
     def test_eta_against_deadline(self):
-        line = format_line(snapshot(100, 10, 1, 2.0), Budget(deadline_seconds=10.0))
+        line = format_line(snapshot(100, 10, 2.0), Budget(deadline_seconds=10.0))
         assert "deadline 8s left" in line
 
     def test_store_columns_render_when_given(self):
-        line = format_line(snapshot(1000, 50, 4, 2.0, spilled=123, flush_ms=4.567))
+        line = format_line(snapshot(1000, 50, 2.0, spilled=123, flush_ms=4.567))
         assert "spilled 123" in line
         assert "flush 4.6ms" in line
 
     def test_store_columns_absent_by_default(self):
-        line = format_line(snapshot(1000, 50, 4, 2.0))
+        line = format_line(snapshot(1000, 50, 2.0))
         assert "spilled" not in line
         assert "flush" not in line
 
     def test_update_passes_store_columns_through(self):
         progress, stream, _ = reporter()
-        progress.update(snapshot(10, 5, 1, 1.0, spilled=7, flush_ms=1.25))
+        progress.update(snapshot(10, 5, 1.0, spilled=7, flush_ms=1.25))
         output = stream.getvalue()
         assert "spilled 7" in output
         assert "flush 1.2ms" in output or "flush 1.3ms" in output
 
     def test_non_tty_writes_plain_lines(self):
         progress, stream, _ = reporter()
-        progress.update(snapshot(1, 1, 1, 0.1))
+        progress.update(snapshot(1, 1, 0.1))
         progress.finish()
         output = stream.getvalue()
         assert output.endswith("\n")
@@ -87,11 +85,11 @@ class TestFormatting:
 
     def test_non_tty_one_line_per_interval(self):
         progress, stream, clock = reporter(interval_seconds=0.25)
-        progress.update(snapshot(1, 1, 1, 0.1))
+        progress.update(snapshot(1, 1, 0.1))
         clock.now += 0.3
-        progress.update(snapshot(2, 1, 1, 0.4))
+        progress.update(snapshot(2, 1, 0.4))
         clock.now += 0.3
-        progress.update(snapshot(3, 1, 1, 0.7))
+        progress.update(snapshot(3, 1, 0.7))
         lines = [
             line for line in stream.getvalue().splitlines() if line.strip()
         ]
@@ -105,9 +103,9 @@ class TestFormatting:
 
         stream = Tty()
         progress, stream, clock = reporter(stream=stream)
-        progress.update(snapshot(1, 1, 1, 0.1))
+        progress.update(snapshot(1, 1, 0.1))
         clock.now += 1.0
-        progress.update(snapshot(2, 1, 1, 0.2))
+        progress.update(snapshot(2, 1, 0.2))
         progress.finish()
         output = stream.getvalue()
         assert output.count("\r") == 2

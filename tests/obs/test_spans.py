@@ -1,4 +1,4 @@
-"""Unit tests for hierarchical spans, worker telemetry, and span tooling."""
+"""Unit tests for hierarchical spans and span tooling."""
 
 import pytest
 
@@ -8,13 +8,11 @@ from repro.obs import (
     SPAN_END,
     SPAN_START,
     Tracer,
-    WorkerTelemetry,
     assemble_spans,
     current_span_id,
     diff_span_profiles,
     end_span,
     folded_stacks,
-    merge_worker_events,
     render_folded_stacks,
     render_span_diff,
     render_span_table,
@@ -134,64 +132,3 @@ class TestAssembly:
         assert by_name["work"]["ratio"] == pytest.approx(2.0)
         assert by_name["extra"]["count_a"] == 0
         assert "extra" in render_span_diff(rows)
-
-
-class TestWorkerTelemetry:
-    def test_buffer_spans_and_counters_roundtrip(self):
-        telemetry = WorkerTelemetry("w1")
-        opened = telemetry.start_span("partition", states=4)
-        telemetry.record_span("expand", 0.5, parent=opened)
-        telemetry.end_span(opened, transitions=7)
-        telemetry.inc("explore.states", 3)
-        events, counters = telemetry.flush()
-        assert counters == {"explore.states": 3}
-        assert [kind for kind, _, _ in events] == [
-            SPAN_START,
-            SPAN_START,
-            SPAN_END,
-            SPAN_END,
-        ]
-        assert telemetry.flush() is None  # buffer reset
-
-    def test_span_ids_are_label_namespaced(self):
-        telemetry = WorkerTelemetry("w42")
-        opened = telemetry.start_span("partition")
-        assert opened.span_id.startswith("w42:")
-
-    def test_merge_reparents_and_tags(self):
-        telemetry = WorkerTelemetry("w1")
-        opened = telemetry.start_span("partition")
-        telemetry.record_span("expand", 0.1, parent=opened)
-        telemetry.end_span(opened)
-        events, _ = telemetry.flush()
-
-        tracer, sink = tracer_pair()
-        round_span = start_span(tracer, "round")
-        merged = merge_worker_events(
-            tracer, events, parent_id=round_span.span_id, attach={"worker": 0}
-        )
-        end_span(tracer, round_span)
-        assert merged == len(events)
-        records = {r.name: r for r in assemble_spans(sink.events())}
-        # Top-level worker span re-parented under the round; child kept.
-        assert records["partition"].parent_id == round_span.span_id
-        assert records["partition"].attrs["worker"] == 0
-        assert records["expand"].parent_id == records["partition"].span_id
-
-    def test_merge_restamps_seq_monotonically(self):
-        telemetry = WorkerTelemetry("w1")
-        opened = telemetry.start_span("partition")
-        telemetry.end_span(opened)
-        events, _ = telemetry.flush()
-        tracer, sink = tracer_pair()
-        tracer.emit("phase", stage="before")
-        merge_worker_events(tracer, events)
-        seqs = [event.seq for event in sink.events()]
-        assert seqs == sorted(seqs)
-        assert len(set(seqs)) == len(seqs)
-
-    def test_merge_into_disabled_tracer_is_noop(self):
-        telemetry = WorkerTelemetry("w1")
-        telemetry.end_span(telemetry.start_span("partition"))
-        events, _ = telemetry.flush()
-        assert merge_worker_events(NULL_TRACER, events) == 0

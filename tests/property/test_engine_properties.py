@@ -1,14 +1,13 @@
-"""Property tests: the parallel engine is indistinguishable from explore().
+"""Property tests: the store-backed engine is indistinguishable from explore().
 
 The engine's documented guarantee is semantic equivalence with the
-sequential explorer at every worker count — not merely "same number of
-states" but the same graph, hence the same valence analysis downstream.
-These properties drive the engine across the paper's Fig. 1/Fig. 2
-instances (delegation over an atomic consensus object, delegation over
-totally ordered broadcast) with randomized worker counts, budgets, and
-interrupt points, and compare against the sequential ground truth.
-Runs with more than one worker go through a sqlite store, as the engine
-requires.
+sequential explorer with or without a store — not merely "same number
+of states" but the same graph, hence the same valence analysis
+downstream.  These properties drive the engine across the paper's
+Fig. 1/Fig. 2 instances (delegation over an atomic consensus object,
+delegation over totally ordered broadcast) with and without a sqlite
+store, randomized budgets and interrupt points, and compare against the
+sequential ground truth.
 """
 
 from hypothesis import given, settings
@@ -45,18 +44,13 @@ def _instance(name):
     return _CACHE[name]
 
 
-class TestParallelEquivalence:
-    @settings(max_examples=12, deadline=None)
-    @given(
-        name=st.sampled_from(sorted(FACTORIES)),
-        workers=st.sampled_from([2, 4]),
-    )
-    def test_same_graph_and_decision_sets(self, name, workers, tmp_path_factory):
+class TestStoreEquivalence:
+    @settings(max_examples=6, deadline=None)
+    @given(name=st.sampled_from(sorted(FACTORIES)))
+    def test_same_graph_and_decision_sets(self, name, tmp_path_factory):
         view, root, sequential = _instance(name)
         store = f"sqlite:{tmp_path_factory.mktemp('engine-store')}"
-        graph = ExplorationEngine(
-            workers=workers, budget=Budget(), store=store
-        ).explore(view, root)
+        graph = ExplorationEngine(budget=Budget(), store=store).explore(view, root)
         assert set(graph.states) == set(sequential.states)
         assert list(graph.states) == list(sequential.states)  # discovery order too
         assert graph.edge_count() == sequential.edge_count()
@@ -71,26 +65,24 @@ class TestCheckpointRoundTrip:
     @given(
         name=st.sampled_from(sorted(FACTORIES)),
         interrupt_after=st.integers(min_value=2, max_value=120),
-        workers=st.sampled_from([1, 2]),
+        stored=st.booleans(),
     )
     def test_interrupted_run_resumes_to_ground_truth(
-        self, name, interrupt_after, workers, tmp_path_factory
+        self, name, interrupt_after, stored, tmp_path_factory
     ):
         view, root, sequential = _instance(name)
         directory = tmp_path_factory.mktemp("engine-ckpt")
         store = (
-            None if workers == 1 else f"sqlite:{tmp_path_factory.mktemp('engine-store')}"
+            f"sqlite:{tmp_path_factory.mktemp('engine-store')}" if stored else None
         )
         try:
             graph = ExplorationEngine(
-                workers=workers,
                 budget=Budget(max_states=interrupt_after),
                 store=store,
                 checkpoint_dir=directory,
             ).explore(view, root)
         except BudgetExhausted:
             graph = ExplorationEngine(
-                workers=workers,
                 budget=Budget(),
                 store=store,
                 checkpoint_dir=directory,

@@ -52,6 +52,20 @@ class TestVerdicts:
         assert document["engine"] is not None
         assert document["wall_seconds"] > 0
 
+    def test_workers_field_is_accepted_and_ignored(self, serve_factory):
+        """Clients written for servers with a worker pool still send
+        ``workers``; the job runs in one process and gets its verdict,
+        which the same job without the field is then served from."""
+        _, client = serve_factory(fleet=1)
+        status, _, submitted = client.submit({**FAST_SPEC, "workers": 2})
+        assert status == 202
+        document = client.poll(submitted["id"])
+        assert document["state"] == "completed"
+        assert document["verdict"]["refuted"] is True
+        status, _, answer = client.submit(FAST_SPEC)
+        assert status == 200 and answer["cached"] is True
+        assert answer["verdict"] == document["verdict"]
+
     def test_exhausted_budget_surfaces_as_a_state(self, serve_factory):
         _, client = serve_factory(fleet=1)
         starved = {**FAST_SPEC, "budget": {"max_states": 20}}

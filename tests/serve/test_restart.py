@@ -73,6 +73,25 @@ class TestRestartRecovery:
             "serve.jobs.recovered"
         ] == 1
 
+    def test_journaled_job_with_workers_recovers(self, serve_factory, tmp_path):
+        """Servers that had a worker pool journaled each spec with its
+        ``workers`` count; such a line still replays and completes."""
+        handle1, client1 = serve_factory(fleet=0, data_dir=tmp_path)
+        _, _, submitted = client1.submit(FAST_SPEC)
+        handle1.stop()
+        journal = tmp_path / "jobs.jsonl"
+        (line,) = [json.loads(text) for text in journal.read_text().splitlines()]
+        assert "workers" not in line["spec"]
+        line["spec"]["workers"] = 2
+        journal.write_text(json.dumps(line, sort_keys=True) + "\n", encoding="utf-8")
+
+        handle2, client2 = serve_factory(fleet=1, data_dir=tmp_path)
+        status, _, recovered = client2.get(f"/jobs/{submitted['id']}")
+        assert status == 200 and recovered["resumed"] is True
+        document = client2.poll(submitted["id"])
+        assert document["state"] == "completed"
+        assert document["verdict"]["refuted"] is True
+
     def test_done_jobs_are_not_recovered(self, serve_factory, tmp_path):
         handle1, client1 = serve_factory(fleet=1, data_dir=tmp_path)
         _, _, submitted = client1.submit(FAST_SPEC)

@@ -58,8 +58,7 @@ class TestOutcomes:
         # but every published one carries the heartbeat's live fields.
         heartbeat = ledger.read_heartbeat(handle.run_id)
         live = set(heartbeat) - {"run", "t", "pid", "interval", "states_per_sec"}
-        assert live >= {"states", "frontier", "workers", "elapsed", "transitions"}
-        assert live >= {"rounds", "phases"}
+        assert live >= {"states", "frontier", "elapsed", "transitions", "phases"}
         assert events
         for event in events:
             assert event["kind"] == "progress"
@@ -123,66 +122,18 @@ class TestCheckpointResume:
         assert not any(tmp_path.iterdir())
 
 
-class TestWorkerLoss:
-    def test_lost_worker_fails_the_job_and_resubmitting_resumes(
-        self, tmp_path, poison
-    ):
-        """The engine is fail-stop: a lost worker ends the job FAILED,
-        its checkpoint stays, and running the job again resumes it."""
-        from repro.analysis import DeterministicSystemView
-        from repro.engine import fork_available
-
-        if not fork_available():
-            pytest.skip("killing a worker needs forked workers")
-        document = {
-            "candidate": "delegation",
-            "n": 3,
-            "f": 1,
-            "workers": 2,
-            "store": "sqlite",
-        }
-        clean, _ = run(make_job(document), max_engine_workers=2)
-        assert clean.state == COMPLETED
-
-        job = make_job(document)
-        system = job.spec.build()
-        # The Lemma 4 chain explores the all-zero initialization first.
-        root = system.initialization({0: 0, 1: 0, 2: 0}).final_state
-        poison.round_two(DeterministicSystemView(system), root)
-        outcome, _ = run(job, data_dir=tmp_path, max_engine_workers=2)
-        assert outcome.state == FAILED
-        assert outcome.error["error"] == "job_failed"
-        assert "WorkerLost: worker 0 lost in round 2" in outcome.error["detail"]
-        checkpoints = job_checkpoint_dir(tmp_path, job.key, "sqlite")
-        assert checkpoints.is_dir() and any(checkpoints.iterdir())
-
-        poison.digests.clear()
-        metrics = MetricsRegistry()
-        retry = make_job(document, job_id="job-retry", resume=True)
-        outcome, _ = run(
-            retry, data_dir=tmp_path, metrics=metrics, max_engine_workers=2
-        )
-        assert outcome.state == COMPLETED
-        assert outcome.verdict == clean.verdict
-        assert metrics.snapshot()["counters"].get("engine.resumes", 0) >= 1
-        assert not checkpoints.exists()
-
-
-class TestWorkersClamp:
-    def test_pool_only_with_a_store(self):
-        """With a cap of 2, a ``workers: 2`` job runs at one worker
-        without a store and at two with one; the verdict is the same."""
-        document = {"candidate": "delegation", "n": 3, "f": 1, "workers": 2}
-        plain, _ = run(make_job(document), max_engine_workers=2)
-        stored, _ = run(
-            make_job({**document, "store": "sqlite"}), max_engine_workers=2
-        )
-        assert plain.state == stored.state == COMPLETED
-        assert plain.engine_report["workers"] == 1
-        assert plain.engine_report["store_backend"] == "memory"
-        assert stored.engine_report["workers"] == 2
-        assert stored.engine_report["store_backend"] == "sqlite"
-        assert plain.verdict == stored.verdict
+class TestWorkersIgnored:
+    def test_workers_field_is_ignored(self):
+        """A ``workers: 2`` job, written for servers that still had a
+        worker pool, runs in one process and gets the verdict of the same
+        job without the field, with or without a store."""
+        document = {"candidate": "delegation", "n": 3, "f": 1}
+        reference, _ = run(make_job(document))
+        for extra in ({}, {"store": "sqlite"}):
+            outcome, _ = run(make_job({**document, **extra, "workers": 2}))
+            assert outcome.state == COMPLETED
+            assert outcome.verdict == reference.verdict
+            assert "workers" not in outcome.engine_report
 
 
 class TestStoreJobs:

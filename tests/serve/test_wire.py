@@ -12,7 +12,6 @@ class TestJobSpecFromJson:
         spec = JobSpec.from_json({"candidate": "last-writer"})
         assert spec.n == 3
         assert spec.resilience == 1
-        assert spec.workers == 1
         assert spec.reduction == "none"
         assert spec.store is None
         assert spec.rss_limit_mb is None
@@ -77,14 +76,20 @@ class TestJobSpecFromJson:
         with pytest.raises(WireError, match="one of sqlite"):
             JobSpec.from_json({"candidate": "tob", "store": "memory"})
 
-    def test_engine_workers_clamp(self):
-        """``workers`` is clamped to the server's cap, and to 1 without a
-        store: the worker pool runs on a store."""
-        spec = JobSpec.from_json({"candidate": "tob", "workers": 4})
-        assert spec.engine_workers(2) == 1
-        spec = JobSpec.from_json({"candidate": "tob", "workers": 4, "store": "sqlite"})
-        assert spec.engine_workers(2) == 2
-        assert spec.engine_workers(8) == 4
+    def test_workers_validated_and_ignored(self):
+        """``workers`` stays on the wire for clients and journal lines of
+        servers that had a worker pool: an integer >= 1 is accepted and
+        ignored, anything else is still a 400."""
+        plain = JobSpec.from_json({"candidate": "tob", "store": "sqlite"})
+        for workers in (1, 2, 4):
+            spec = JobSpec.from_json(
+                {"candidate": "tob", "store": "sqlite", "workers": workers}
+            )
+            assert spec == plain
+        assert "workers" not in plain.to_json()
+        for bad in (0, -1, True, "2", 1.5):
+            with pytest.raises(WireError, match="workers"):
+                JobSpec.from_json({"candidate": "tob", "workers": bad})
 
     def test_store_rejects_paths(self):
         # A path-carrying URI would let a client choose server filesystem

@@ -170,17 +170,84 @@ class TestHeadlineSignatures:
             "run",
         ]
 
-    def test_worker_loss_surface(self):
-        """A lost worker raises WorkerLost; no recovery knobs remain."""
-        assert "WorkerLost" in repro.engine.__all__
-        for removed in ("FaultPlan", "PartitionRetryExhausted", "StateQuarantined"):
-            assert removed not in repro.engine.__all__
-        parameters = inspect.signature(repro.engine.WorkerLost).parameters
-        assert list(parameters) == [
-            "worker",
-            "round_index",
-            "checkpoint",
-            "resume_command",
+    def test_worker_pool_surface_removed(self):
+        """The worker pool is gone, with every name that served only it;
+        ``ExplorationEngine`` keeps ``workers`` (above) for ``workers=1``.
+
+        The engine's export list is snapshotted: adding a name is an API
+        addition, removing one a breaking change.
+        """
+        import dataclasses
+        import importlib.util
+
+        assert sorted(repro.engine.__all__) == [
+            "Budget",
+            "BudgetExhausted",
+            "Canonicalizer",
+            "Checkpoint",
+            "CheckpointError",
+            "Codec",
+            "CodecError",
+            "DEFAULT_BUDGET",
+            "DIGEST_SIZE",
+            "Deadline",
+            "EngineError",
+            "EngineReport",
+            "ExplorationEngine",
+            "ReducedView",
+            "ReductionAuditError",
+            "ReductionComparison",
+            "ReductionConfig",
+            "SQLiteStore",
+            "Segment",
+            "StateStore",
+            "StoreConfig",
+            "StoreError",
+            "StoreStats",
+            "audit_reduction",
+            "build_reduced_view",
+            "canonical_bytes",
+            "checkpoint_meta",
+            "checkpoint_path",
+            "compact_segments",
+            "compare_reduction",
+            "decode_bytes",
+            "digest_of_packed",
+            "discard_checkpoint",
+            "find_checkpoint",
+            "fingerprint",
+            "list_checkpoints",
+            "load_checkpoint",
+            "load_segment",
+            "open_store",
+            "register_codec_type",
+            "registered_codec_types",
+            "resolve_store",
+            "resume_hint",
+            "save_checkpoint",
+            "save_segment",
+            "segment_dir",
+        ]
+        assert not [name for name in repro.obs.__all__ if "worker" in name.lower()]
+        for module in ("repro.engine.parallel", "repro.engine.visited"):
+            assert importlib.util.find_spec(module) is None
+        assert [
+            field.name for field in dataclasses.fields(repro.engine.EngineReport)
+        ] == [
+            "states",
+            "transitions",
+            "elapsed_seconds",
+            "store_backend",
+            "spilled_states",
+            "store_flushes",
+            "store_flush_seconds",
+            "peak_rss_kb",
+            "rss_limit_mb",
+            "phase_seconds",
+            "memo_misses",
+            "memo_entries",
+            "frontier",
+            "flush_ms",
         ]
 
     def test_store_config_fields(self):

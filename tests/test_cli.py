@@ -1,8 +1,8 @@
 """Tests for the ``python -m repro`` command-line interface.
 
-``$REPRO_ENGINE_WORKERS`` and ``$REPRO_ENGINE_STORE`` set the pipeline
-commands' defaults, so the same tests also run against the worker pool
-(``REPRO_ENGINE_WORKERS=2 REPRO_ENGINE_STORE=sqlite``).  A test that
+``$REPRO_ENGINE_STORE`` sets the pipeline commands' default store, so
+the same tests also run against the sqlite store
+(``REPRO_ENGINE_STORE=sqlite``).  A test that
 resumes across invocations then needs a store that outlives the first
 one: :func:`resumable` names a directory under the test's tmp path.
 """
@@ -34,8 +34,7 @@ def resumable(tmp_path) -> list[str]:
 
 @pytest.fixture
 def no_engine_env(monkeypatch):
-    """The pipeline defaults without the environment: no store, 1 worker."""
-    monkeypatch.delenv("REPRO_ENGINE_WORKERS", raising=False)
+    """The pipeline defaults without the environment: no store."""
     monkeypatch.delenv("REPRO_ENGINE_STORE", raising=False)
 
 
@@ -108,21 +107,6 @@ class TestRefute:
 
 
 class TestEngineFlags:
-    def test_workers_flag_same_verdict(self, capsys, tmp_path):
-        assert main(["refute", "delegation", "-n", "2", "-f", "0"]) == 0
-        sequential = capsys.readouterr().out
-        assert main(
-            ["refute", "delegation", "-n", "2", "-f", "0", "--workers", "2",
-             "--store", f"sqlite:{tmp_path / 'store'}"]
-        ) == 0
-        parallel = capsys.readouterr().out
-        strip = lambda out: [
-            line
-            for line in out.splitlines()
-            if not line.startswith(("Explored", "Run id:"))
-        ]
-        assert strip(parallel) == strip(sequential)
-
     def test_deadline_exhaustion_exits_2(self, capsys):
         assert main(["refute", "delegation", "--deadline", "1e-9"]) == 2
         out = capsys.readouterr().out
@@ -150,15 +134,19 @@ class TestEngineFlags:
         assert code == 2
         assert "Exploration budget exhausted" in capsys.readouterr().out
 
-    def test_workers_without_store_is_a_usage_error(
-        self, capsys, tmp_path, no_engine_env
+    @pytest.mark.parametrize("store", [[], ["--store", "sqlite"]])
+    def test_workers_flag_is_a_usage_error(
+        self, capsys, tmp_path, no_engine_env, store
     ):
+        """The worker pool and its ``--workers`` flag are gone: passing it,
+        with or without a store, is an argparse usage error."""
         runs_dir = str(tmp_path / "runs")
         with pytest.raises(SystemExit) as excinfo:
-            main(["refute", "delegation", "--workers", "2", "--runs-dir", runs_dir])
+            main(["refute", "delegation", "--workers", "2", *store,
+                  "--runs-dir", runs_dir])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert "--workers 2 needs --store" in err
+        assert "unrecognized arguments: --workers 2" in err
         # Rejected before the run ledger opened: no false "interrupted" run.
         assert main(["runs", "list", "--json", "--runs-dir", runs_dir]) == 0
         assert json.loads(capsys.readouterr().out) == []
@@ -393,53 +381,6 @@ class TestBudgetExhaustionPath:
         out = capsys.readouterr().out
         assert "Checkpoint: " in out
         assert f"--resume {checkpoints}" in out
-
-
-class TestChaosFlags:
-    def test_chaos_kill_recovers_to_same_verdict(self, capsys, poison, tmp_path):
-        """A killed worker stops the refutation: exit 1 with the
-        checkpoint and resume lines and one failed ledger record; the
-        --resume run then completes with the clean verdict."""
-        from repro.analysis import DeterministicSystemView
-        from repro.engine import fork_available
-        from repro.protocols import delegation_consensus_system
-
-        if not fork_available():
-            pytest.skip("killing a worker needs forked workers")
-        checkpoints = str(tmp_path / "ckpt")
-        runs_dir = str(tmp_path / "runs")
-        refute = [
-            "refute", "delegation", "--workers", "2",
-            "--store", f"sqlite:{tmp_path / 'store'}", "--runs-dir", runs_dir,
-        ]
-        assert main(refute) == 0
-        clean = capsys.readouterr().out
-        # The Lemma 4 chain explores the all-zero initialization first.
-        system = delegation_consensus_system(3, resilience=1)
-        root = system.initialization({0: 0, 1: 0, 2: 0}).final_state
-        poison.round_two(DeterministicSystemView(system), root)
-        with pytest.raises(SystemExit) as excinfo:
-            main([*refute, "--checkpoint", checkpoints])
-        message = str(excinfo.value.code)
-        assert message.startswith("worker 0 lost in round 2")
-        assert "\nCheckpoint: " in message
-        assert f"--resume {checkpoints}" in message.splitlines()[-1]
-        capsys.readouterr()
-        assert main(["runs", "list", "--json", "--runs-dir", runs_dir]) == 0
-        records = json.loads(capsys.readouterr().out)
-        failed = [record for record in records if record["status"] == "failed"]
-        assert len(failed) == 1
-        assert "worker 0 lost in round 2" in failed[0]["error"]
-        assert f"--resume {checkpoints}" in failed[0]["artifacts"]["resume"]
-        poison.digests.clear()
-        assert main([*refute, "--resume", checkpoints]) == 0
-        resumed = capsys.readouterr().out
-        strip = lambda out: [
-            line
-            for line in out.splitlines()
-            if not line.startswith(("Explored", "Run id:"))
-        ]
-        assert strip(resumed) == strip(clean)
 
 
 class TestTrace:
@@ -751,7 +692,7 @@ class TestRuns:
         heartbeat = RunLedger(runs_dir).read_heartbeat(run_id)
         live = {
             key: heartbeat[key]
-            for key in ("states", "frontier", "workers", "elapsed")
+            for key in ("states", "frontier", "elapsed")
         }
         assert f"{run_id}  completed    {format_line(live)}" in out
 
@@ -862,7 +803,7 @@ class TestRunsCrashSafety:
     def test_sigkill_mid_run_derives_interrupted_with_resume(
         self, capsys, tmp_path
     ):
-        """SIGKILL a store-backed 2-worker run mid-flight; the ledger must
+        """SIGKILL a store-backed run mid-flight; the ledger must
         derive ``interrupted`` (no terminal record) and still surface the
         resume command written into the opening record."""
         import os
@@ -878,7 +819,7 @@ class TestRunsCrashSafety:
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         child = subprocess.Popen(
             [sys.executable, "-m", "repro", "refute", "tob",
-             "--max-states", "400000", "--workers", "2",
+             "--max-states", "400000",
              "--store", f"sqlite:{tmp_path / 'store'}",
              "--checkpoint", str(tmp_path / "ck"),
              "--runs-dir", str(runs_dir)],
